@@ -16,15 +16,17 @@ from .dynamics import (
     canonical_rotation,
     detect_cycle,
     is_cyclic_palindrome,
+    orbit_interval,
     rotation_equal,
     step,
     step_inverse,
     word_is_cycle_at,
 )
-from .intervals import Interval, IntervalSet, Rational, make_interval, parse_interval, parse_rational
+from .intervals import Interval, make_interval, parse_interval, parse_rational
 from .partition import (
     BudgetExceeded,
     Caps,
+    MarchError,
     OrbitCapExceeded,
     PartitionAtlas,
     PointSummary,
@@ -55,14 +57,13 @@ __all__ = [
     "Caps",
     "HalfLineConstraint",
     "Interval",
-    "IntervalSet",
     "Label",
+    "MarchError",
     "OrbitCapExceeded",
     "OrbitResult",
     "ParamSpec",
     "PartitionAtlas",
     "PointSummary",
-    "Rational",
     "ShellStats",
     "SweepReport",
     "TailDescription",
@@ -76,6 +77,7 @@ __all__ = [
     "label_of",
     "make_interval",
     "occurrence_index",
+    "orbit_interval",
     "parse_interval",
     "parse_rational",
     "rotation_equal",

@@ -80,8 +80,10 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
     closed only if every constraint admits equality there.  Singletons are
     legitimate results.  None means infeasible or empty.
 
-    Bounds are compared by integer cross-multiplication; this routine sits on
-    the refinement hot path, so it avoids building a Fraction per constraint.
+    Bounds are compared by integer cross-multiplication, without a Fraction
+    per constraint; `dynamics.orbit_interval` folds the same bounds while the
+    orbit runs, and `partition.verify_atlas` uses this routine as its
+    independent check.
     """
     word = tuple(word)
     if not word:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .intervals import Interval
+
 DEFAULT_ORBIT_CAP = 10**7
 
 _KINDS = ("exact", "plus_zero", "minus_zero")
@@ -90,16 +92,13 @@ def step(spec: ParamSpec, point: LatticePoint) -> LatticePoint:
 
 
 def step_inverse(spec: ParamSpec, point: LatticePoint) -> LatticePoint:
-    """Inverse of `step`; the defining inequality is symmetric in x and z."""
+    """Inverse of `step`; the defining inequality is symmetric in x and z.
+
+    So the predecessor of ``(x, y)`` is read off the step from the swapped
+    pair ``(y, x)``, and the one-sided tie rule lives in `step` alone.
+    """
     x, y = point
-    p, q = spec.value.numerator, spec.value.denominator
-    w = -((p * x + q * y) // q)
-    if x % q == 0:
-        if spec.kind == "plus_zero" and x < 0:
-            w += 1
-        elif spec.kind == "minus_zero" and x > 0:
-            w += 1
-    return (w, x)
+    return (step(spec, (y, x))[1], x)
 
 
 def detect_cycle(
@@ -146,6 +145,63 @@ def detect_cycle(
         if x == x0 and y == y0:
             return OrbitResult("cycle", tuple(word), steps, max_abs)
     return OrbitResult("cap_exceeded", None, steps, max_abs)
+
+
+def orbit_interval(
+    spec: ParamSpec, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
+) -> Optional[tuple[Word, Interval, int]]:
+    """`detect_cycle` and `constraints.interval_for_cycle` in one orbit pass.
+
+    Each step's ``(x, y, z)`` is one cyclic triple of the word, so the
+    interval's bounds are folded, by integer cross-multiplication, while the
+    orbit runs.  Returns ``(word, interval, steps_used)``, or None when the
+    orbit does not return to ``start`` within ``cap`` steps.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    x0, y0 = start
+    p, q = spec.value.numerator, spec.value.denominator
+    plus = spec.kind == "plus_zero"
+    minus = spec.kind == "minus_zero"
+    # Running bounds as (num, den, strict) with den > 0, starting from the
+    # open ambient interval (-2, 2).
+    lo_n, lo_d, lo_strict = -2, 1, True
+    hi_n, hi_d, hi_strict = 2, 1, True
+    word: list[int] = []
+    append = word.append
+    x, y = x0, y0
+    for steps in range(1, cap + 1):
+        append(x)
+        z = -((p * y + q * x) // q)
+        if y % q == 0:
+            if plus and y < 0:
+                z += 1
+            elif minus and y > 0:
+                z += 1
+        # y == 0 gives z == -x: no bound, and always feasible.
+        if y > 0:
+            # lam >= (-x - z)/y (weak), lam < (1 - x - z)/y (strict)
+            a = -x - z
+            if a * lo_d > lo_n * y:
+                lo_n, lo_d, lo_strict = a, y, False
+            cmp = (a + 1) * hi_d - hi_n * y
+            if cmp < 0 or (cmp == 0 and not hi_strict):
+                hi_n, hi_d, hi_strict = a + 1, y, True
+        elif y < 0:
+            # lam <= (x + z)/-y (weak), lam > (x + z - 1)/-y (strict)
+            a, d = x + z, -y
+            if a * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = a, d, False
+            cmp = (a - 1) * lo_d - lo_n * d
+            if cmp > 0 or (cmp == 0 and not lo_strict):
+                lo_n, lo_d, lo_strict = a - 1, d, True
+        x, y = y, z
+        if x == x0 and y == y0:
+            ival = Interval(
+                Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), not lo_strict, not hi_strict
+            )
+            return tuple(word), ival, steps
+    return None
 
 
 def word_is_cycle_at(word: Word, lam: Fraction) -> bool:

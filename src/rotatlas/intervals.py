@@ -1,9 +1,9 @@
-"""Exact rational intervals with per-endpoint closure, and their disjoint unions.
+"""Exact rational intervals with per-endpoint closure.
 
 Endpoints are `fractions.Fraction` throughout; nothing in this module (or in
 the rest of the package) ever rounds.  Closure is tracked separately for each
 endpoint because the parameter partitions we manipulate mix open, closed,
-half-open and singleton intervals, and set difference at a boundary point has
+half-open and singleton intervals, and intersection at a boundary point has
 to be decided exactly.
 
 The canonical textual form used by every emitter and parser in the package:
@@ -13,12 +13,9 @@ rationals render as ``p/q`` (plain ``n`` for integers), intervals as
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
-
-Rational = Fraction
+from typing import Optional
 
 
 def parse_rational(text: str) -> Fraction:
@@ -97,19 +94,6 @@ class Interval:
         hi_k = min(_hi_key(self.hi, self.hi_closed), _hi_key(other.hi, other.hi_closed))
         return make_interval(lo_k[0], lo_k[1] == 0, hi_k[0], hi_k[1] == 0)
 
-    def subtract(self, hole: "Interval") -> list["Interval"]:
-        """Set difference ``self \\ hole`` as zero, one or two intervals in order."""
-        if self.intersect(hole) is None:
-            return [self]
-        pieces = []
-        left = make_interval(self.lo, self.lo_closed, hole.lo, not hole.lo_closed)
-        if left is not None:
-            pieces.append(left)
-        right = make_interval(hole.hi, not hole.hi_closed, self.hi, self.hi_closed)
-        if right is not None:
-            pieces.append(right)
-        return pieces
-
     def __str__(self) -> str:
         if self.is_singleton:
             return f"[{self.lo}]"
@@ -144,70 +128,3 @@ def parse_interval(text: str) -> Interval:
         text[0] == "[",
         text[-1] == "]",
     )
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """An ordered union of pairwise disjoint intervals.
-
-    Consecutive parts may touch at a point only when at most one of the
-    touching ends is closed; such parts stay separate (they are distinct
-    gaps as far as refinement is concerned).
-    """
-
-    parts: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for prev, nxt in zip(self.parts, self.parts[1:]):
-            if prev.hi > nxt.lo or (
-                prev.hi == nxt.lo and prev.hi_closed and nxt.lo_closed
-            ):
-                raise ValueError(f"parts overlap or are out of order: {prev} then {nxt}")
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
-    def _from_sorted(cls, parts: tuple[Interval, ...]) -> "IntervalSet":
-        # Internal: parts already satisfy the invariant by construction.
-        out = object.__new__(cls)
-        object.__setattr__(out, "parts", parts)
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.parts)
-
-    def contains(self, r) -> bool:
-        return any(part.contains(r) for part in self.parts)
-
-    def subtract(self, hole: Interval) -> "IntervalSet":
-        """Remove ``hole`` from every part, preserving exact closures.
-
-        Parts are sorted, so only the contiguous run whose spans reach the
-        hole needs rewriting; value-level bisection brackets that run (the
-        endpoints inside it still get the exact closure treatment).
-        """
-        parts = self.parts
-        i = bisect_left(parts, hole.lo, key=lambda p: p.hi)
-        j = bisect_right(parts, hole.hi, lo=i, key=lambda p: p.lo)
-        if i >= j:
-            return self
-        rewritten: list[Interval] = []
-        for part in parts[i:j]:
-            rewritten.extend(part.subtract(hole))
-        return IntervalSet._from_sorted(parts[:i] + tuple(rewritten) + parts[j:])
-
-    def sample_points(self) -> tuple[Fraction, ...]:
-        """One rational per part, in part order: the midpoint, or the point itself."""
-        return tuple(part.midpoint() for part in self.parts)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(p) for p in self.parts) + "}"

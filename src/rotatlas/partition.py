@@ -1,12 +1,15 @@
-"""Refinement of the finite part of the parameter interval, plus verification.
+"""The finite part of the parameter interval, marched left to right, plus verification.
 
 Given an integer initial pair, the tail module covers a left neighbourhood of
 -2 with explicit cycles; the rest of the parameter interval (the "body") is
-carved out by refinement: detect the cycle at a sample parameter, solve the
-inverse problem for the exact interval on which that cycle occurs, subtract,
-and resample midpoints of whatever is left.  The loop is expected to
-terminate with a finite list of intervals; explicit budgets guard against the
-alternative, which would mean either a bug or a counterexample.
+marched from its closed lower edge to the open edge 2.  At each point ``r``
+one orbit pass (`dynamics.orbit_interval`) finds the cycle at ``r``, or just
+right of ``r`` when ``r`` already belongs to the previous interval, together
+with the exact interval on which that cycle occurs; the march continues from
+that interval's right end.  The cycles partition the body, so the march
+emits the partition in order.  It is expected to stop after finitely many
+intervals; explicit budgets guard against the alternative, which would mean
+either a bug or a counterexample.
 
 `verify_atlas` re-checks a computed atlas from scratch: exact coverage,
 disjointness, re-detection of every stored cycle at interval endpoints and
@@ -29,8 +32,9 @@ from .dynamics import (
     Word,
     canonical_rotation,
     detect_cycle,
+    orbit_interval,
 )
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 from .tail import TailDescription, tail_of, triangular_cycle, z_interval
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
@@ -38,7 +42,7 @@ FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
 
 @dataclass(frozen=True)
 class Caps:
-    """Budgets guarding refinement; generous relative to everything observed."""
+    """Budgets guarding the march (``max_rounds`` caps the body intervals)."""
 
     orbit_cap: int = DEFAULT_ORBIT_CAP
     max_rounds: int = 10**4
@@ -46,7 +50,7 @@ class Caps:
 
 
 class OrbitCapExceeded(Exception):
-    """An orbit at a sampled parameter failed to close within the step cap."""
+    """An orbit at a marched parameter failed to close within the step cap."""
 
     def __init__(self, lam: Fraction, start: tuple[int, int], cap: int):
         self.lam = lam
@@ -56,13 +60,30 @@ class OrbitCapExceeded(Exception):
 
 
 class BudgetExceeded(Exception):
-    """Refinement ran out of rounds or total orbit steps; residual attached."""
+    """The march ran out of intervals or total orbit steps; ``residual`` is unmarched."""
 
-    def __init__(self, reason: str, start: tuple[int, int], residual: IntervalSet):
+    def __init__(self, reason: str, start: tuple[int, int], residual: Interval):
         self.reason = reason
         self.start = start
         self.residual = residual
-        super().__init__(f"refinement for {start} exceeded {reason}; residual {residual}")
+        super().__init__(f"march for {start} exceeded {reason}; residual {residual}")
+
+
+class MarchError(Exception):
+    """A solved interval does not start at the marched point as it must.
+
+    It must start closed there on ``side`` "exact", open on "plus_zero".
+    """
+
+    def __init__(self, start: tuple[int, int], lam: Fraction, side: str, solved):
+        self.start = start
+        self.lam = lam
+        self.side = side
+        self.solved = solved
+        super().__init__(
+            f"march for {start} at {lam} ({side}) solved {solved}, "
+            f"which does not start {'closed' if side == 'exact' else 'open'} there"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,53 +150,45 @@ class PartitionAtlas:
 
 
 def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
-    """Run the refinement loop for one initial pair.
+    """March the body of one initial pair from left to right.
 
     The pair (0, 0) short-circuits: its single cycle (0) covers everything.
-    Otherwise the body range starts closed at the right edge of the tail and
-    ends open at 2.  Sampled words are deduplicated; each found interval is
-    clipped to the body range before subtraction so the tail/body boundary
-    point stays with the body.
+    Otherwise the body starts closed at the right edge of the tail and ends
+    open at 2.  From a point ``r`` that the previous interval left open, the
+    orbit runs at ``r`` itself; from one it closed, it runs just right of
+    ``r`` (the plus-side map).  Either way the solved interval must start at
+    ``r`` with the opposite closure, or `MarchError` is raised; the first
+    interval, which reaches into the tail, is clipped to the body first.
     """
     tail = tail_of(a0, a1)
     if (a0, a1) == (0, 0):
         return PartitionAtlas(a0, a1, tail, ((FULL_RANGE, (0,)),))
 
     body_range = Interval(tail.interval.hi, Fraction(2), True, False)
-    remaining = IntervalSet((body_range,))
-    found: dict[Word, Interval] = {}
     start = (a0, a1)
-    rounds = 0
+    body: list[tuple[Interval, Word]] = []
     total_steps = 0
-    while remaining:
-        rounds += 1
-        if rounds > caps.max_rounds:
-            raise BudgetExceeded(f"round budget {caps.max_rounds}", start, remaining)
-        for lam in remaining.sample_points():
-            result = detect_cycle(ParamSpec.exact(lam), start, caps.orbit_cap)
-            if result.outcome != "cycle":
-                raise OrbitCapExceeded(lam, start, caps.orbit_cap)
-            total_steps += result.steps_used
-            if total_steps > caps.max_total_steps:
-                raise BudgetExceeded(
-                    f"total step budget {caps.max_total_steps}", start, remaining
-                )
-            word = result.cycle
-            if word in found:
-                continue
-            ival = interval_for_cycle(word)
-            assert ival is not None and ival.contains(lam), (
-                f"detected cycle at {lam} whose parameter interval misses it"
-            )
-            clipped = ival.intersect(body_range)
-            assert clipped is not None
-            found[word] = clipped
-            remaining = remaining.subtract(clipped)
-    body = tuple(
-        (ival, word)
-        for word, ival in sorted(found.items(), key=lambda kv: (kv[1].lo, kv[1].hi))
-    )
-    return PartitionAtlas(a0, a1, tail, body)
+    r, closed = body_range.lo, True
+    while r < 2:
+        if len(body) == caps.max_rounds:
+            residual = Interval(r, 2, closed, False)
+            raise BudgetExceeded(f"interval budget {caps.max_rounds}", start, residual)
+        spec = ParamSpec.exact(r) if closed else ParamSpec.plus_zero(r)
+        found = orbit_interval(spec, start, caps.orbit_cap)
+        if found is None:
+            raise OrbitCapExceeded(r, start, caps.orbit_cap)
+        word, ival, steps = found
+        total_steps += steps
+        if total_steps > caps.max_total_steps:
+            residual = Interval(r, 2, closed, False)
+            raise BudgetExceeded(f"total step budget {caps.max_total_steps}", start, residual)
+        if ival.lo < r:
+            ival = ival.intersect(body_range)
+        if ival is None or ival.lo != r or ival.lo_closed != closed:
+            raise MarchError(start, r, spec.kind, ival)
+        body.append((ival, word))
+        r, closed = ival.hi, not ival.hi_closed
+    return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ class TailDescription:
     ``k_start`` is max(K, occurrence index): K alone makes every window's
     cycle occupy exactly that window, but the pair itself only rides the
     cycles from its occurrence index on, and the windows below that belong
-    to the refined body.
+    to the marched body.
     """
 
     label: Label

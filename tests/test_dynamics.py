@@ -2,13 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotatlas import (
     OrbitResult,
     ParamSpec,
     canonical_rotation,
     detect_cycle,
+    interval_for_cycle,
     is_cyclic_palindrome,
+    orbit_interval,
     rotation_equal,
     step,
     step_inverse,
@@ -18,6 +22,14 @@ from rotatlas import (
 # one-sided boundary specializations: always-periodic at 2-0, blow-up at -2+0
 PERIODIC_EDGE = ParamSpec.minus_zero(2)
 DIVERGENT_EDGE = ParamSpec.plus_zero(-2)
+
+
+pairs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+inner_lambdas = st.integers(1, 40).flatmap(
+    lambda q: st.builds(F, st.integers(-2 * q + 1, 2 * q - 1), st.just(q))
+)
+# The parameters the march visits: a point itself, or just right of it.
+march_specs = st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero")), inner_lambdas)
 
 
 def random_lambda(rng):
@@ -214,3 +226,57 @@ def test_rotation_helpers():
 def test_max_abs_tracks_whole_orbit():
     r = detect_cycle(ParamSpec.exact(F(8, 5)), (-1, -1))
     assert r.max_abs == max(abs(v) for v in r.cycle)
+
+
+@settings(deadline=None)
+@given(march_specs, pairs)
+def test_orbit_interval_is_one_pass_of_detect_cycle_and_interval_for_cycle(spec, start):
+    reference = detect_cycle(spec, start)
+    assert reference.outcome == "cycle"
+    word, ival, steps = orbit_interval(spec, start)
+    assert word == reference.cycle
+    assert steps == reference.steps_used
+    assert ival == interval_for_cycle(word)
+    # both loop kernels inline `step`; the word must be its orbit
+    point = start
+    for letter in word:
+        assert point[0] == letter
+        point = step(spec, point)
+    assert point == start
+
+
+@settings(deadline=None)
+@given(march_specs, pairs, st.integers(1, 40))
+def test_orbit_interval_cap_agrees_with_detect_cycle(spec, start, cap):
+    found = orbit_interval(spec, start, cap)
+    reference = detect_cycle(spec, start, cap)
+    assert (found is None) == (reference.outcome == "cap_exceeded")
+    if found is not None:
+        assert (found[0], found[2]) == (reference.cycle, reference.steps_used)
+
+
+def test_orbit_interval_examples():
+    word, ival, steps = orbit_interval(ParamSpec.exact(0), (1, 0))
+    assert (word, str(ival), steps) == ((1, 0, -1, 0), "[0]", 4)
+    # just right of 8/5 the 38-cycle at [8/5] gives way to another cycle
+    exact = orbit_interval(ParamSpec.exact(F(8, 5)), (-1, -1))
+    plus = orbit_interval(ParamSpec.plus_zero(F(8, 5)), (-1, -1))
+    assert str(exact[1]) == "[8/5]" and len(exact[0]) == 38
+    assert plus[1].lo == F(8, 5) and not plus[1].lo_closed
+    assert orbit_interval(ParamSpec.exact(0), (5, 7), cap=3) is None
+    with pytest.raises(ValueError):
+        orbit_interval(ParamSpec.exact(0), (5, 7), cap=0)
+
+
+def test_orbit_interval_on_the_minus_side():
+    # not marched, but the kernel carries the whole tie rule of `step`
+    rng = random.Random(11)
+    specs = [PERIODIC_EDGE] + [ParamSpec.minus_zero(random_lambda(rng)) for _ in range(40)]
+    for spec in specs:
+        start = (rng.randint(-6, 6), rng.randint(-6, 6))
+        reference = detect_cycle(spec, start)
+        word, ival, steps = orbit_interval(spec, start)
+        assert (word, steps) == (reference.cycle, reference.steps_used)
+        assert ival == interval_for_cycle(word)
+        # the minus-side cycle holds on some (value - eps, value)
+        assert ival.lo < spec.value <= ival.hi

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotatlas import Interval, IntervalSet, make_interval, parse_interval, parse_rational
+from rotatlas import Interval, make_interval, parse_interval, parse_rational
 
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
 
@@ -41,44 +41,12 @@ def test_intersect_overlap_endpoints():
     assert got == parse_interval("(-4/3,-1)")
 
 
-def test_subtract_open_hole_leaves_closed_edges():
-    x = IntervalSet((parse_interval("[-1,2)"),))
-    got = x.subtract(parse_interval("(-1,-1/2)"))
-    assert [str(p) for p in got] == ["[-1]", "[-1/2,2)"]
-
-
-def test_subtract_singleton():
-    x = IntervalSet((parse_interval("[-1,2)"),))
-    assert [str(p) for p in x.subtract(parse_interval("[-1]"))] == ["(-1,2)"]
-
-
-def test_subtract_exact_removal():
-    x = IntervalSet((parse_interval("[0,1]"),))
-    assert len(x.subtract(parse_interval("[0,1]"))) == 0
-
-
-def test_sample_points():
-    x = IntervalSet((parse_interval("[-1]"), parse_interval("(-1,0)")))
-    assert x.sample_points() == (F(-1), F(-1, 2))
-    assert IntervalSet((parse_interval("(3/2,2)"),)).sample_points() == (F(7, 4),)
-    assert IntervalSet((parse_interval("[-3/2,-1)"),)).sample_points() == (F(-5, 4),)
-
-
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(F(1), F(0), True, True)
     with pytest.raises(ValueError):
         Interval(F(1), F(1), True, False)
     assert Interval.point(F(1)).is_singleton
-
-
-def test_interval_set_invariants():
-    a, b = parse_interval("[0,1]"), parse_interval("[1,2]")
-    with pytest.raises(ValueError):
-        IntervalSet((a, b))  # both closed at the shared point
-    IntervalSet((parse_interval("[0,1)"), b))  # touching, one side open: fine
-    with pytest.raises(ValueError):
-        IntervalSet((b, a))  # out of order
 
 
 def test_make_interval_empty_cases():
@@ -116,34 +84,9 @@ def test_intersection_is_the_common_membership(a, b):
 
 
 @given(intervals(), intervals())
-def test_subtract_and_intersect_partition_membership(a, hole):
-    pieces = a.subtract(hole)
-    common = a.intersect(hole)
-    for p in probes_for(a, hole):
-        in_pieces = any(piece.contains(p) for piece in pieces)
-        in_common = common is not None and common.contains(p)
-        assert in_pieces + in_common == a.contains(p)
-        # pieces never reach into the hole
-        assert not (in_pieces and hole.contains(p))
-
-
-@given(st.lists(intervals(), min_size=1, max_size=6))
-def test_subtract_chain_keeps_invariant_and_membership(holes):
-    box = Interval(F(-10), F(10), True, True)
-    x = IntervalSet((box,))
-    for hole in holes:
-        x = x.subtract(hole)
-        IntervalSet(x.parts)  # revalidate: sorted, disjoint, no closed touching
-        assert not any(part.intersect(hole) for part in x.parts)
-    for p in probes_for(box, *holes):
-        expected = box.contains(p) and not any(h.contains(p) for h in holes)
-        assert x.contains(p) == expected
-
-
-@given(intervals(), intervals())
 def test_produced_endpoints_stay_canonical(a, b):
     got = a.intersect(b)
-    for iv in ([got] if got else []) + a.subtract(b):
+    for iv in [got] if got else []:
         for r in (iv.lo, iv.hi):
             assert r.denominator > 0
             assert math.gcd(abs(r.numerator), r.denominator) == 1

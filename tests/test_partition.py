@@ -1,11 +1,17 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import rotatlas
 from rotatlas import (
     BudgetExceeded,
     Caps,
+    MarchError,
     OrbitCapExceeded,
     compute_atlas,
     parse_interval,
@@ -14,6 +20,9 @@ from rotatlas import (
     sweep,
     verify_atlas,
 )
+from rotatlas.report import atlas_to_json
+
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def entry_map(atlas):
@@ -127,11 +136,78 @@ def test_verify_rejects_foreign_tail(atlas):
     assert not report.ok and "tail" in report.failure
 
 
-def test_round_budget_exhaustion():
+def test_round_budget_exhaustion(atlas):
     with pytest.raises(BudgetExceeded) as exc:
         compute_atlas(-2, -2, Caps(max_rounds=2))
     assert exc.value.start == (-2, -2)
-    assert len(exc.value.residual) > 0
+    residual = exc.value.residual
+    assert residual.hi == 2 and not residual.hi_closed
+    assert atlas(-2, -2).body_range.contains(residual.lo)
+    # two intervals were marched; the residual starts where the third does
+    third, _ = atlas(-2, -2).body[2]
+    assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)
+
+
+def _flip_lower_closure(orbit_interval):
+    """A broken kernel: every solved interval starts with the wrong closure."""
+
+    def broken(spec, start, cap):
+        word, ival, steps = orbit_interval(spec, start, cap)
+        if ival.is_singleton:
+            ival = dataclasses.replace(ival, hi=ival.hi + 1, hi_closed=False)
+        return word, dataclasses.replace(ival, lo_closed=not ival.lo_closed), steps
+
+    return broken
+
+
+def test_march_rejects_a_misplaced_interval(monkeypatch):
+    monkeypatch.setattr(
+        rotatlas.partition, "orbit_interval", _flip_lower_closure(rotatlas.partition.orbit_interval)
+    )
+    with pytest.raises(MarchError) as exc:
+        compute_atlas(1, 2)
+    assert exc.value.start == (1, 2)
+    assert exc.value.side in ("exact", "plus_zero")
+    assert F(-2) < exc.value.lam < F(2)
+    assert "(1, 2)" in str(exc.value) and str(exc.value.lam) in str(exc.value)
+
+
+def test_march_checks_survive_optimized_python():
+    script = (
+        "import dataclasses\n"
+        "from rotatlas import partition\n"
+        "print(__debug__, len(partition.compute_atlas(-1, -1).body))\n"
+        "good = partition.orbit_interval\n"
+        "def broken(spec, start, cap):\n"
+        "    word, ival, steps = good(spec, start, cap)\n"
+        "    return word, dataclasses.replace(ival, lo=ival.lo - 1), steps\n"
+        "partition.orbit_interval = broken\n"
+        "try:\n"
+        "    partition.compute_atlas(-1, -1)\n"
+        "except partition.MarchError as exc:\n"
+        "    print(exc.side)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rotatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.split() == ["False", "22", "plus_zero"]
+
+
+def test_march_reproduces_the_midpoint_refinement_json(atlas):
+    with open(os.path.join(GOLDENS, "atlas_json_m4.sha256")) as fh:
+        expected = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    digest = hashlib.sha256()
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            digest.update(atlas_to_json(atlas(a0, a1)).encode())
+    assert [digest.hexdigest()] == expected
 
 
 def test_orbit_cap_exhaustion():
