@@ -8,16 +8,13 @@ This package computes, verifies and renders those partitions with exact
 rational arithmetic end to end.
 """
 
-from .constraints import HalfLineConstraint, constraints_for_cycle, interval_for_cycle
+from .constraints import interval_for_cycle
 from .dynamics import (
     DEFAULT_ORBIT_CAP,
     OrbitResult,
     ParamSpec,
-    canonical_rotation,
     detect_cycle,
-    is_cyclic_palindrome,
     orbit_interval,
-    rotation_equal,
     step,
     step_inverse,
     word_is_cycle_at,
@@ -55,7 +52,6 @@ __all__ = [
     "DEFAULT_ORBIT_CAP",
     "BudgetExceeded",
     "Caps",
-    "HalfLineConstraint",
     "Interval",
     "Label",
     "MarchError",
@@ -68,19 +64,15 @@ __all__ = [
     "SweepReport",
     "TailDescription",
     "VerificationReport",
-    "canonical_rotation",
     "compute_atlas",
-    "constraints_for_cycle",
     "detect_cycle",
     "interval_for_cycle",
-    "is_cyclic_palindrome",
     "label_of",
     "make_interval",
     "occurrence_index",
     "orbit_interval",
     "parse_interval",
     "parse_rational",
-    "rotation_equal",
     "step",
     "step_inverse",
     "summarize_atlas",

@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=1,
                    help="interior verification probes per interval")
 
-    p = sub.add_parser("tables", help="sweep and print the two statistics tables")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
-
     p = sub.add_parser("diagram", help="emit an SVG number line of one atlas")
     _add_point_args(p)
     p.add_argument("--out", default=None, help="output SVG path (default: stdout)")
@@ -183,12 +178,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_tables(args) -> int:
-    rep = sweep(args.max_m, jobs=args.jobs)
-    print(report.render_tables(rep, args.fmt), end="")
-    return 0 if rep.all_verified else 1
-
-
 def _cmd_diagram(args) -> int:
     atlas = compute_atlas(args.a0, args.a1)
     verdict = verify_atlas(atlas)
@@ -211,7 +200,6 @@ _COMMANDS = {
     "tail": _cmd_tail,
     "partition": _cmd_partition,
     "sweep": _cmd_sweep,
-    "tables": _cmd_tables,
     "diagram": _cmd_diagram,
 }
 

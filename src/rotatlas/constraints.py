@@ -12,65 +12,10 @@ a single point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .intervals import Interval, make_interval
-
-AMBIENT_LO = Fraction(-2)
-AMBIENT_HI = Fraction(2)
-
-
-@dataclass(frozen=True)
-class HalfLineConstraint:
-    """One half-line ``x sense bound``, with sense in ge/gt/le/lt."""
-
-    bound: Fraction
-    sense: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        if self.sense not in ("ge", "gt", "le", "lt"):
-            raise ValueError(f"bad sense {self.sense!r}")
-
-    def admits(self, x: Fraction) -> bool:
-        if self.sense == "ge":
-            return x >= self.bound
-        if self.sense == "gt":
-            return x > self.bound
-        if self.sense == "le":
-            return x <= self.bound
-        return x < self.bound
-
-
-def constraints_for_cycle(word: Sequence[int]) -> Optional[list[HalfLineConstraint]]:
-    """The 2n half-line constraints of a word, or None if it is infeasible.
-
-    For ``b_{i+1} > 0`` the step inequality gives ``x >= (-b_i - b_{i+2}) / b_{i+1}``
-    and ``x < (1 - b_i - b_{i+2}) / b_{i+1}``; for ``b_{i+1} < 0`` the senses flip.
-    No deduplication: redundant half-lines are harmless under intersection.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValueError("cycle words are non-empty")
-    n = len(word)
-    out: list[HalfLineConstraint] = []
-    for i in range(n):
-        b0, b1, b2 = word[i], word[(i + 1) % n], word[(i + 2) % n]
-        if b1 == 0:
-            if b2 != -b0:
-                return None
-            continue
-        lo_bound = Fraction(-b0 - b2, b1)
-        hi_bound = Fraction(1 - b0 - b2, b1)
-        if b1 > 0:
-            out.append(HalfLineConstraint(lo_bound, "ge"))
-            out.append(HalfLineConstraint(hi_bound, "lt"))
-        else:
-            out.append(HalfLineConstraint(lo_bound, "le"))
-            out.append(HalfLineConstraint(hi_bound, "gt"))
-    return out
 
 
 def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:

@@ -216,42 +216,3 @@ def word_is_cycle_at(word: Word, lam: Fraction) -> bool:
             return False
     return True
 
-
-def _least_rotation_index(word: Word) -> int:
-    # Booth's algorithm for the lexicographically least rotation, O(n).
-    s = word + word
-    n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
-def canonical_rotation(word: Word) -> Word:
-    """The lexicographically least cyclic rotation; canonical form for cycle equality."""
-    if not word:
-        raise ValueError("cycle words are non-empty")
-    k = _least_rotation_index(tuple(word))
-    return tuple(word[k:]) + tuple(word[:k])
-
-
-def rotation_equal(a: Word, b: Word) -> bool:
-    """Cycle equality: equality of words up to cyclic rotation."""
-    return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
-
-
-def is_cyclic_palindrome(word: Word) -> bool:
-    """True when the reversed word is one of the word's cyclic rotations."""
-    return rotation_equal(tuple(word), tuple(word)[::-1])

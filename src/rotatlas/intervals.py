@@ -61,10 +61,6 @@ class Interval:
         return cls(lo, hi, False, False)
 
     @classmethod
-    def closed(cls, lo, hi) -> "Interval":
-        return cls(lo, hi, True, True)
-
-    @classmethod
     def closed_open(cls, lo, hi) -> "Interval":
         return cls(lo, hi, True, False)
 

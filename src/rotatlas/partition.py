@@ -11,9 +11,10 @@ emits the partition in order.  It is expected to stop after finitely many
 intervals; explicit budgets guard against the alternative, which would mean
 either a bug or a counterexample.
 
-`verify_atlas` re-checks a computed atlas from scratch: exact coverage,
-disjointness, re-detection of every stored cycle at interval endpoints and
-interior probes, pairwise distinctness of cycles up to rotation, and the
+`verify_atlas` re-checks a computed atlas from scratch with an exact
+certificate: the entries tile the body, each stored interval is exactly its
+word's parameter set within the body, and a probe orbit inside it returns
+exactly that word, which then is the orbit on the whole interval; plus the
 advertised tail structure.  `sweep` runs compute + verify over a square grid
 of initial pairs and aggregates the statistics reported by `report`.
 """
@@ -30,7 +31,6 @@ from .dynamics import (
     DEFAULT_ORBIT_CAP,
     ParamSpec,
     Word,
-    canonical_rotation,
     detect_cycle,
     orbit_interval,
 )
@@ -38,6 +38,8 @@ from .intervals import Interval
 from .tail import TailDescription, tail_of, triangular_cycle, z_interval
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
+# Tail windows `verify_atlas` checks explicitly, from the first one on.
+TAIL_PIECES = 4
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,6 @@ class PartitionAtlas:
     def total_cycle_length(self) -> int:
         return sum(len(word) for _, word in self.body)
 
-    @property
-    def average_cycle_length(self) -> Fraction:
-        return Fraction(self.total_cycle_length, len(self.body))
-
-    def longest_cycle_entry(self) -> tuple[Interval, Word]:
-        """The entry with the longest cycle (first in body order on a tie)."""
-        return max(self.body, key=lambda entry: len(entry[1]))
-
 
 def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     """March the body of one initial pair from left to right.
@@ -207,10 +201,37 @@ def _fail(message: str, probes: int) -> VerificationReport:
 def verify_atlas(
     atlas: PartitionAtlas,
     probes_per_interval: int = 2,
-    tail_pieces: int = 4,
     caps: Caps = Caps(),
 ) -> VerificationReport:
-    """Re-check a computed atlas against the dynamics from scratch."""
+    """Re-check a computed atlas against the dynamics from scratch.
+
+    The body check is a certificate, not a sample.  For every entry
+    ``(ival, word)`` it establishes two facts:
+
+    1. ``interval_for_cycle(word) ∩ body == ival``: every step inequality
+       ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
+       ``lam`` in ``ival`` (and nowhere else in the body);
+    2. at least one `detect_cycle` probe inside ``ival`` returns exactly
+       ``word``: the word starts at ``(a0, a1)`` and, as a first return,
+       holds that pair only at its start, so it is the minimal period.
+       Both properties belong to the tuple, not to the probed parameter.
+
+    The map is deterministic, so by (1) the orbit of ``(a0, a1)`` at any
+    ``lam`` in ``ival`` spells ``word`` and returns to the pair after
+    ``len(word)`` steps, and by (2) not earlier: the orbit is ``word`` on
+    the whole interval.  The tiling check shows the entries cover the body
+    exactly, so every orbit in the body is periodic.  A cycle up to rotation
+    has one rotation starting at the pair, so distinct cycles are distinct
+    tuples.  ``probes_per_interval`` interior probes (at least one) plus the
+    closed endpoints are run per entry; they also cross-check the constraint
+    solve against the dynamics.
+
+    The tail is an explicit infinite family: its first `TAIL_PIECES` windows
+    are checked against the constraint solve and re-detected at their
+    midpoints; the rest is the `tail` module's closed form.
+    """
+    if probes_per_interval < 1:
+        raise ValueError("probes_per_interval must be >= 1")
     a0, a1 = atlas.a0, atlas.a1
     body_range = atlas.body_range
     probes = 0
@@ -230,26 +251,26 @@ def verify_atlas(
 
     # Tail structure: the stored tail is the one the label dictates, and its
     # advertised pieces are genuine (window = exact parameter interval of the
-    # window's cycle, and the detected orbit there is that cycle up to rotation).
+    # window's cycle, and the detected orbit there is that cycle, rotated to
+    # start at the pair).
     label = atlas.tail.label
     if atlas.tail != tail_of(a0, a1):
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail", probes)
     if label.d > 0:
-        for k in range(atlas.tail.k_start, atlas.tail.k_start + tail_pieces):
+        for k in range(atlas.tail.k_start, atlas.tail.k_start + TAIL_PIECES):
             window = z_interval(label.s, label.d, k)
             cycle = triangular_cycle(label.s, label.d, k)
             if interval_for_cycle(cycle) != window:
                 return _fail(f"tail window mismatch at k={k}", probes)
             n = len(cycle)
-            if not any(
-                cycle[i] == a0 and cycle[(i + 1) % n] == a1 for i in range(n)
-            ):
+            offset = next(
+                (i for i in range(n) if cycle[i] == a0 and cycle[(i + 1) % n] == a1), None
+            )
+            if offset is None:
                 return _fail(f"initial pair absent from tail cycle k={k}", probes)
             result = detect_cycle(ParamSpec.exact(window.midpoint()), (a0, a1), caps.orbit_cap)
             probes += 1
-            if result.outcome != "cycle" or canonical_rotation(
-                result.cycle
-            ) != canonical_rotation(cycle):
+            if result.outcome != "cycle" or result.cycle != cycle[offset:] + cycle[:offset]:
                 return _fail(f"tail cycle not re-detected at k={k}", probes)
     else:
         result = detect_cycle(
@@ -259,18 +280,12 @@ def verify_atlas(
         if result.outcome != "cycle" or result.cycle != (label.s,):
             return _fail("constant tail cycle not re-detected", probes)
 
-    # Body entries: distinct cycles up to rotation, each containing the
-    # initial pair adjacently, each with the exact advertised interval, and
-    # each re-detected at every closed endpoint and at interior probes.
+    # Body entries: the certificate above, entry by entry.
     seen: set[Word] = set()
     for ival, word in atlas.body:
-        canon = canonical_rotation(word)
-        if canon in seen:
-            return _fail(f"duplicate cycle (up to rotation) on {ival}", probes)
-        seen.add(canon)
-        n = len(word)
-        if not any(word[i] == a0 and word[(i + 1) % n] == a1 for i in range(n)):
-            return _fail(f"initial pair absent from cycle on {ival}", probes)
+        if word in seen:
+            return _fail(f"duplicate cycle on {ival}", probes)
+        seen.add(word)
         exact = interval_for_cycle(word)
         if exact is None or exact.intersect(body_range) != ival:
             return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
@@ -424,6 +439,8 @@ def sweep(
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
+    if probes_per_interval < 1:
+        raise ValueError("probes_per_interval must be >= 1")
     grid = [
         (a0, a1, caps, probes_per_interval, out_dir)
         for a0 in range(-max_m, max_m + 1)

@@ -54,15 +54,8 @@ class Label:
             raise ValueError(f"K must be present exactly when d > 0: {self}")
 
 
-def _ramp_index_scan(t: int, m: int) -> int:
-    # min{l >= 0 : m + l*t + T_l >= 0}; ground truth by definition.
-    r = 0
-    while m + r * t + triangular(r) < 0:
-        r += 1
-    return r
-
-
 def _ramp_index_closed_form(t: int, m: int) -> int:
+    # min{l >= 0 : m + l*t + T_l >= 0}, which is
     # ceil((-1 - 2t + sqrt((2t+1)^2 - 8m)) / 2), evaluated in exact integers:
     # the least r with (2r + 2t + 1)^2 >= (2t+1)^2 - 8m.
     c = 2 * t + 1
@@ -89,8 +82,7 @@ def label_of(a0: int, a1: int) -> Label:
     else:
         t = abs(a0 - a1)
         m = max(a0, a1)
-        r = _ramp_index_scan(t, m)
-        assert r == _ramp_index_closed_form(t, m)
+        r = _ramp_index_closed_form(t, m)
         s = m + r * t + triangular(r)
         d = t + r
     K = -((s - triangular(d)) // d) if d > 0 else None

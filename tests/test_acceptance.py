@@ -17,8 +17,6 @@ from rotatlas import (
     ParamSpec,
     detect_cycle,
     interval_for_cycle,
-    is_cyclic_palindrome,
-    rotation_equal,
     step,
     step_inverse,
     sweep,
@@ -27,6 +25,7 @@ from rotatlas import (
     z_interval,
 )
 from rotatlas.report import render_endpoint_listing
+from words import is_cyclic_palindrome, rotation_equal
 
 EXTENDED = os.environ.get("ROTATLAS_EXTENDED") == "1"
 extended = pytest.mark.skipif(

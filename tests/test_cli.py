@@ -93,7 +93,7 @@ def test_sweep_command(capsys, tmp_path):
 
 
 def test_tables_command(capsys):
-    code, out, _ = run(capsys, "tables", "--max-m", "1", "--format", "csv")
+    code, out, _ = run(capsys, "sweep", "--max-m", "1", "--format", "csv")
     assert code == 0
     assert "22,11" in out.replace('"', "")
 
@@ -118,6 +118,15 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_zero_probes_exit_two(capsys):
+    for argv in (
+        ["partition", "--a0", "-2", "--a1", "-2", "--probes", "0"],
+        ["sweep", "--max-m", "1", "--probes", "0"],
+    ):
+        assert main(argv) == 2
+        assert "probes_per_interval must be >= 1" in capsys.readouterr().err
 
 
 def test_out_of_range_parameter_exits_two(capsys):

@@ -1,17 +1,59 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
-from rotatlas import (
-    HalfLineConstraint,
-    ParamSpec,
-    constraints_for_cycle,
-    detect_cycle,
-    interval_for_cycle,
-    parse_interval,
-)
+from rotatlas import ParamSpec, detect_cycle, interval_for_cycle, parse_interval
 from rotatlas.intervals import make_interval
+
+
+@dataclass(frozen=True)
+class HalfLineConstraint:
+    """One half-line ``x sense bound``, with sense in ge/gt/le/lt."""
+
+    bound: F
+    sense: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound", F(self.bound))
+        if self.sense not in ("ge", "gt", "le", "lt"):
+            raise ValueError(f"bad sense {self.sense!r}")
+
+    def admits(self, x):
+        if self.sense == "ge":
+            return x >= self.bound
+        if self.sense == "gt":
+            return x > self.bound
+        if self.sense == "le":
+            return x <= self.bound
+        return x < self.bound
+
+
+def constraints_for_cycle(word):
+    """Oracle: the 2n half-line constraints of a word, or None if it is infeasible.
+
+    For ``b_{i+1} > 0`` the step inequality gives ``x >= (-b_i - b_{i+2}) / b_{i+1}``
+    and ``x < (1 - b_i - b_{i+2}) / b_{i+1}``; for ``b_{i+1} < 0`` the senses flip.
+    """
+    word = tuple(word)
+    if not word:
+        raise ValueError("cycle words are non-empty")
+    n = len(word)
+    out = []
+    for i in range(n):
+        b0, b1, b2 = word[i], word[(i + 1) % n], word[(i + 2) % n]
+        if b1 == 0:
+            if b2 != -b0:
+                return None
+            continue
+        lo_bound = F(-b0 - b2, b1)
+        hi_bound = F(1 - b0 - b2, b1)
+        if b1 > 0:
+            out += [HalfLineConstraint(lo_bound, "ge"), HalfLineConstraint(hi_bound, "lt")]
+        else:
+            out += [HalfLineConstraint(lo_bound, "le"), HalfLineConstraint(hi_bound, "gt")]
+    return out
 
 
 def detected_word(lam, start, cap=10**6):

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from rotatlas import (
     OrbitResult,
     ParamSpec,
-    canonical_rotation,
     detect_cycle,
     interval_for_cycle,
-    is_cyclic_palindrome,
     orbit_interval,
-    rotation_equal,
     step,
     step_inverse,
     word_is_cycle_at,
 )
+from words import is_cyclic_palindrome, rotation_equal
 
 # one-sided boundary specializations: always-periodic at 2-0, blow-up at -2+0
 PERIODIC_EDGE = ParamSpec.minus_zero(2)
@@ -203,24 +201,29 @@ def test_one_sided_maps_agree_with_nearby_exact_parameters():
             checked += 1
 
 
-def test_canonical_rotation_against_brute_force():
+def test_rotation_equal_against_brute_force():
     rng = random.Random(8)
     for _ in range(500):
         n = rng.randint(1, 12)
-        w = tuple(rng.randint(-5, 5) for _ in range(n))
-        brute = min(w[i:] + w[:i] for i in range(n))
-        assert canonical_rotation(w) == brute
+        a = tuple(rng.randint(-12, 12) for _ in range(n))
+        # half the time a genuine rotation, half a random word of equal length
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            b = a[k:] + a[:k]
+        else:
+            b = tuple(rng.choice(a + (1, -1, 11)) for _ in range(n))
+        brute = any(a == b[i:] + b[:i] for i in range(n))
+        assert rotation_equal(a, b) == brute, (a, b)
 
 
 def test_rotation_helpers():
     assert rotation_equal((1, 2, 3), (3, 1, 2))
     assert not rotation_equal((1, 2, 3), (3, 2, 1))
     assert not rotation_equal((1, 2), (1, 2, 1, 2))
+    assert not rotation_equal((1,), (11,)) and not rotation_equal((1, -1), (-1, -1))
     assert is_cyclic_palindrome((1, 2, 2, 1))
     assert is_cyclic_palindrome((0,))
     assert not is_cyclic_palindrome((0, 1, 1, 2))
-    with pytest.raises(ValueError):
-        canonical_rotation(())
 
 
 def test_max_abs_tracks_whole_orbit():

@@ -15,12 +15,12 @@ from rotatlas import (
     OrbitCapExceeded,
     compute_atlas,
     parse_interval,
-    rotation_equal,
     summarize_atlas,
     sweep,
     verify_atlas,
 )
 from rotatlas.report import atlas_to_json
+from words import rotation_equal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -134,6 +134,129 @@ def test_verify_rejects_foreign_tail(atlas):
     bad = dataclasses.replace(at, tail=dataclasses.replace(at.tail, k_start=2))
     report = verify_atlas(bad)
     assert not report.ok and "tail" in report.failure
+
+
+def _edit(at, entries):
+    """The atlas with the body entries at the given indices replaced."""
+    body = list(at.body)
+    for k, entry in entries.items():
+        body[k] = entry
+    return dataclasses.replace(at, body=tuple(body))
+
+
+def _proper_boundary(body):
+    """Index k of the first boundary between two proper (non-singleton) entries."""
+    return next(
+        k
+        for k in range(len(body) - 1)
+        if not body[k][0].is_singleton and not body[k + 1][0].is_singleton
+    )
+
+
+def _shift_endpoint(at):
+    k = _proper_boundary(at.body)
+    (left, w1), (right, w2) = at.body[k], at.body[k + 1]
+    moved = right.midpoint()
+    return _edit(
+        at,
+        {
+            k: (dataclasses.replace(left, hi=moved), w1),
+            k + 1: (dataclasses.replace(right, lo=moved), w2),
+        },
+    )
+
+
+def _flip_closure(at):
+    k = _proper_boundary(at.body)
+    (left, w1), (right, w2) = at.body[k], at.body[k + 1]
+    return _edit(
+        at,
+        {
+            k: (dataclasses.replace(left, hi_closed=not left.hi_closed), w1),
+            k + 1: (dataclasses.replace(right, lo_closed=not right.lo_closed), w2),
+        },
+    )
+
+
+def _swap_words(at):
+    (i1, w1), (i2, w2) = at.body[0], at.body[-1]
+    return _edit(at, {0: (i1, w2), -1: (i2, w1)})
+
+
+def _rewrite_word(rewrite, wanted=lambda word: True):
+    """Apply ``rewrite`` to the word of the longest entry that ``wanted`` admits."""
+
+    def mutate(at):
+        ival, word = max(
+            (entry for entry in at.body if wanted(entry[1])), key=lambda entry: len(entry[1])
+        )
+        return _edit(at, {at.body.index((ival, word)): (ival, rewrite(word))})
+
+    return mutate
+
+
+def _drop_entry(at):
+    return dataclasses.replace(at, body=at.body[:1] + at.body[2:])
+
+
+def _merge_entries(at):
+    (left, word), (right, _) = at.body[0], at.body[1]
+    merged = dataclasses.replace(left, hi=right.hi, hi_closed=right.hi_closed)
+    return dataclasses.replace(at, body=((merged, word),) + at.body[2:])
+
+
+def _duplicate_word(at):
+    return _edit(at, {-1: (at.body[-1][0], at.body[0][1])})
+
+
+def _foreign_tail(at):
+    k_start = at.tail.k_start
+    if k_start is None:
+        return dataclasses.replace(at, tail=rotatlas.tail_of(at.a0 + 1, at.a1 + 1))
+    return dataclasses.replace(at, tail=dataclasses.replace(at.tail, k_start=k_start + 1))
+
+
+CORRUPTIONS = {
+    "shifted endpoint": _shift_endpoint,
+    "flipped closure": _flip_closure,
+    "swapped words": _swap_words,
+    "rotated word": _rewrite_word(lambda w: w[1:] + w[:1], lambda w: len(set(w)) > 1),
+    "doubled word": _rewrite_word(lambda w: w + w),
+    "reversed word": _rewrite_word(lambda w: w[::-1], lambda w: w != w[::-1]),
+    "dropped entry": _drop_entry,
+    "merged entries": _merge_entries,
+    "duplicate word": _duplicate_word,
+    "foreign tail": _foreign_tail,
+}
+# Each pair has a boundary between two proper entries for the endpoint and
+# closure mutants; (-1, -1) has none, its singletons alternate.
+CORPUS_PAIRS = ((-2, -2), (2, 3), (1, 1), (-2, 1), (3, -1))
+
+
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
+    at = atlas(*pair)
+    assert verify_atlas(at, probes_per_interval=1).ok
+    bad = CORRUPTIONS[name](at)
+    assert bad != at
+    report = verify_atlas(bad, probes_per_interval=1)
+    assert not report.ok and report.failure
+
+
+def test_verify_needs_a_probe_per_interval(atlas):
+    at = atlas(-2, -2)
+    # On an open interval no endpoint is probed, and the constraint solve
+    # alone accepts the doubled word: its interval is the word's own.
+    k = [str(ival) for ival, _ in at.body].index("(-3/2,-4/3)")
+    ival, word = at.body[k]
+    bad = _edit(at, {k: (ival, word * 2)})
+    with pytest.raises(ValueError):
+        verify_atlas(bad, probes_per_interval=0)
+    with pytest.raises(ValueError):
+        verify_atlas(at, probes_per_interval=-1)
+    with pytest.raises(ValueError):
+        sweep(1, probes_per_interval=0)
 
 
 def test_round_budget_exhaustion(atlas):

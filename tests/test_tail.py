@@ -13,7 +13,15 @@ from rotatlas import (
     triangular_cycle,
     z_interval,
 )
-from rotatlas.tail import _ramp_index_closed_form, _ramp_index_scan
+from rotatlas.tail import _ramp_index_closed_form
+
+
+def ramp_index_scan(t, m):
+    # min{l >= 0 : m + l*t + T_l >= 0}; ground truth by definition.
+    r = 0
+    while m + r * t + triangular(r) < 0:
+        r += 1
+    return r
 
 
 def adjacent(word, a0, a1):
@@ -63,7 +71,7 @@ def test_case_six_minimality():
 def test_ramp_index_closed_form_matches_scan():
     for t in range(0, 30):
         for m in range(-60, 0):
-            assert _ramp_index_scan(t, m) == _ramp_index_closed_form(t, m)
+            assert ramp_index_scan(t, m) == _ramp_index_closed_form(t, m)
 
 
 def test_triangular_cycle_examples():
