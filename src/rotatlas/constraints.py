@@ -17,52 +17,63 @@ from typing import Optional, Sequence
 
 from .intervals import Interval, make_interval
 
+# (lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed): the bounds lo_n/lo_d and
+# hi_n/hi_d, denominators positive and not necessarily reduced.
+Bounds = tuple[int, int, bool, int, int, bool]
 
-def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
-    """The parameter interval of a cycle word within the ambient (-2,2).
 
-    Endpoint closure comes from the strictest binding constraint: a point is
-    closed only if every constraint admits equality there.  Singletons are
-    legitimate results.  None means infeasible or empty.
+def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
+    """The integer bounds of a cycle word's parameter set within (-2,2).
 
-    Bounds are compared by integer cross-multiplication, without a Fraction
-    per constraint; `dynamics.orbit_interval` folds the same bounds while the
-    orbit runs, and `partition.verify_atlas` uses this routine as its
-    independent check.
+    One pass over the cyclic triples ``(b_i, b_{i+1}, b_{i+2})``; bounds are
+    compared by integer cross-multiplication, without a Fraction per
+    constraint.  Endpoint closure comes from the strictest binding
+    constraint: a point is closed only if every constraint admits equality
+    there.  None means infeasible (a zero letter whose neighbours do not sum to 0);
+    otherwise the bounds may still describe an empty set, which
+    `make_interval` turns into None.
     """
     word = tuple(word)
     if not word:
         raise ValueError("cycle words are non-empty")
-    n = len(word)
     # Running lower bound as (num, den, strict), den > 0; likewise upper.
     lo_n, lo_d, lo_strict = -2, 1, True
     hi_n, hi_d, hi_strict = 2, 1, True
-    for i in range(n):
-        b0, b1, b2 = word[i], word[(i + 1) % n], word[(i + 2) % n]
+    for b0, b1, b2 in zip(word, word[1:] + word[:1], word[2:] + word[:2]):
         if b1 == 0:
             if b2 != -b0:
                 return None
             continue
-        a_n, c_n = -b0 - b2, 1 - b0 - b2
+        a_n = -b0 - b2
         if b1 > 0:
-            # x >= a_n/b1 (weak), x < c_n/b1 (strict)
-            cmp = a_n * lo_d - lo_n * b1
-            if cmp > 0:
+            # x >= a_n/b1 (weak), x < (a_n + 1)/b1 (strict)
+            if a_n * lo_d > lo_n * b1:
                 lo_n, lo_d, lo_strict = a_n, b1, False
             # equal bound: weak never tightens an existing bound
-            cmp = c_n * hi_d - hi_n * b1
+            cmp = (a_n + 1) * hi_d - hi_n * b1
             if cmp < 0 or (cmp == 0 and not hi_strict):
-                hi_n, hi_d, hi_strict = c_n, b1, True
+                hi_n, hi_d, hi_strict = a_n + 1, b1, True
         else:
-            # dividing by b1 < 0 flips: x <= a_n/b1, x > c_n/b1
-            # normalize to positive denominator
-            a2_n, c2_n, d2 = -a_n, -c_n, -b1
-            cmp = a2_n * hi_d - hi_n * d2
-            if cmp < 0:
-                hi_n, hi_d, hi_strict = a2_n, d2, False
-            cmp = c2_n * lo_d - lo_n * d2
+            # dividing by b1 < 0 flips: x <= -a_n/-b1, x > (-a_n - 1)/-b1
+            a_n, d = -a_n, -b1
+            if a_n * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = a_n, d, False
+            cmp = (a_n - 1) * lo_d - lo_n * d
             if cmp > 0 or (cmp == 0 and not lo_strict):
-                lo_n, lo_d, lo_strict = c2_n, d2, True
-    return make_interval(
-        Fraction(lo_n, lo_d), not lo_strict, Fraction(hi_n, hi_d), not hi_strict
-    )
+                lo_n, lo_d, lo_strict = a_n - 1, d, True
+    return lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict
+
+
+def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
+    """The parameter interval of a cycle word within the ambient (-2,2).
+
+    `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
+    None means infeasible or empty.  `dynamics.orbit_interval` folds the
+    same bounds while the orbit runs; `partition.verify_atlas` uses
+    `cycle_bounds` as its independent check.
+    """
+    bounds = cycle_bounds(word)
+    if bounds is None:
+        return None
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+    return make_interval(Fraction(lo_n, lo_d), lo_closed, Fraction(hi_n, hi_d), hi_closed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constraints import interval_for_cycle
+from .constraints import cycle_bounds, interval_for_cycle
 from .dynamics import (
     DEFAULT_ORBIT_CAP,
     ParamSpec,
@@ -185,6 +185,31 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
+def _solves_to(word: Word, body: Interval, ival: Interval) -> bool:
+    """Whether ``interval_for_cycle(word) ∩ body == ival``, decided in integers.
+
+    The solved lower bound is raised to the body's lower edge, and both ends
+    are compared with ``ival``'s by cross-multiplication.  The solved upper
+    bound never passes the body's open upper edge 2, so it needs no clip.  A
+    match with the non-empty ``ival`` also shows the intersection non-empty.
+    """
+    bounds = cycle_bounds(word)
+    if bounds is None:
+        return False
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+    edge = body.lo
+    cmp = lo_n * edge.denominator - edge.numerator * lo_d
+    if cmp < 0 or (cmp == 0 and not body.lo_closed):
+        lo_n, lo_d, lo_closed = edge.numerator, edge.denominator, body.lo_closed
+    lo, hi = ival.lo, ival.hi
+    return (
+        lo_closed == ival.lo_closed
+        and hi_closed == ival.hi_closed
+        and lo_n * lo.denominator == lo.numerator * lo_d
+        and hi_n * hi.denominator == hi.numerator * hi_d
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Pass/fail of an atlas re-check, with the first counterexample if any."""
@@ -208,7 +233,8 @@ def verify_atlas(
     The body check is a certificate, not a sample.  For every entry
     ``(ival, word)`` it establishes two facts:
 
-    1. ``interval_for_cycle(word) ∩ body == ival``: every step inequality
+    1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
+       bounds of `cycle_bounds`: every step inequality
        ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
        ``lam`` in ``ival`` (and nowhere else in the body);
     2. at least one `detect_cycle` probe inside ``ival`` returns exactly
@@ -280,28 +306,34 @@ def verify_atlas(
         if result.outcome != "cycle" or result.cycle != (label.s,):
             return _fail("constant tail cycle not re-detected", probes)
 
-    # Body entries: the certificate above, entry by entry.
+    # Body entries: the certificate above, entry by entry, in integers.
     seen: set[Word] = set()
+    start = (a0, a1)
+    cap = caps.orbit_cap
     for ival, word in atlas.body:
+        if not word:
+            return _fail(f"empty cycle on {ival}", probes)
         if word in seen:
             return _fail(f"duplicate cycle on {ival}", probes)
         seen.add(word)
-        exact = interval_for_cycle(word)
-        if exact is None or exact.intersect(body_range) != ival:
+        if not _solves_to(word, body_range, ival):
             return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
+        lo, hi = ival.lo, ival.hi
         lams = []
         if ival.lo_closed:
-            lams.append(ival.lo)
-        if ival.hi_closed and not ival.is_singleton:
-            lams.append(ival.hi)
-        if not ival.is_singleton:
-            span = ival.hi - ival.lo
+            lams.append(lo)
+        if lo != hi:
+            if ival.hi_closed:
+                lams.append(hi)
+            # lo + (hi - lo) * j/(P+1), one Fraction each
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            parts = probes_per_interval + 1
+            den = ld * hd * parts
             lams.extend(
-                ival.lo + span * Fraction(j, probes_per_interval + 1)
-                for j in range(1, probes_per_interval + 1)
+                Fraction(ln * hd * (parts - j) + hn * ld * j, den) for j in range(1, parts)
             )
         for lam in lams:
-            result = detect_cycle(ParamSpec.exact(lam), (a0, a1), caps.orbit_cap)
+            result = detect_cycle(ParamSpec("exact", lam), start, cap)
             probes += 1
             if result.outcome != "cycle" or result.cycle != word:
                 return _fail(f"cycle on {ival} not re-detected at {lam}", probes)

@@ -16,6 +16,7 @@ import os
 from fractions import Fraction
 from typing import Iterable
 
+from .dynamics import Word
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import tail_of
@@ -56,37 +57,12 @@ def render_atlas_table(atlas: PartitionAtlas) -> str:
     return "\n".join(lines)
 
 
-def atlas_to_dict(atlas: PartitionAtlas) -> dict:
-    label = atlas.tail.label
-    kind = "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
-    return {
-        "a0": atlas.a0,
-        "a1": atlas.a1,
-        "s": label.s,
-        "d": label.d,
-        "K": label.K,
-        "tail": {
-            "lo": str(atlas.tail.interval.lo),
-            "hi": str(atlas.tail.interval.hi),
-            "kind": kind,
-        },
-        "body": [
-            {
-                "interval": str(ival),
-                "lo": str(ival.lo),
-                "lo_closed": ival.lo_closed,
-                "hi": str(ival.hi),
-                "hi_closed": ival.hi_closed,
-                "cycle": list(word),
-                "length": len(word),
-            }
-            for ival, word in atlas.body
-        ],
-    }
-
-
 def atlas_from_dict(data: dict) -> PartitionAtlas:
-    """Rebuild an atlas from its JSON form (tail is reconstructed from the pair)."""
+    """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
+
+    Each entry's redundant ``interval`` and ``length`` fields must agree with
+    its endpoints and its cycle, or the file is rejected with ValueError.
+    """
     a0, a1 = data["a0"], data["a1"]
     tail = tail_of(a0, a1)
     if (str(tail.interval.lo), str(tail.interval.hi)) != (
@@ -94,23 +70,65 @@ def atlas_from_dict(data: dict) -> PartitionAtlas:
         data["tail"]["hi"],
     ):
         raise ValueError(f"tail of ({a0},{a1}) does not match file contents")
-    body = tuple(
-        (
-            Interval(
-                parse_rational(entry["lo"]),
-                parse_rational(entry["hi"]),
-                entry["lo_closed"],
-                entry["hi_closed"],
-            ),
-            tuple(entry["cycle"]),
+    body = []
+    for entry in data["body"]:
+        ival = Interval(
+            parse_rational(entry["lo"]),
+            parse_rational(entry["hi"]),
+            entry["lo_closed"],
+            entry["hi_closed"],
         )
-        for entry in data["body"]
+        word = tuple(entry["cycle"])
+        if str(ival) != entry["interval"] or len(word) != entry["length"]:
+            raise ValueError(
+                f"entry {entry['interval']} of ({a0},{a1}) disagrees with its "
+                f"endpoints {ival} or its cycle length {len(word)}"
+            )
+        body.append((ival, word))
+    return PartitionAtlas(a0, a1, tail, tuple(body))
+
+
+def _json_entry(ival: Interval, word: Word) -> str:
+    cycle = ",\n        ".join(map(str, word))
+    cycle = f"[\n        {cycle}\n      ]" if word else "[]"
+    return (
+        "    {\n"
+        f'      "interval": "{ival}",\n'
+        f'      "lo": "{ival.lo}",\n'
+        f'      "lo_closed": {"true" if ival.lo_closed else "false"},\n'
+        f'      "hi": "{ival.hi}",\n'
+        f'      "hi_closed": {"true" if ival.hi_closed else "false"},\n'
+        f'      "cycle": {cycle},\n'
+        f'      "length": {len(word)}\n'
+        "    }"
     )
-    return PartitionAtlas(a0, a1, tail, body)
 
 
 def atlas_to_json(atlas: PartitionAtlas) -> str:
-    return json.dumps(atlas_to_dict(atlas), indent=2) + "\n"
+    """The canonical JSON form: what ``json.dumps(..., indent=2)`` writes.
+
+    Formatted directly for the fixed schema, one string per cycle rather
+    than one encoder chunk per letter.
+    """
+    label = atlas.tail.label
+    kind = "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
+    body = ",\n".join(_json_entry(ival, word) for ival, word in atlas.body)
+    body = f"[\n{body}\n  ]" if atlas.body else "[]"
+    return (
+        "{\n"
+        f'  "a0": {atlas.a0},\n'
+        f'  "a1": {atlas.a1},\n'
+        f'  "s": {label.s},\n'
+        f'  "d": {label.d},\n'
+        f'  "K": {"null" if label.K is None else label.K},\n'
+        '  "tail": {\n'
+        f'    "lo": "{atlas.tail.interval.lo}",\n'
+        f'    "hi": "{atlas.tail.interval.hi}",\n'
+        f'    "kind": "{kind}"\n'
+        "  },\n"
+        f'  "body": {body}\n'
+        "}\n"
+    )
 
 
 def atlas_from_json(text: str) -> PartitionAtlas:

@@ -3,8 +3,11 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rotatlas import ParamSpec, detect_cycle, interval_for_cycle, parse_interval
+from rotatlas.constraints import cycle_bounds
 from rotatlas.intervals import make_interval
 
 
@@ -130,6 +133,34 @@ def test_empty_word_rejected():
         constraints_for_cycle(())
     with pytest.raises(ValueError):
         interval_for_cycle(())
+    with pytest.raises(ValueError):
+        cycle_bounds(())
+
+
+def test_cycle_bounds_examples():
+    # (-1, 1, 2, 1, -1) solves to (-1,-1/2); (0,) to the open ambient range
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = cycle_bounds((-1, 1, 2, 1, -1))
+    assert (F(lo_n, lo_d), lo_closed, F(hi_n, hi_d), hi_closed) == (F(-1), False, F(-1, 2), False)
+    assert cycle_bounds((0,)) == (-2, 1, False, 2, 1, False)
+    assert cycle_bounds((0, 0, 1)) is None
+    # (-1,) has no zero letter, but its bounds describe an empty set:
+    # -2 < x <= -2
+    assert cycle_bounds((-1,)) == (-2, 1, False, -2, 1, True)
+    assert interval_for_cycle((-1,)) is None
+
+
+def _from_bounds(bounds):
+    if bounds is None:
+        return None
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+    assert lo_d > 0 and hi_d > 0
+    return make_interval(F(lo_n, lo_d), lo_closed, F(hi_n, hi_d), hi_closed)
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+def test_interval_for_cycle_is_make_interval_of_cycle_bounds(word):
+    assert interval_for_cycle(word) == _from_bounds(cycle_bounds(word))
+    assert interval_for_cycle(word) == fold_constraints(word)
 
 
 def test_half_line_validation():

@@ -1,25 +1,34 @@
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rotatlas
 from rotatlas import (
     BudgetExceeded,
     Caps,
+    Interval,
     MarchError,
     OrbitCapExceeded,
+    ParamSpec,
     compute_atlas,
+    detect_cycle,
+    interval_for_cycle,
+    make_interval,
     parse_interval,
     summarize_atlas,
     sweep,
     verify_atlas,
 )
-from rotatlas.report import atlas_to_json
+from rotatlas.partition import FULL_RANGE, _solves_to
+from rotatlas.report import atlas_from_json, atlas_to_json
 from words import rotation_equal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -195,6 +204,10 @@ def _rewrite_word(rewrite, wanted=lambda word: True):
     return mutate
 
 
+def _empty_word(at):
+    return _edit(at, {0: (at.body[0][0], ())})
+
+
 def _drop_entry(at):
     return dataclasses.replace(at, body=at.body[:1] + at.body[2:])
 
@@ -226,6 +239,7 @@ CORRUPTIONS = {
     "dropped entry": _drop_entry,
     "merged entries": _merge_entries,
     "duplicate word": _duplicate_word,
+    "empty word": _empty_word,
     "foreign tail": _foreign_tail,
 }
 # Each pair has a boundary between two proper entries for the endpoint and
@@ -257,6 +271,85 @@ def test_verify_needs_a_probe_per_interval(atlas):
         verify_atlas(at, probes_per_interval=-1)
     with pytest.raises(ValueError):
         sweep(1, probes_per_interval=0)
+
+
+def test_verify_rejects_an_empty_word_read_from_json(atlas):
+    data = json.loads(atlas_to_json(compute_atlas(-1, -1)))
+    data["body"][3]["cycle"] = []
+    data["body"][3]["length"] = 0
+    bad = atlas_from_json(json.dumps(data))
+    report = verify_atlas(bad)
+    assert not report.ok and report.failure == f"empty cycle on {bad.body[3][0]}"
+
+
+# Probe counts recorded before verification moved to integer bounds: the
+# same probes run at the same points.
+PROBES_RUN = {(-3, -4): (264, 394), (2, 3): (104, 154), (-2, -2): (82, 121)}
+
+
+@pytest.mark.parametrize("pair", sorted(PROBES_RUN), ids=str)
+def test_verify_probe_counts_are_pinned(atlas, pair):
+    runs = tuple(verify_atlas(atlas(*pair), probes_per_interval=k).probes_run for k in (1, 2))
+    assert runs == PROBES_RUN[pair]
+
+
+rationals = st.integers(1, 12).flatmap(
+    lambda q: st.builds(F, st.integers(-2 * q, 2 * q), st.just(q))
+)
+inner_rationals = rationals.filter(lambda r: -2 < r < 2)
+
+
+def _body(data, exact):
+    """A body as `PartitionAtlas.body_range` makes one, often edged on ``exact``.
+
+    That is the full range, or closed at an edge and open at 2.
+    """
+    edges = [data.draw(inner_rationals)]
+    if exact is not None:
+        edges += [exact.lo, exact.hi, exact.midpoint()]
+    edge = data.draw(st.sampled_from([e for e in edges if -2 < e < 2] + [None]))
+    return FULL_RANGE if edge is None else Interval(edge, F(2), True, False)
+
+
+def _detected(lam, start):
+    result = detect_cycle(ParamSpec.exact(lam), start, 10**4)
+    return result.cycle if result.outcome == "cycle" else (0,)
+
+
+words = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(tuple),
+    st.builds(_detected, inner_rationals, st.tuples(st.integers(-4, 4), st.integers(-4, 4))),
+)
+
+
+def _near(data, ival):
+    """``ival``, or ``ival`` with one closure flipped or one endpoint moved."""
+    lo, hi, lo_closed, hi_closed = ival.lo, ival.hi, ival.lo_closed, ival.hi_closed
+    how = data.draw(st.sampled_from(("same", "lo_closed", "hi_closed", "lo", "hi")))
+    delta = data.draw(st.sampled_from((F(-1, 7), F(1, 7), F(1, 1000))))
+    if how == "lo_closed":
+        lo_closed = not lo_closed
+    elif how == "hi_closed":
+        hi_closed = not hi_closed
+    elif how == "lo":
+        lo += delta
+    elif how == "hi":
+        hi += delta
+    return make_interval(lo, lo_closed, hi, hi_closed)
+
+
+@given(words, st.data())
+def test_integer_certificate_matches_the_interval_check(word, data):
+    exact = interval_for_cycle(word)
+    body = _body(data, exact)
+    solved = exact.intersect(body) if exact is not None else None
+    lo, hi = data.draw(rationals), data.draw(rationals)
+    candidates = [make_interval(lo, data.draw(st.booleans()), hi, data.draw(st.booleans()))]
+    if solved is not None:
+        candidates += [solved, _near(data, solved)]
+    for ival in candidates:
+        if ival is not None:
+            assert _solves_to(word, body, ival) == (solved == ival)
 
 
 def test_round_budget_exhaustion(atlas):

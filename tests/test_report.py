@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
+
+import pytest
 
 from rotatlas import sweep
 from rotatlas.report import (
     atlas_from_json,
-    atlas_to_dict,
     atlas_to_json,
     emit_diagram,
     render_atlas_table,
@@ -13,6 +15,36 @@ from rotatlas.report import (
     sweep_summary_csv,
     write_atlas_json,
 )
+
+
+def atlas_to_dict(atlas):
+    """Oracle: the JSON schema as a dict, for ``json.dumps(..., indent=2)``."""
+    label = atlas.tail.label
+    kind = "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
+    return {
+        "a0": atlas.a0,
+        "a1": atlas.a1,
+        "s": label.s,
+        "d": label.d,
+        "K": label.K,
+        "tail": {
+            "lo": str(atlas.tail.interval.lo),
+            "hi": str(atlas.tail.interval.hi),
+            "kind": kind,
+        },
+        "body": [
+            {
+                "interval": str(ival),
+                "lo": str(ival.lo),
+                "lo_closed": ival.lo_closed,
+                "hi": str(ival.hi),
+                "hi_closed": ival.hi_closed,
+                "cycle": list(word),
+                "length": len(word),
+            }
+            for ival, word in atlas.body
+        ],
+    }
 
 
 def test_listings_match_the_reference_tables(atlas, paper_listings):
@@ -28,15 +60,46 @@ def test_json_round_trip(atlas):
 
 
 def test_json_schema_fields(atlas):
-    data = atlas_to_dict(atlas(-1, -1))
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
     assert set(data) == {"a0", "a1", "s", "d", "K", "tail", "body"}
     assert data["tail"] == {"lo": "-2", "hi": "-1", "kind": "triangular"}
     entry = data["body"][0]
     assert set(entry) == {"interval", "lo", "lo_closed", "hi", "hi_closed", "cycle", "length"}
     assert entry["interval"] == "[-1]" and entry["length"] == len(entry["cycle"])
-    assert atlas_to_dict(atlas(0, 0))["tail"]["kind"] == "full"
-    assert atlas_to_dict(atlas(1, 1))["tail"]["kind"] == "constant"
-    assert atlas_to_dict(atlas(1, 1))["K"] is None
+    assert json.loads(atlas_to_json(atlas(0, 0)))["tail"]["kind"] == "full"
+    assert json.loads(atlas_to_json(atlas(1, 1)))["tail"]["kind"] == "constant"
+    assert json.loads(atlas_to_json(atlas(1, 1)))["K"] is None
+
+
+def _oracle_json(at):
+    return json.dumps(atlas_to_dict(at), indent=2) + "\n"
+
+
+def test_json_matches_the_encoder_oracle(atlas):
+    pairs = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
+    # tails full, constant (K null) and triangular (K set)
+    pairs += [(0, 0), (1, 1), (-4, -4)]
+    for pair in pairs:
+        at = atlas(*pair)
+        assert atlas_to_json(at) == _oracle_json(at), pair
+
+
+def test_json_of_empty_lists_matches_the_encoder_oracle(atlas):
+    at = atlas(-1, -1)
+    empty_word = dataclasses.replace(at, body=((at.body[0][0], ()),) + at.body[1:])
+    for edited in (empty_word, dataclasses.replace(at, body=())):
+        assert atlas_to_json(edited) == _oracle_json(edited)
+        assert '[]' in atlas_to_json(edited)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("interval", "[0,1]"), ("length", 99)], ids=["interval", "length"]
+)
+def test_json_rejects_an_inconsistent_entry(atlas, field, value):
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    data["body"][0][field] = value
+    with pytest.raises(ValueError):
+        atlas_from_json(json.dumps(data))
 
 
 def test_write_atlas_json(tmp_path, atlas):
