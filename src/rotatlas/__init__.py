@@ -15,11 +15,8 @@ from .dynamics import (
     ParamSpec,
     detect_cycle,
     orbit_interval,
-    step,
-    step_inverse,
-    word_is_cycle_at,
 )
-from .intervals import Interval, make_interval, parse_interval, parse_rational
+from .intervals import Interval, make_interval, parse_rational
 from .partition import (
     BudgetExceeded,
     Caps,
@@ -71,16 +68,12 @@ __all__ = [
     "make_interval",
     "occurrence_index",
     "orbit_interval",
-    "parse_interval",
     "parse_rational",
-    "step",
-    "step_inverse",
     "summarize_atlas",
     "sweep",
     "tail_of",
     "triangular",
     "triangular_cycle",
     "verify_atlas",
-    "word_is_cycle_at",
     "z_interval",
 ]

@@ -6,9 +6,11 @@ endpoint because the parameter partitions we manipulate mix open, closed,
 half-open and singleton intervals, and intersection at a boundary point has
 to be decided exactly.
 
-The canonical textual form used by every emitter and parser in the package:
-rationals render as ``p/q`` (plain ``n`` for integers), intervals as
-``[lo,hi]`` / ``[lo,hi)`` / ``(lo,hi]`` / ``(lo,hi)``, singletons as ``[r]``.
+The canonical textual form every emitter in the package writes: rationals
+render as ``p/q`` (plain ``n`` for integers), intervals as ``[lo,hi]`` /
+``[lo,hi)`` / ``(lo,hi]`` / ``(lo,hi)``, singletons as ``[r]``.  Only
+rationals are parsed back (`parse_rational`); a JSON atlas stores each
+endpoint and closure as separate fields.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ class Interval:
     def open(cls, lo, hi) -> "Interval":
         return cls(lo, hi, False, False)
 
-    @classmethod
-    def closed_open(cls, lo, hi) -> "Interval":
-        return cls(lo, hi, True, False)
-
-    @classmethod
-    def open_closed(cls, lo, hi) -> "Interval":
-        return cls(lo, hi, False, True)
-
-    @classmethod
-    def point(cls, r) -> "Interval":
-        return cls(r, r, True, True)
-
     @property
     def is_singleton(self) -> bool:
         return self.lo == self.hi
@@ -79,10 +69,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         """The arithmetic mean of the endpoints (the point itself for a singleton)."""
         return (self.lo + self.hi) / 2
-
-    def contains(self, r) -> bool:
-        r = Fraction(r)
-        return _lo_key(self.lo, self.lo_closed) <= (r, 0) <= _hi_key(self.hi, self.hi_closed)
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         """Set intersection with exact endpoint closure; None if empty."""
@@ -104,23 +90,3 @@ def make_interval(lo, lo_closed: bool, hi, hi_closed: bool) -> Optional[Interval
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
-
-
-def parse_interval(text: str) -> Interval:
-    """Parse the canonical textual interval form, including singletons ``[r]``."""
-    text = text.strip()
-    if len(text) < 3 or text[0] not in "[(" or text[-1] not in "])":
-        raise ValueError(f"not an interval: {text!r}")
-    body = text[1:-1]
-    if "," not in body:
-        if text[0] != "[" or text[-1] != "]":
-            raise ValueError(f"singleton must be written [r]: {text!r}")
-        r = parse_rational(body)
-        return Interval.point(r)
-    lo_text, hi_text = body.split(",", 1)
-    return Interval(
-        parse_rational(lo_text),
-        parse_rational(hi_text),
-        text[0] == "[",
-        text[-1] == "]",
-    )

@@ -57,37 +57,6 @@ def render_atlas_table(atlas: PartitionAtlas) -> str:
     return "\n".join(lines)
 
 
-def atlas_from_dict(data: dict) -> PartitionAtlas:
-    """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
-
-    Each entry's redundant ``interval`` and ``length`` fields must agree with
-    its endpoints and its cycle, or the file is rejected with ValueError.
-    """
-    a0, a1 = data["a0"], data["a1"]
-    tail = tail_of(a0, a1)
-    if (str(tail.interval.lo), str(tail.interval.hi)) != (
-        data["tail"]["lo"],
-        data["tail"]["hi"],
-    ):
-        raise ValueError(f"tail of ({a0},{a1}) does not match file contents")
-    body = []
-    for entry in data["body"]:
-        ival = Interval(
-            parse_rational(entry["lo"]),
-            parse_rational(entry["hi"]),
-            entry["lo_closed"],
-            entry["hi_closed"],
-        )
-        word = tuple(entry["cycle"])
-        if str(ival) != entry["interval"] or len(word) != entry["length"]:
-            raise ValueError(
-                f"entry {entry['interval']} of ({a0},{a1}) disagrees with its "
-                f"endpoints {ival} or its cycle length {len(word)}"
-            )
-        body.append((ival, word))
-    return PartitionAtlas(a0, a1, tail, tuple(body))
-
-
 def _json_entry(ival: Interval, word: Word) -> str:
     cycle = ",\n        ".join(map(str, word))
     cycle = f"[\n        {cycle}\n      ]" if word else "[]"
@@ -132,7 +101,41 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
 
 
 def atlas_from_json(text: str) -> PartitionAtlas:
-    return atlas_from_dict(json.loads(text))
+    """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
+
+    Each entry's cycle letters must be integers (JSON booleans and floats are
+    not), and its redundant ``interval`` and ``length`` fields must agree with
+    its endpoints and its cycle, or the file is rejected with ValueError.
+    """
+    data = json.loads(text)
+    a0, a1 = data["a0"], data["a1"]
+    tail = tail_of(a0, a1)
+    if (str(tail.interval.lo), str(tail.interval.hi)) != (
+        data["tail"]["lo"],
+        data["tail"]["hi"],
+    ):
+        raise ValueError(f"tail of ({a0},{a1}) does not match file contents")
+    body = []
+    for entry in data["body"]:
+        ival = Interval(
+            parse_rational(entry["lo"]),
+            parse_rational(entry["hi"]),
+            entry["lo_closed"],
+            entry["hi_closed"],
+        )
+        word = tuple(entry["cycle"])
+        # exactly int, so JSON booleans are out; one C-level pass per word
+        if set(map(type, word)) - {int}:
+            raise ValueError(
+                f"entry {entry['interval']} of ({a0},{a1}) has a non-integer cycle letter"
+            )
+        if str(ival) != entry["interval"] or len(word) != entry["length"]:
+            raise ValueError(
+                f"entry {entry['interval']} of ({a0},{a1}) disagrees with its "
+                f"endpoints {ival} or its cycle length {len(word)}"
+            )
+        body.append((ival, word))
+    return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
 def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:

@@ -16,11 +16,10 @@ finite remainder of the parameter interval is the partitioner's job.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
 from .dynamics import Word
 from .intervals import Interval
@@ -142,9 +141,9 @@ class TailDescription:
     """The infinite left part of one initial pair's partition.
 
     ``interval`` is the full parameter range the tail covers.  For d > 0 it
-    is the disjoint union of the per-k windows for k >= ``k_start``,
-    generated lazily by `pieces`; for d = 0 the tail is a single window with
-    a constant cycle and ``k_start`` is None.
+    is the disjoint union of the per-k windows for k >= ``k_start``, listed
+    up to a given index by `pieces_through`; for d = 0 the tail is a single
+    window with a constant cycle and ``k_start`` is None.
 
     ``k_start`` is max(K, occurrence index): K alone makes every window's
     cycle occupy exactly that window, but the pair itself only rides the
@@ -156,25 +155,20 @@ class TailDescription:
     interval: Interval
     k_start: Optional[int]
 
-    def pieces(self) -> Iterator[tuple[Interval, Word]]:
-        """(window, cycle word) pairs for k = k_start, k_start + 1, ...
+    def pieces_through(self, k_max: int) -> list[tuple[Interval, Word]]:
+        """(window, cycle word) pairs for k = k_start, ..., ``k_max``.
 
-        For d > 0 this iterator is infinite, the windows marching down
-        toward the left end of the parameter interval; take what you need.
+        For d > 0 the windows march down toward the left end of the parameter
+        interval as k grows; for d = 0 the single constant window is returned
+        whatever ``k_max`` is.
         """
         s, d = self.label.s, self.label.d
         if d == 0:
-            yield (self.interval, (s,))
-            return
-        for k in itertools.count(self.k_start):
-            yield (z_interval(s, d, k), triangular_cycle(s, d, k))
-
-    def pieces_through(self, k_max: int) -> list[tuple[Interval, Word]]:
-        """The finitely many pieces with index up to ``k_max`` (all of them for d = 0)."""
-        if self.label.d == 0:
-            return list(self.pieces())
-        count = max(0, k_max - self.k_start + 1)
-        return list(itertools.islice(self.pieces(), count))
+            return [(self.interval, (s,))]
+        return [
+            (z_interval(s, d, k), triangular_cycle(s, d, k))
+            for k in range(self.k_start, k_max + 1)
+        ]
 
 
 def tail_of(a0: int, a1: int) -> TailDescription:

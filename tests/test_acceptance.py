@@ -17,14 +17,13 @@ from rotatlas import (
     ParamSpec,
     detect_cycle,
     interval_for_cycle,
-    step,
-    step_inverse,
     sweep,
     triangular,
     triangular_cycle,
     z_interval,
 )
 from rotatlas.report import render_endpoint_listing
+from reference import contains, step, step_inverse
 from words import is_cyclic_palindrome, rotation_equal
 
 EXTENDED = os.environ.get("ROTATLAS_EXTENDED") == "1"
@@ -211,7 +210,7 @@ def test_criterion_8_property_suites(atlas):
             assert result.outcome == "cycle"
             word = result.cycle
             ival = interval_for_cycle(word)
-            assert ival is not None and ival.contains(lam)
+            assert ival is not None and contains(ival, lam)
             inner = ival.lo + (ival.hi - ival.lo) * F(rng.randint(1, 9), 10)
             redetected = detect_cycle(ParamSpec.exact(inner), start, cap=10**6)
             assert redetected.cycle == word

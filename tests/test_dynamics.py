@@ -11,10 +11,8 @@ from rotatlas import (
     detect_cycle,
     interval_for_cycle,
     orbit_interval,
-    step,
-    step_inverse,
-    word_is_cycle_at,
 )
+from reference import step, step_inverse, word_is_cycle_at
 from words import is_cyclic_palindrome, rotation_equal
 
 # one-sided boundary specializations: always-periodic at 2-0, blow-up at -2+0
@@ -28,6 +26,11 @@ inner_lambdas = st.integers(1, 40).flatmap(
 )
 # The parameters the march visits: a point itself, or just right of it.
 march_specs = st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero")), inner_lambdas)
+# Every side, plus both boundary specializations.
+all_specs = st.one_of(
+    st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero", "minus_zero")), inner_lambdas),
+    st.sampled_from((DIVERGENT_EDGE, PERIODIC_EDGE)),
+)
 
 
 def random_lambda(rng):
@@ -229,6 +232,31 @@ def test_rotation_helpers():
 def test_max_abs_tracks_whole_orbit():
     r = detect_cycle(ParamSpec.exact(F(8, 5)), (-1, -1))
     assert r.max_abs == max(abs(v) for v in r.cycle)
+
+
+@settings(deadline=None)
+@given(all_specs, pairs, st.integers(1, 40))
+def test_max_abs_and_steps_used_on_every_outcome(spec, start, cap):
+    r = detect_cycle(spec, start, cap)
+    # walk the oracle through the steps the result reports
+    values = list(start)
+    point = start
+    gaps = [point[0] - point[1]]
+    for _ in range(r.steps_used):
+        point = step(spec, point)
+        values.append(point[1])
+        gaps.append(point[0] - point[1])
+    assert r.max_abs == max(map(abs, values))
+    if r.outcome == "cycle":
+        assert 1 <= r.steps_used <= cap and point == start
+        assert r.cycle == tuple(values[: r.steps_used])
+    elif r.outcome == "cap_exceeded":
+        assert r.steps_used == cap
+    else:
+        # the certificate fires at the first negative x - y, before the cap
+        assert r.outcome == "diverged" and spec == DIVERGENT_EDGE
+        assert r.steps_used < cap
+        assert gaps[-1] < 0 and all(g >= 0 for g in gaps[:-1])
 
 
 @settings(deadline=None)

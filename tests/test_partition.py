@@ -22,13 +22,13 @@ from rotatlas import (
     detect_cycle,
     interval_for_cycle,
     make_interval,
-    parse_interval,
     summarize_atlas,
     sweep,
     verify_atlas,
 )
 from rotatlas.partition import FULL_RANGE, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
+from reference import contains, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -93,8 +93,6 @@ def test_last_entry_reaches_the_right_edge(atlas):
 
 
 def test_every_stored_word_replays_at_its_sample(atlas):
-    from rotatlas import word_is_cycle_at
-
     for pair in ((-2, -2), (2, 3), (0, 0), (-1, 2)):
         for ival, word in atlas(*pair).body:
             assert word_is_cycle_at(word, ival.midpoint())
@@ -358,7 +356,7 @@ def test_round_budget_exhaustion(atlas):
     assert exc.value.start == (-2, -2)
     residual = exc.value.residual
     assert residual.hi == 2 and not residual.hi_closed
-    assert atlas(-2, -2).body_range.contains(residual.lo)
+    assert contains(atlas(-2, -2).body_range, residual.lo)
     # two intervals were marched; the residual starts where the third does
     third, _ = atlas(-2, -2).body[2]
     assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)

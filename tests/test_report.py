@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -99,6 +100,25 @@ def test_json_rejects_an_inconsistent_entry(atlas, field, value):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     data["body"][0][field] = value
     with pytest.raises(ValueError):
+        atlas_from_json(json.dumps(data))
+
+
+# Letters that are not JSON integers.  Read as they are, a string makes
+# `verify_atlas` raise TypeError, and floats give an atlas equal to the
+# computed one, which verifies and re-emits different bytes.
+LETTER_REWRITES = {
+    "string": lambda cycle: ["x"] + cycle[1:],
+    "floats": lambda cycle: [float(b) for b in cycle],
+    "boolean": lambda cycle: [True] + cycle[1:],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LETTER_REWRITES))
+def test_json_rejects_a_non_integer_letter(atlas, kind):
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    entry = data["body"][3]
+    entry["cycle"] = LETTER_REWRITES[kind](entry["cycle"])
+    with pytest.raises(ValueError, match=re.escape(entry["interval"])):
         atlas_from_json(json.dumps(data))
 
 
