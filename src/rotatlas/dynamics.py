@@ -109,6 +109,7 @@ def detect_cycle(
     p, q = spec.value.numerator, spec.value.denominator
     plus = spec.kind == "plus_zero"
     minus = spec.kind == "minus_zero"
+    tie = plus or minus  # exact orbits never test the tie
     certify_divergence = plus and p == -2 * q
 
     word: list[int] = []
@@ -119,7 +120,7 @@ def detect_cycle(
             return OrbitResult("diverged", None, steps, _max_abs(word, x, y))
         append(x)
         z = -((p * y + q * x) // q)
-        if y % q == 0:
+        if tie and y % q == 0:
             if plus and y < 0:
                 z += 1
             elif minus and y > 0:
@@ -151,6 +152,7 @@ def orbit_interval(
     p, q = spec.value.numerator, spec.value.denominator
     plus = spec.kind == "plus_zero"
     minus = spec.kind == "minus_zero"
+    tie = plus or minus
     # Running bounds as (num, den, strict) with den > 0, starting from the
     # open ambient interval (-2, 2).
     lo_n, lo_d, lo_strict = -2, 1, True
@@ -161,7 +163,7 @@ def orbit_interval(
     for steps in range(1, cap + 1):
         append(x)
         z = -((p * y + q * x) // q)
-        if y % q == 0:
+        if tie and y % q == 0:
             if plus and y < 0:
                 z += 1
             elif minus and y > 0:

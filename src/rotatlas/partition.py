@@ -16,7 +16,9 @@ certificate: the entries tile the body, each stored interval is exactly its
 word's parameter set within the body, and a probe orbit inside it returns
 exactly that word, which then is the orbit on the whole interval; plus the
 advertised tail structure.  `sweep` runs compute + verify over a square grid
-of initial pairs and aggregates the statistics reported by `report`.
+of initial pairs and aggregates the statistics reported by `report`; it
+marches each unordered pair once, mirrors the atlas to the swapped pair, and
+verifies both.
 """
 
 from __future__ import annotations
@@ -445,15 +447,36 @@ def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> Point
     )
 
 
-def _sweep_point(args: tuple) -> PointSummary:
+def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
+    """The atlas of the swapped pair ``(a1, a0)``, read off ``atlas`` with no orbit run.
+
+    The step inequality ``0 <= z + lam*y + x < 1`` is symmetric in ``x`` and
+    ``z``: ``(x, y) -> (y, z)`` exactly when ``(z, y) -> (y, x)``.  So at every
+    parameter the orbit of ``(a1, a0)`` is the orbit of ``(a0, a1)`` run
+    backwards, with the same minimal period, and the body keeps its
+    intervals.  Each word ``(w0, w1, ..., w_{n-1})`` becomes its reversal
+    rotated to start at the swapped pair, ``(w1, w0, w_{n-1}, ..., w2)``.
+    The label, and so the tail, is swap-symmetric.  `sweep` verifies the
+    result from scratch all the same.
+    """
+    body = tuple((ival, word[1::-1] + word[:1:-1]) for ival, word in atlas.body)
+    return PartitionAtlas(atlas.a1, atlas.a0, atlas.tail, body)
+
+
+def _sweep_pair(args: tuple) -> list[PointSummary]:
+    """March ``(a0, a1)``; verify, write and summarize it and its mirror ``(a1, a0)``."""
     a0, a1, caps, probes_per_interval, out_dir = args
     atlas = compute_atlas(a0, a1, caps)
-    verdict = verify_atlas(atlas, probes_per_interval=probes_per_interval, caps=caps)
-    if out_dir is not None:
-        from . import report
+    atlases = [atlas] if a0 == a1 else [atlas, _mirrored(atlas)]
+    summaries = []
+    for at in atlases:
+        verdict = verify_atlas(at, probes_per_interval=probes_per_interval, caps=caps)
+        if out_dir is not None:
+            from . import report
 
-        report.write_atlas_json(atlas, out_dir)
-    return summarize_atlas(atlas, verdict)
+            report.write_atlas_json(at, out_dir)
+        summaries.append(summarize_atlas(at, verdict))
+    return summaries
 
 
 def sweep(
@@ -465,9 +488,12 @@ def sweep(
 ) -> SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
-    Budget failures propagate as exceptions naming the offending pair.  The
-    result is deterministic and independent of ``jobs``; with ``out_dir``
-    set, one JSON atlas per pair is written as a side effect.
+    Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
+    the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
+    marched or mirrored, is verified from scratch.  Budget failures propagate
+    as exceptions naming the marched pair of the two.  The result is
+    deterministic and independent of ``jobs``; with ``out_dir`` set, one JSON
+    atlas per pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -476,13 +502,14 @@ def sweep(
     grid = [
         (a0, a1, caps, probes_per_interval, out_dir)
         for a0 in range(-max_m, max_m + 1)
-        for a1 in range(-max_m, max_m + 1)
+        for a1 in range(a0, max_m + 1)
     ]
     if jobs > 1:
         # chunksize 1: pairs differ wildly in cost, let idle workers pull
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_sweep_point, grid, chunksize=1))
+            batches = list(pool.map(_sweep_pair, grid, chunksize=1))
     else:
-        summaries = [_sweep_point(args) for args in grid]
+        batches = [_sweep_pair(args) for args in grid]
+    summaries = [summary for batch in batches for summary in batch]
     summaries.sort(key=lambda p: (p.a0, p.a1))
     return SweepReport(max_m, tuple(summaries))

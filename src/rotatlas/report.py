@@ -9,6 +9,7 @@ byte-deterministic for fixed inputs and package version.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -103,12 +104,15 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
 def atlas_from_json(text: str) -> PartitionAtlas:
     """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
 
-    Each entry's cycle letters must be integers (JSON booleans and floats are
-    not), and its redundant ``interval`` and ``length`` fields must agree with
-    its endpoints and its cycle, or the file is rejected with ValueError.
+    ``a0``, ``a1`` and each entry's cycle letters must be integers (JSON
+    booleans and floats are not), its closure flags must be booleans, and its
+    redundant ``interval`` and ``length`` fields must agree with its
+    endpoints and its cycle, or the file is rejected with ValueError.
     """
     data = json.loads(text)
     a0, a1 = data["a0"], data["a1"]
+    if type(a0) is not int or type(a1) is not int:
+        raise ValueError(f"initial pair ({a0!r},{a1!r}) is not a pair of integers")
     tail = tail_of(a0, a1)
     if (str(tail.interval.lo), str(tail.interval.hi)) != (
         data["tail"]["lo"],
@@ -117,11 +121,13 @@ def atlas_from_json(text: str) -> PartitionAtlas:
         raise ValueError(f"tail of ({a0},{a1}) does not match file contents")
     body = []
     for entry in data["body"]:
+        lo_closed, hi_closed = entry["lo_closed"], entry["hi_closed"]
+        if type(lo_closed) is not bool or type(hi_closed) is not bool:
+            raise ValueError(
+                f"entry {entry['interval']} of ({a0},{a1}) has a non-boolean closure flag"
+            )
         ival = Interval(
-            parse_rational(entry["lo"]),
-            parse_rational(entry["hi"]),
-            entry["lo_closed"],
-            entry["hi_closed"],
+            parse_rational(entry["lo"]), parse_rational(entry["hi"]), lo_closed, hi_closed
         )
         word = tuple(entry["cycle"])
         # exactly int, so JSON booleans are out; one C-level pass per word
@@ -139,10 +145,23 @@ def atlas_from_json(text: str) -> PartitionAtlas:
 
 
 def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
+    """Write ``atlas_A0_A1.json`` under ``out_dir`` atomically; return its path.
+
+    The JSON goes to a temporary file in the same directory, which then
+    replaces the target: a reader sees the old file or the new one, never a
+    part, and a failed write leaves the old file and no temporary behind.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json")
-    with open(path, "w") as fh:
-        fh.write(atlas_to_json(atlas))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(atlas_to_json(atlas))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -26,7 +26,8 @@ from rotatlas import (
     sweep,
     verify_atlas,
 )
-from rotatlas.partition import FULL_RANGE, _solves_to
+from rotatlas import partition
+from rotatlas.partition import FULL_RANGE, _mirrored, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
 from reference import contains, parse_interval, word_is_cycle_at
 from words import rotation_equal
@@ -414,14 +415,17 @@ def test_march_checks_survive_optimized_python():
     assert done.stdout.split() == ["False", "22", "plus_zero"]
 
 
-def test_march_reproduces_the_midpoint_refinement_json(atlas):
+def _json_m4_golden():
     with open(os.path.join(GOLDENS, "atlas_json_m4.sha256")) as fh:
-        expected = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        return [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+
+
+def test_march_reproduces_the_midpoint_refinement_json(atlas):
     digest = hashlib.sha256()
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             digest.update(atlas_to_json(atlas(a0, a1)).encode())
-    assert [digest.hexdigest()] == expected
+    assert [digest.hexdigest()] == _json_m4_golden()
 
 
 def test_orbit_cap_exhaustion():
@@ -462,3 +466,48 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_rejects_bad_m():
     with pytest.raises(ValueError):
         sweep(0)
+
+
+def test_mirror_is_the_marched_swapped_pair(atlas):
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            assert _mirrored(atlas(a0, a1)) == atlas(a1, a0)
+
+
+def test_sweep_verifies_the_mirrored_pairs(monkeypatch):
+    # words left unreversed: only the mirrored pairs (a0 > a1) can go wrong
+    monkeypatch.setattr(
+        partition, "_mirrored", lambda at: dataclasses.replace(at, a0=at.a1, a1=at.a0)
+    )
+    failed = {(p.a0, p.a1) for p in sweep(2).failures()}
+    assert failed == {(a0, a1) for a0 in range(-2, 3) for a1 in range(-2, 3) if a0 > a1}
+
+
+def test_sweep_files_reproduce_the_json_golden(tmp_path):
+    sweep(4, jobs=2, out_dir=str(tmp_path))
+    digest = hashlib.sha256()
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            digest.update((tmp_path / f"atlas_{a0}_{a1}.json").read_bytes())
+    assert [digest.hexdigest()] == _json_m4_golden()
+    assert not [name for name in os.listdir(tmp_path) if not name.endswith(".json")]
+
+
+def test_sweep_marches_each_unordered_pair_once(monkeypatch):
+    marched, verified = [], []
+    compute, verify = partition.compute_atlas, partition.verify_atlas
+
+    def counted_compute(a0, a1, *args, **kwargs):
+        marched.append((a0, a1))
+        return compute(a0, a1, *args, **kwargs)
+
+    def counted_verify(at, *args, **kwargs):
+        verified.append((at.a0, at.a1))
+        return verify(at, *args, **kwargs)
+
+    monkeypatch.setattr(partition, "compute_atlas", counted_compute)
+    monkeypatch.setattr(partition, "verify_atlas", counted_verify)
+    assert sweep(3).all_verified
+    assert len(marched) == 28 and all(a0 <= a1 for a0, a1 in marched)
+    grid = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
+    assert len(verified) == 49 and sorted(verified) == grid

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from rotatlas import sweep
+from rotatlas import report, sweep
 from rotatlas.report import (
     atlas_from_json,
     atlas_to_json,
@@ -122,11 +122,81 @@ def test_json_rejects_a_non_integer_letter(atlas, kind):
         atlas_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("field", ["a0", "a1"])
+@pytest.mark.parametrize("value", [-1.0, "x", True], ids=["float", "string", "boolean"])
+def test_json_rejects_a_non_integer_pair(atlas, field, value):
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    data[field] = value
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        atlas_from_json(json.dumps(data))
+
+
+# Closure flags that are not JSON booleans.  Each replaces a proper entry's
+# flag of the same truth value, so the entry's interval string still matches:
+# read as they are, "yes" is re-emitted as true and 1 verifies.
+FLAG_REWRITES = {"string": "yes", "one": 1, "zero": 0, "null": None}
+
+
+@pytest.mark.parametrize("field", ["lo_closed", "hi_closed"])
+@pytest.mark.parametrize("kind", sorted(FLAG_REWRITES))
+def test_json_rejects_a_non_boolean_closure_flag(atlas, field, kind):
+    value = FLAG_REWRITES[kind]
+    data = json.loads(atlas_to_json(atlas(-2, -2)))
+    entry = next(e for e in data["body"] if e["lo"] != e["hi"] and e[field] == bool(value))
+    entry[field] = value
+    with pytest.raises(ValueError, match=re.escape(entry["interval"])):
+        atlas_from_json(json.dumps(data))
+
+
 def test_write_atlas_json(tmp_path, atlas):
     path = write_atlas_json(atlas(-1, -1), str(tmp_path))
     assert os.path.basename(path) == "atlas_-1_-1.json"
     with open(path) as fh:
-        assert json.load(fh)["a0"] == -1
+        assert fh.read() == atlas_to_json(atlas(-1, -1))
+    assert os.listdir(tmp_path) == ["atlas_-1_-1.json"]
+
+
+class _FullDisk:
+    """A file that takes half of the first write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+
+def _fail_midway(monkeypatch):
+    monkeypatch.setattr(report, "open", lambda *args: _FullDisk(open(*args)), raising=False)
+
+
+def _fail_on_replace(monkeypatch):
+    def replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(report.os, "replace", replace)
+
+
+@pytest.mark.parametrize("failure", [_fail_midway, _fail_on_replace], ids=["write", "replace"])
+def test_failed_write_keeps_the_previous_file(tmp_path, atlas, monkeypatch, failure):
+    old = write_atlas_json(atlas(-1, -1), str(tmp_path))
+    with open(old) as fh:
+        before = fh.read()
+    new = dataclasses.replace(atlas(-1, -1), body=atlas(-1, -1).body[:3])
+    failure(monkeypatch)
+    with pytest.raises(OSError):
+        write_atlas_json(new, str(tmp_path))
+    monkeypatch.undo()
+    with open(old) as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["atlas_-1_-1.json"]
 
 
 def test_sweep_summary_csv():

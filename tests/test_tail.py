@@ -170,3 +170,9 @@ def test_label_validation():
         Label(0, 1, None)
     with pytest.raises(ValueError):
         Label(0, 0, 1)
+
+
+def test_tail_is_swap_symmetric():
+    for a0 in range(-20, 21):
+        for a1 in range(-20, 21):
+            assert tail_of(a0, a1) == tail_of(a1, a0)
