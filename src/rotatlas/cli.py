@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_default_out(), help="directory for the JSON atlas")
     p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit step cap")
     p.add_argument("--probes", type=int, default=2,
-                   help="interior verification probes per interval")
+                   help="probe orbits per interval, cross-checking the exact "
+                   "certificate: endpoints plus this many interior points; 0 runs none")
 
     p = sub.add_parser("sweep", help="compute and verify atlases over a grid")
     p.add_argument("--max-m", type=int, required=True,
@@ -96,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit step cap")
     p.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
-    p.add_argument("--probes", type=int, default=1,
-                   help="interior verification probes per interval")
+    p.add_argument("--probes", type=int, default=0,
+                   help="probe orbits per interval, cross-checking the exact "
+                   "certificate: endpoints plus this many interior points; 0 runs none")
 
     p = sub.add_parser("diagram", help="emit an SVG number line of one atlas")
     _add_point_args(p)
@@ -166,9 +168,7 @@ def _cmd_sweep(args) -> int:
     )
     print(report.render_tables(rep, args.fmt), end="")
     if args.out:
-        csv_path = os.path.join(args.out, f"sweep_m{args.max_m}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(report.sweep_summary_csv(rep))
+        csv_path = report.write_sweep_csv(rep, args.out)
         print(f"wrote {csv_path}", file=sys.stderr)
     if not rep.all_verified:
         for p in rep.failures():

@@ -12,13 +12,15 @@ intervals; explicit budgets guard against the alternative, which would mean
 either a bug or a counterexample.
 
 `verify_atlas` re-checks a computed atlas from scratch with an exact
-certificate: the entries tile the body, each stored interval is exactly its
-word's parameter set within the body, and a probe orbit inside it returns
-exactly that word, which then is the orbit on the whole interval; plus the
-advertised tail structure.  `sweep` runs compute + verify over a square grid
-of initial pairs and aggregates the statistics reported by `report`; it
-marches each unordered pair once, mirrors the atlas to the swapped pair, and
-verifies both.
+certificate and runs no orbit for it: the entries tile the body, each stored
+interval is exactly its word's parameter set within the body, and each word
+starts at the initial pair and holds it nowhere else, so the word is the
+orbit on the whole interval; plus the advertised tail structure.  Probe
+orbits inside each interval are an opt-in cross-check of the solve against
+the dynamics.  `sweep` runs compute + verify over a square grid of initial
+pairs and aggregates the statistics reported by `report`; it marches each
+unordered pair once, mirrors the atlas to the swapped pair, and verifies
+both.
 """
 
 from __future__ import annotations
@@ -212,6 +214,24 @@ def _solves_to(word: Word, body: Interval, ival: Interval) -> bool:
     )
 
 
+def _pair_offsets(word: Word, a0: int, a1: int) -> list[int]:
+    """The cyclic indices ``i`` with ``(word[i], word[(i+1) % n]) == (a0, a1)``.
+
+    ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
+    equal to ``a0`` cost a step in Python.
+    """
+    n = len(word)
+    offsets = []
+    i = -1
+    while True:
+        try:
+            i = word.index(a0, i + 1)
+        except ValueError:
+            return offsets
+        if word[(i + 1) % n] == a1:
+            offsets.append(i)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Pass/fail of an atlas re-check, with the first counterexample if any."""
@@ -232,34 +252,36 @@ def verify_atlas(
 ) -> VerificationReport:
     """Re-check a computed atlas against the dynamics from scratch.
 
-    The body check is a certificate, not a sample.  For every entry
-    ``(ival, word)`` it establishes two facts:
+    The body check is a certificate, not a sample, and it runs no orbit.
+    For every entry ``(ival, word)`` it establishes two facts:
 
     1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
-       bounds of `cycle_bounds`: every step inequality
+       bounds of `cycle_bounds`: every cyclic step inequality
        ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
        ``lam`` in ``ival`` (and nowhere else in the body);
-    2. at least one `detect_cycle` probe inside ``ival`` returns exactly
-       ``word``: the word starts at ``(a0, a1)`` and, as a first return,
-       holds that pair only at its start, so it is the minimal period.
-       Both properties belong to the tuple, not to the probed parameter.
+    2. ``word`` starts with ``(a0, a1)`` and holds that pair at no other
+       cyclic index.
 
     The map is deterministic, so by (1) the orbit of ``(a0, a1)`` at any
-    ``lam`` in ``ival`` spells ``word`` and returns to the pair after
-    ``len(word)`` steps, and by (2) not earlier: the orbit is ``word`` on
-    the whole interval.  The tiling check shows the entries cover the body
-    exactly, so every orbit in the body is periodic.  A cycle up to rotation
-    has one rotation starting at the pair, so distinct cycles are distinct
-    tuples.  ``probes_per_interval`` interior probes (at least one) plus the
-    closed endpoints are run per entry; they also cross-check the constraint
-    solve against the dynamics.
+    ``lam`` in ``ival`` spells ``word`` cyclically, and by (2) it first
+    returns to the pair after ``len(word)`` steps: the orbit is ``word``,
+    with that minimal period, on the whole interval.  The tiling check shows
+    the entries cover the body exactly, so every orbit in the body is
+    periodic.  A cycle up to rotation has one rotation starting at the pair,
+    so distinct cycles are distinct tuples.
+
+    With ``probes_per_interval`` >= 1, `detect_cycle` also runs at the
+    closed endpoints and at that many interior points of every entry and
+    must return exactly ``word``: a cross-check of the solve against the
+    dynamics, which the certificate does not need.  0 runs no probe.
 
     The tail is an explicit infinite family: its first `TAIL_PIECES` windows
-    are checked against the constraint solve and re-detected at their
-    midpoints; the rest is the `tail` module's closed form.
+    are checked against the constraint solve, each window's cycle must hold
+    the pair exactly once, and with probes it is re-detected at the window's
+    midpoint; the rest is the `tail` module's closed form.
     """
-    if probes_per_interval < 1:
-        raise ValueError("probes_per_interval must be >= 1")
+    if probes_per_interval < 0:
+        raise ValueError("probes_per_interval must be >= 0")
     a0, a1 = atlas.a0, atlas.a1
     body_range = atlas.body_range
     probes = 0
@@ -279,8 +301,8 @@ def verify_atlas(
 
     # Tail structure: the stored tail is the one the label dictates, and its
     # advertised pieces are genuine (window = exact parameter interval of the
-    # window's cycle, and the detected orbit there is that cycle, rotated to
-    # start at the pair).
+    # window's cycle, which holds the pair exactly once, so the orbit there
+    # is that cycle rotated to start at the pair).
     label = atlas.tail.label
     if atlas.tail != tail_of(a0, a1):
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail", probes)
@@ -290,23 +312,26 @@ def verify_atlas(
             cycle = triangular_cycle(label.s, label.d, k)
             if interval_for_cycle(cycle) != window:
                 return _fail(f"tail window mismatch at k={k}", probes)
-            n = len(cycle)
-            offset = next(
-                (i for i in range(n) if cycle[i] == a0 and cycle[(i + 1) % n] == a1), None
-            )
-            if offset is None:
-                return _fail(f"initial pair absent from tail cycle k={k}", probes)
-            result = detect_cycle(ParamSpec.exact(window.midpoint()), (a0, a1), caps.orbit_cap)
-            probes += 1
-            if result.outcome != "cycle" or result.cycle != cycle[offset:] + cycle[:offset]:
-                return _fail(f"tail cycle not re-detected at k={k}", probes)
+            offsets = _pair_offsets(cycle, a0, a1)
+            if len(offsets) != 1:
+                return _fail(f"initial pair not once in tail cycle k={k}", probes)
+            if probes_per_interval:
+                lam = window.midpoint()
+                result = detect_cycle(ParamSpec.exact(lam), (a0, a1), caps.orbit_cap)
+                probes += 1
+                offset = offsets[0]
+                if result.outcome != "cycle" or result.cycle != cycle[offset:] + cycle[:offset]:
+                    return _fail(f"tail cycle not re-detected at k={k}", probes)
     else:
-        result = detect_cycle(
-            ParamSpec.exact(atlas.tail.interval.midpoint()), (a0, a1), caps.orbit_cap
-        )
-        probes += 1
-        if result.outcome != "cycle" or result.cycle != (label.s,):
-            return _fail("constant tail cycle not re-detected", probes)
+        if not a0 == a1 == label.s or interval_for_cycle((label.s,)) != atlas.tail.interval:
+            return _fail("constant tail cycle does not hold on the tail", probes)
+        if probes_per_interval:
+            result = detect_cycle(
+                ParamSpec.exact(atlas.tail.interval.midpoint()), (a0, a1), caps.orbit_cap
+            )
+            probes += 1
+            if result.outcome != "cycle" or result.cycle != (label.s,):
+                return _fail("constant tail cycle not re-detected", probes)
 
     # Body entries: the certificate above, entry by entry, in integers.
     seen: set[Word] = set()
@@ -320,6 +345,10 @@ def verify_atlas(
         seen.add(word)
         if not _solves_to(word, body_range, ival):
             return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
+        if _pair_offsets(word, a0, a1) != [0]:
+            return _fail(f"cycle on {ival} does not hold {start} at its start only", probes)
+        if not probes_per_interval:
+            continue
         lo, hi = ival.lo, ival.hi
         lams = []
         if ival.lo_closed:
@@ -483,22 +512,23 @@ def sweep(
     max_m: int,
     caps: Caps = Caps(),
     jobs: int = 1,
-    probes_per_interval: int = 1,
+    probes_per_interval: int = 0,
     out_dir: Optional[str] = None,
 ) -> SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
     Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
     the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
-    marched or mirrored, is verified from scratch.  Budget failures propagate
-    as exceptions naming the marched pair of the two.  The result is
-    deterministic and independent of ``jobs``; with ``out_dir`` set, one JSON
-    atlas per pair is written as a side effect.
+    marched or mirrored, is verified from scratch, by default with no probe
+    orbit (``probes_per_interval`` as in `verify_atlas`).  Budget failures
+    propagate as exceptions naming the marched pair of the two.  The result
+    is deterministic and independent of ``jobs``; with ``out_dir`` set, one
+    JSON atlas per pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    if probes_per_interval < 1:
-        raise ValueError("probes_per_interval must be >= 1")
+    if probes_per_interval < 0:
+        raise ValueError("probes_per_interval must be >= 0")
     grid = [
         (a0, a1, caps, probes_per_interval, out_dir)
         for a0 in range(-max_m, max_m + 1)

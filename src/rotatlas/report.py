@@ -144,25 +144,30 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
-def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
-    """Write ``atlas_A0_A1.json`` under ``out_dir`` atomically; return its path.
+def _write_atomically(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name`` atomically; return the path.
 
-    The JSON goes to a temporary file in the same directory, which then
+    The text goes to a temporary file in the same directory, which then
     replaces the target: a reader sees the old file or the new one, never a
     part, and a failed write leaves the old file and no temporary behind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json")
+    path = os.path.join(out_dir, name)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(atlas_to_json(atlas))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
     return path
+
+
+def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
+    """Write ``atlas_A0_A1.json`` under ``out_dir`` atomically; return its path."""
+    return _write_atomically(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json", atlas_to_json(atlas))
 
 
 def _format_avg(value: Fraction) -> str:
@@ -179,6 +184,11 @@ def sweep_summary_csv(report: SweepReport) -> str:
             [p.shell, p.a0, p.a1, p.intervals, p.singletons, p.max_len, _format_avg(p.avg_len)]
         )
     return buf.getvalue()
+
+
+def write_sweep_csv(report: SweepReport, out_dir: str) -> str:
+    """Write `sweep_summary_csv` to ``sweep_mM.csv`` under ``out_dir`` atomically."""
+    return _write_atomically(out_dir, f"sweep_m{report.max_m}.csv", sweep_summary_csv(report))
 
 
 def _table_rows_cardinality(shells: Iterable[ShellStats]) -> list[list[str]]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rotatlas.cli import main
+from rotatlas.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -88,8 +88,9 @@ def test_sweep_command(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "--max-m", "1", "--out", str(tmp_path))
     assert code == 0
     assert "periodicity verified for all points up to 1" in out
-    assert (tmp_path / "sweep_m1.csv").exists()
+    assert (tmp_path / "sweep_m1.csv").read_text().startswith("m,a0,a1,")
     assert len(list(tmp_path.glob("atlas_*.json"))) == 9
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_tables_command(capsys):
@@ -120,13 +121,21 @@ def test_usage_errors_exit_two():
         assert exc.value.code == 2
 
 
-def test_zero_probes_exit_two(capsys):
+def test_probe_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["partition", "--a0", "0", "--a1", "0"]).probes == 2
+    assert parser.parse_args(["sweep", "--max-m", "1"]).probes == 0
+
+
+def test_negative_probes_exit_two_and_zero_probes_pass(capsys):
     for argv in (
-        ["partition", "--a0", "-2", "--a1", "-2", "--probes", "0"],
-        ["sweep", "--max-m", "1", "--probes", "0"],
+        ["partition", "--a0", "-2", "--a1", "-2"],
+        ["sweep", "--max-m", "1"],
     ):
-        assert main(argv) == 2
-        assert "probes_per_interval must be >= 1" in capsys.readouterr().err
+        assert main(argv + ["--probes", "-1"]) == 2
+        assert "probes_per_interval must be >= 0" in capsys.readouterr().err
+        assert main(argv + ["--probes", "0"]) == 0
+        assert "FAILED" not in capsys.readouterr().err
 
 
 def test_out_of_range_parameter_exits_two(capsys):

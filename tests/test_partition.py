@@ -250,26 +250,29 @@ CORPUS_PAIRS = ((-2, -2), (2, 3), (1, 1), (-2, 1), (3, -1))
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
     at = atlas(*pair)
-    assert verify_atlas(at, probes_per_interval=1).ok
     bad = CORRUPTIONS[name](at)
     assert bad != at
-    report = verify_atlas(bad, probes_per_interval=1)
-    assert not report.ok and report.failure
+    for probes in (0, 1, 2):
+        assert verify_atlas(at, probes_per_interval=probes).ok
+        report = verify_atlas(bad, probes_per_interval=probes)
+        assert not report.ok and report.failure
 
 
-def test_verify_needs_a_probe_per_interval(atlas):
+def test_verify_rejects_a_doubled_word_without_probes(atlas):
     at = atlas(-2, -2)
-    # On an open interval no endpoint is probed, and the constraint solve
-    # alone accepts the doubled word: its interval is the word's own.
+    # The constraint solve alone accepts the doubled word, whose interval is
+    # the word's own; the pair occurring twice in it gives it away.
     k = [str(ival) for ival, _ in at.body].index("(-3/2,-4/3)")
     ival, word = at.body[k]
     bad = _edit(at, {k: (ival, word * 2)})
-    with pytest.raises(ValueError):
-        verify_atlas(bad, probes_per_interval=0)
+    assert _solves_to(word * 2, at.body_range, ival)
+    report = verify_atlas(bad, probes_per_interval=0)
+    assert not report.ok and report.probes_run == 0
+    assert report.failure == "cycle on (-3/2,-4/3) does not hold (-2, -2) at its start only"
     with pytest.raises(ValueError):
         verify_atlas(at, probes_per_interval=-1)
     with pytest.raises(ValueError):
-        sweep(1, probes_per_interval=0)
+        sweep(1, probes_per_interval=-1)
 
 
 def test_verify_rejects_an_empty_word_read_from_json(atlas):
@@ -288,8 +291,55 @@ PROBES_RUN = {(-3, -4): (264, 394), (2, 3): (104, 154), (-2, -2): (82, 121)}
 
 @pytest.mark.parametrize("pair", sorted(PROBES_RUN), ids=str)
 def test_verify_probe_counts_are_pinned(atlas, pair):
-    runs = tuple(verify_atlas(atlas(*pair), probes_per_interval=k).probes_run for k in (1, 2))
-    assert runs == PROBES_RUN[pair]
+    runs = tuple(verify_atlas(atlas(*pair), probes_per_interval=k).probes_run for k in (0, 1, 2))
+    assert runs == (0,) + PROBES_RUN[pair]
+
+
+@pytest.mark.parametrize(
+    "pair, name, broken, failure",
+    [
+        ((-1, -1), "triangular_cycle", lambda good: lambda *args: good(*args) * 2,
+         "initial pair not once in tail cycle k=1"),
+        ((1, 1), "interval_for_cycle", lambda good: lambda word: None,
+         "constant tail cycle does not hold on the tail"),
+    ],
+    ids=["doubled ramp cycle", "unsolved constant cycle"],
+)
+def test_verify_checks_the_tail_words_without_probes(
+    atlas, monkeypatch, pair, name, broken, failure
+):
+    monkeypatch.setattr(partition, name, broken(getattr(partition, name)))
+    for probes in (0, 2):
+        report = verify_atlas(atlas(*pair), probes_per_interval=probes)
+        assert (report.ok, report.failure, report.probes_run) == (False, failure, 0)
+
+
+def _mutations(word, other):
+    """Single edits of a cycle word; ``other`` is another entry's word."""
+    n = len(word)
+    out = [word + word, word[::-1], other, word + other]
+    out += [word[r:] + word[:r] for r in range(1, n)]
+    out += [word[:j] + word[j + 1 :] for j in range(n)]
+    out += [word[:j] + (word[j] + delta,) + word[j + 1 :] for j in range(n) for delta in (-1, 1)]
+    out += [word[:j] + (value,) + word[j:] for j in range(n + 1) for value in word[:2]]
+    return out
+
+
+@given(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_verdict_without_probes_matches_the_probed_one(atlas, pair, entry, other, pick):
+    at = atlas(*pair)
+    k = entry % len(at.body)
+    ival, word = at.body[k]
+    candidates = _mutations(word, at.body[other % len(at.body)][1])
+    bad = _edit(at, {k: (ival, candidates[pick % len(candidates)])})
+    unprobed = verify_atlas(bad, probes_per_interval=0)
+    probed = verify_atlas(bad, probes_per_interval=2)
+    assert (unprobed.ok, unprobed.failure) == (probed.ok, probed.failure)
 
 
 rationals = st.integers(1, 12).flatmap(
@@ -401,6 +451,14 @@ def test_march_checks_survive_optimized_python():
         "    partition.compute_atlas(-1, -1)\n"
         "except partition.MarchError as exc:\n"
         "    print(exc.side)\n"
+        "partition.orbit_interval = good\n"
+        "at = partition.compute_atlas(-2, -2)\n"
+        "k = [str(ival) for ival, _ in at.body].index('(-3/2,-4/3)')\n"
+        "body = list(at.body)\n"
+        "body[k] = (body[k][0], body[k][1] * 2)\n"
+        "bad = dataclasses.replace(at, body=tuple(body))\n"
+        "print(partition.verify_atlas(at, probes_per_interval=0).ok)\n"
+        "print(partition.verify_atlas(bad, probes_per_interval=0).ok)\n"
     )
     src = os.path.dirname(os.path.dirname(rotatlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -412,7 +470,7 @@ def test_march_checks_survive_optimized_python():
         check=True,
         timeout=120,
     )
-    assert done.stdout.split() == ["False", "22", "plus_zero"]
+    assert done.stdout.split() == ["False", "22", "plus_zero", "True", "False"]
 
 
 def _json_m4_golden():
@@ -494,7 +552,7 @@ def test_sweep_files_reproduce_the_json_golden(tmp_path):
 
 
 def test_sweep_marches_each_unordered_pair_once(monkeypatch):
-    marched, verified = [], []
+    marched, verified, probes = [], [], set()
     compute, verify = partition.compute_atlas, partition.verify_atlas
 
     def counted_compute(a0, a1, *args, **kwargs):
@@ -503,6 +561,7 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch):
 
     def counted_verify(at, *args, **kwargs):
         verified.append((at.a0, at.a1))
+        probes.add(kwargs["probes_per_interval"])
         return verify(at, *args, **kwargs)
 
     monkeypatch.setattr(partition, "compute_atlas", counted_compute)
@@ -511,3 +570,4 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch):
     assert len(marched) == 28 and all(a0 <= a1 for a0, a1 in marched)
     grid = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
     assert len(verified) == 49 and sorted(verified) == grid
+    assert probes == {0}

@@ -15,6 +15,7 @@ from rotatlas.report import (
     render_tables,
     sweep_summary_csv,
     write_atlas_json,
+    write_sweep_csv,
 )
 
 
@@ -197,6 +198,20 @@ def test_failed_write_keeps_the_previous_file(tmp_path, atlas, monkeypatch, fail
     with open(old) as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["atlas_-1_-1.json"]
+
+
+@pytest.mark.parametrize("failure", [_fail_midway, _fail_on_replace], ids=["write", "replace"])
+def test_failed_csv_write_keeps_the_previous_file(tmp_path, monkeypatch, failure):
+    rep = sweep(1)
+    old = write_sweep_csv(rep, str(tmp_path))
+    assert os.path.basename(old) == "sweep_m1.csv"
+    failure(monkeypatch)
+    with pytest.raises(OSError):
+        write_sweep_csv(dataclasses.replace(rep, points=rep.points[:3]), str(tmp_path))
+    monkeypatch.undo()
+    with open(old) as fh:
+        assert fh.read() == sweep_summary_csv(rep)
+    assert os.listdir(tmp_path) == ["sweep_m1.csv"]
 
 
 def test_sweep_summary_csv():
