@@ -22,8 +22,9 @@ The step is written out in each of the two loops, `detect_cycle` and
   `orbit_interval` took about 36% longer, and through `detect_cycle` +
   `cycle_bounds` about 21% longer (serial, CPython 3.11, 2-vCPU VM);
 - independence: `partition.verify_atlas` re-checks the march with its own
-  orbit loop and its own solve, so a fault in the march kernel cannot
-  certify itself.
+  solve, `constraints.cycle_bounds`, and runs no orbit for its certificate,
+  so a fault in the march kernel cannot certify itself; `detect_cycle`
+  serves verification only as the opt-in probe cross-check.
 """
 
 from __future__ import annotations

@@ -49,8 +49,11 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # Fraction(v) on a Fraction still pays the numbers.Rational check.
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"reversed interval: lo={self.lo} > hi={self.hi}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):

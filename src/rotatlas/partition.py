@@ -20,7 +20,7 @@ orbits inside each interval are an opt-in cross-check of the solve against
 the dynamics.  `sweep` runs compute + verify over a square grid of initial
 pairs and aggregates the statistics reported by `report`; it marches each
 unordered pair once, mirrors the atlas to the swapped pair, and verifies
-both.
+both, solving each word's constraints once for the two.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constraints import cycle_bounds, interval_for_cycle
+from .constraints import Bounds, cycle_bounds, interval_for_cycle
 from .dynamics import (
     DEFAULT_ORBIT_CAP,
     ParamSpec,
@@ -189,15 +189,16 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
-def _solves_to(word: Word, body: Interval, ival: Interval) -> bool:
-    """Whether ``interval_for_cycle(word) ∩ body == ival``, decided in integers.
+def _solves_to(bounds: Optional[Bounds], body: Interval, ival: Interval) -> bool:
+    """Whether a word's solved set, cut to ``body``, is exactly ``ival``, in integers.
 
-    The solved lower bound is raised to the body's lower edge, and both ends
-    are compared with ``ival``'s by cross-multiplication.  The solved upper
-    bound never passes the body's open upper edge 2, so it needs no clip.  A
-    match with the non-empty ``ival`` also shows the intersection non-empty.
+    ``bounds`` are the word's `cycle_bounds`: the test is
+    ``interval_for_cycle(word) ∩ body == ival``.  The solved lower bound is
+    raised to the body's lower edge, and both ends are compared with
+    ``ival``'s by cross-multiplication.  The solved upper bound never passes
+    the body's open upper edge 2, so it needs no clip.  A match with the
+    non-empty ``ival`` also shows the intersection non-empty.
     """
-    bounds = cycle_bounds(word)
     if bounds is None:
         return False
     lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
@@ -249,6 +250,7 @@ def verify_atlas(
     atlas: PartitionAtlas,
     probes_per_interval: int = 2,
     caps: Caps = Caps(),
+    solved: Optional[dict[Word, Optional[Bounds]]] = None,
 ) -> VerificationReport:
     """Re-check a computed atlas against the dynamics from scratch.
 
@@ -275,6 +277,23 @@ def verify_atlas(
     must return exactly ``word``: a cross-check of the solve against the
     dynamics, which the certificate does not need.  0 runs no probe.
 
+    ``solved`` maps words to their `cycle_bounds`; a caller that passes one
+    dict to two calls lets a pair and its swap share the solve, and without
+    it the call uses a fresh dict of its own.  Every body word's bounds are stored
+    under that word, and a word whose exact mirror `_mirror_word` is already
+    a key reuses the mirror's bounds instead of solving again.  That is sound
+    because ``cycle_bounds(_mirror_word(w))`` equals ``cycle_bounds(w)`` as
+    values (None iff None): the mirror's cyclic triples are ``w``'s triples
+    ``(b0, b1, b2)`` read as ``(b2, b1, b0)``, every constraint depends only on
+    ``(b1, b0 + b2)``, and the fold keeps the extreme bound with the strict
+    closure on ties whatever the order.  The cache is content-addressed: its
+    only entries are `cycle_bounds` values of words this function read, each
+    keyed by the exact tuple of its word, never by an index or a stored
+    interval.  So a swapped, rotated, doubled or foreign word gets a miss or
+    its own bounds, never another word's, and the certificate is the same
+    with or without a shared cache.  Pass an empty dict, or one filled only
+    by earlier calls.
+
     The tail is an explicit infinite family: its first `TAIL_PIECES` windows
     are checked against the constraint solve, each window's cycle must hold
     the pair exactly once, and with probes it is re-detected at the window's
@@ -282,6 +301,8 @@ def verify_atlas(
     """
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
+    if solved is None:
+        solved = {}
     a0, a1 = atlas.a0, atlas.a1
     body_range = atlas.body_range
     probes = 0
@@ -343,7 +364,10 @@ def verify_atlas(
         if word in seen:
             return _fail(f"duplicate cycle on {ival}", probes)
         seen.add(word)
-        if not _solves_to(word, body_range, ival):
+        mirror = _mirror_word(word)
+        bounds = solved[mirror] if mirror in solved else cycle_bounds(word)
+        solved[word] = bounds
+        if not _solves_to(bounds, body_range, ival):
             return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
         if _pair_offsets(word, a0, a1) != [0]:
             return _fail(f"cycle on {ival} does not hold {start} at its start only", probes)
@@ -476,6 +500,15 @@ def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> Point
     )
 
 
+def _mirror_word(word: Word) -> Word:
+    """``(w0, w1, ..., w_{n-1})`` reversed and rotated to start ``(w1, w0)``.
+
+    That is ``(w1, w0, w_{n-1}, ..., w2)``: the cycle of the swapped initial
+    pair (see `_mirrored`).  The map is an involution.
+    """
+    return word[1::-1] + word[:1:-1]
+
+
 def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     """The atlas of the swapped pair ``(a1, a0)``, read off ``atlas`` with no orbit run.
 
@@ -486,20 +519,28 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     intervals.  Each word ``(w0, w1, ..., w_{n-1})`` becomes its reversal
     rotated to start at the swapped pair, ``(w1, w0, w_{n-1}, ..., w2)``.
     The label, and so the tail, is swap-symmetric.  `sweep` verifies the
-    result from scratch all the same.
+    result all the same, with the full certificate; only the word solves are
+    shared with the twin (see ``solved`` in `verify_atlas`).
     """
-    body = tuple((ival, word[1::-1] + word[:1:-1]) for ival, word in atlas.body)
+    body = tuple((ival, _mirror_word(word)) for ival, word in atlas.body)
     return PartitionAtlas(atlas.a1, atlas.a0, atlas.tail, body)
 
 
 def _sweep_pair(args: tuple) -> list[PointSummary]:
-    """March ``(a0, a1)``; verify, write and summarize it and its mirror ``(a1, a0)``."""
+    """March ``(a0, a1)``; verify, write and summarize it and its mirror ``(a1, a0)``.
+
+    The two verifications share one ``solved`` cache, so each word's
+    constraints are solved once for the pair.
+    """
     a0, a1, caps, probes_per_interval, out_dir = args
     atlas = compute_atlas(a0, a1, caps)
     atlases = [atlas] if a0 == a1 else [atlas, _mirrored(atlas)]
+    solved: dict[Word, Optional[Bounds]] = {}
     summaries = []
     for at in atlases:
-        verdict = verify_atlas(at, probes_per_interval=probes_per_interval, caps=caps)
+        verdict = verify_atlas(
+            at, probes_per_interval=probes_per_interval, caps=caps, solved=solved
+        )
         if out_dir is not None:
             from . import report
 
@@ -519,11 +560,12 @@ def sweep(
 
     Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
     the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
-    marched or mirrored, is verified from scratch, by default with no probe
-    orbit (``probes_per_interval`` as in `verify_atlas`).  Budget failures
-    propagate as exceptions naming the marched pair of the two.  The result
-    is deterministic and independent of ``jobs``; with ``out_dir`` set, one
-    JSON atlas per pair is written as a side effect.
+    marched or mirrored, gets the full certificate, by default with no probe
+    orbit (``probes_per_interval`` as in `verify_atlas`); the mirror reuses
+    its twin's word solves, looked up by the exact mirrored word.  Budget
+    failures propagate as exceptions naming the marched pair of the two.
+    The result is deterministic and independent of ``jobs``; with
+    ``out_dir`` set, one JSON atlas per pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from rotatlas import partition
 from rotatlas.cli import build_parser, main
 
 
@@ -106,6 +108,20 @@ def test_diagram_command(capsys, tmp_path):
     assert target.read_text().startswith("<svg ")
     code, out, _ = run(capsys, "diagram", "--a0", "0", "--a1", "1")
     assert code == 0 and out.startswith("<svg ")
+
+
+def test_diagram_verifies_without_probe_orbits(capsys, tmp_path, monkeypatch):
+    def no_orbit(*args):
+        raise AssertionError("diagram ran a probe orbit")
+
+    monkeypatch.setattr(partition, "detect_cycle", no_orbit)
+    target = tmp_path / "pair.svg"
+    code, _, _ = run(capsys, "diagram", "--a0", "2", "--a1", "3", "--out", str(target))
+    assert code == 0
+    # the SVG written while diagram still ran 2 probe orbits per interval
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "60ec825b9891dc56ef7eb0794e394b668008596740f2b6d667c7f66917bd6625"
+    )
 
 
 def test_usage_errors_exit_two():

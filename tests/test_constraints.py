@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rotatlas import ParamSpec, detect_cycle, interval_for_cycle
 from rotatlas.constraints import cycle_bounds
 from rotatlas.intervals import make_interval
+from rotatlas.partition import _mirror_word
 from reference import contains, parse_interval
 
 
@@ -162,6 +163,21 @@ def _from_bounds(bounds):
 def test_interval_for_cycle_is_make_interval_of_cycle_bounds(word):
     assert interval_for_cycle(word) == _from_bounds(cycle_bounds(word))
     assert interval_for_cycle(word) == fold_constraints(word)
+
+
+def _bound_values(bounds):
+    if bounds is None:
+        return None
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+    return F(lo_n, lo_d), lo_closed, F(hi_n, hi_d), hi_closed
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(tuple))
+def test_mirrored_word_has_the_same_bounds(word):
+    # The swapped pair's cycle: the triples (b0, b1, b2) read as (b2, b1, b0).
+    mirror = _mirror_word(word)
+    assert sorted(mirror) == sorted(word) and _mirror_word(mirror) == word
+    assert _bound_values(cycle_bounds(mirror)) == _bound_values(cycle_bounds(word))
 
 
 def test_half_line_validation():

@@ -48,6 +48,10 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(F(1), F(1), True, False)
     assert point(F(1)).is_singleton
+    ival = Interval(-1, 2, True, False)
+    assert (type(ival.lo), type(ival.hi)) == (F, F)
+    assert (ival.lo, ival.hi) == (F(-1), F(2))
+    assert point(3).lo == F(3) and type(point(3).hi) is F
 
 
 def test_make_interval_empty_cases():

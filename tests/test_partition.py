@@ -27,6 +27,7 @@ from rotatlas import (
     verify_atlas,
 )
 from rotatlas import partition
+from rotatlas.constraints import cycle_bounds
 from rotatlas.partition import FULL_RANGE, _mirrored, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
 from reference import contains, parse_interval, word_is_cycle_at
@@ -258,6 +259,24 @@ def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
         assert not report.ok and report.failure
 
 
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_verify_rejects_the_corrupted_mirror_with_a_warm_cache(atlas, pair, name):
+    # The twin's verification fills the cache the mirror then reads from.
+    twin = atlas(*pair)
+    mirror = _mirrored(twin)
+    bad = CORRUPTIONS[name](mirror)
+    assert bad != mirror
+    for probes in (0, 1, 2):
+        warm = {}
+        assert verify_atlas(twin, probes_per_interval=probes, solved=warm).ok
+        assert len(warm) == len(twin.body)
+        assert verify_atlas(mirror, probes_per_interval=probes, solved=dict(warm)).ok
+        report = verify_atlas(bad, probes_per_interval=probes, solved=dict(warm))
+        assert not report.ok and report.failure
+        assert report == verify_atlas(bad, probes_per_interval=probes)
+
+
 def test_verify_rejects_a_doubled_word_without_probes(atlas):
     at = atlas(-2, -2)
     # The constraint solve alone accepts the doubled word, whose interval is
@@ -265,7 +284,7 @@ def test_verify_rejects_a_doubled_word_without_probes(atlas):
     k = [str(ival) for ival, _ in at.body].index("(-3/2,-4/3)")
     ival, word = at.body[k]
     bad = _edit(at, {k: (ival, word * 2)})
-    assert _solves_to(word * 2, at.body_range, ival)
+    assert _solves_to(cycle_bounds(word * 2), at.body_range, ival)
     report = verify_atlas(bad, probes_per_interval=0)
     assert not report.ok and report.probes_run == 0
     assert report.failure == "cycle on (-3/2,-4/3) does not hold (-2, -2) at its start only"
@@ -398,7 +417,7 @@ def test_integer_certificate_matches_the_interval_check(word, data):
         candidates += [solved, _near(data, solved)]
     for ival in candidates:
         if ival is not None:
-            assert _solves_to(word, body, ival) == (solved == ival)
+            assert _solves_to(cycle_bounds(word), body, ival) == (solved == ival)
 
 
 def test_round_budget_exhaustion(atlas):
@@ -459,6 +478,14 @@ def test_march_checks_survive_optimized_python():
         "bad = dataclasses.replace(at, body=tuple(body))\n"
         "print(partition.verify_atlas(at, probes_per_interval=0).ok)\n"
         "print(partition.verify_atlas(bad, probes_per_interval=0).ok)\n"
+        "twin = partition.compute_atlas(-2, 1)\n"
+        "mirror = partition._mirrored(twin)\n"
+        "(i1, w1), (i2, w2) = mirror.body[0], mirror.body[-1]\n"
+        "swapped = ((i1, w2),) + mirror.body[1:-1] + ((i2, w1),)\n"
+        "bad = dataclasses.replace(mirror, body=swapped)\n"
+        "warm = {}\n"
+        "print(partition.verify_atlas(twin, probes_per_interval=0, solved=warm).ok)\n"
+        "print(partition.verify_atlas(bad, probes_per_interval=0, solved=warm).ok)\n"
     )
     src = os.path.dirname(os.path.dirname(rotatlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -470,7 +497,9 @@ def test_march_checks_survive_optimized_python():
         check=True,
         timeout=120,
     )
-    assert done.stdout.split() == ["False", "22", "plus_zero", "True", "False"]
+    assert done.stdout.split() == [
+        "False", "22", "plus_zero", "True", "False", "True", "False"
+    ]
 
 
 def _json_m4_golden():
@@ -571,3 +600,22 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch):
     grid = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
     assert len(verified) == 49 and sorted(verified) == grid
     assert probes == {0}
+
+
+def test_sweep_solves_each_marched_word_once(monkeypatch):
+    solved = []
+    solve = partition.cycle_bounds
+
+    def counted_solve(word):
+        solved.append(word)
+        return solve(word)
+
+    monkeypatch.setattr(partition, "cycle_bounds", counted_solve)
+    assert sweep(3).all_verified
+    marched = [
+        word
+        for a0 in range(-3, 4)
+        for a1 in range(a0, 4)
+        for _, word in compute_atlas(a0, a1).body
+    ]
+    assert sorted(solved) == sorted(marched)
