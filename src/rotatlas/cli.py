@@ -186,8 +186,7 @@ def _cmd_diagram(args) -> int:
         return 1
     svg = report.emit_diagram(atlas)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        report._write_atomically(args.out, [svg])
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(svg, end="")

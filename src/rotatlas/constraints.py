@@ -69,7 +69,7 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
     None means infeasible or empty.  `dynamics.orbit_interval` folds the
-    same bounds while the orbit runs; `partition.verify_atlas` uses
+    same bounds once per distinct letter; `partition.verify_atlas` uses
     `cycle_bounds` as its independent check.
     """
     bounds = cycle_bounds(word)

@@ -13,6 +13,20 @@ The boundary specializations are the interesting extremes: ``minus_zero`` at
 every other orbit up.  For the latter, ``x - y`` never increases along an
 orbit, which yields the divergence certificate used by `detect_cycle`.
 
+Every step ``(x, y) -> (y, z)`` has ``x + z = ceil(-lam*y)`` (one more on
+the tie lines of the one-sided maps): the sum depends on the middle letter
+``y`` alone.  So the step inequalities of a cycle word give one constraint
+per distinct letter, and `orbit_interval` folds the interval's bounds once
+per letter of ``set(word)`` after the orbit closes, not once per step.
+
+Words that `orbit_interval` returns, and that `report.atlas_from_json`
+reads, hold one shared ``int`` object per letter value (`_canonical`).
+Letters below -5 are not among CPython's cached small ints, so without the
+sharing every letter of an atlas is an object of its own: the atlas of
+(-19,-20), 4,002,847 letters, takes 32 MiB instead of 107 MiB.  A mirrored
+word is a slice of its twin, so it shares the objects too.  `detect_cycle`
+keeps plain ints: its words are transient.
+
 The step is written out in each of the two loops, `detect_cycle` and
 `orbit_interval`, and the word's interval is solved a third time by
 `constraints.cycle_bounds`.  The three are kept apart on purpose:
@@ -20,7 +34,9 @@ The step is written out in each of the two loops, `detect_cycle` and
 - speed: marching every pair with max(|a0|,|a1|) <= 7 through
   `detect_cycle` + `interval_for_cycle` instead of the fused
   `orbit_interval` took about 36% longer, and through `detect_cycle` +
-  `cycle_bounds` about 21% longer (serial, CPython 3.11, 2-vCPU VM);
+  `cycle_bounds` about 21% longer; with the once-per-letter fold, taking
+  the word from `detect_cycle` still made the march's calls about 10%
+  slower (serial, CPython 3.11, 2-vCPU VM);
 - independence: `partition.verify_atlas` re-checks the march with its own
   solve, `constraints.cycle_bounds`, and runs no orbit for its certificate,
   so a fault in the march kernel cannot certify itself; `detect_cycle`
@@ -36,6 +52,9 @@ from typing import Optional
 from .intervals import Interval
 
 DEFAULT_ORBIT_CAP = 10**7
+
+# One int object per letter value, shared by every word `_canonical` returns.
+_LETTERS: dict[int, int] = {}
 
 _KINDS = ("exact", "plus_zero", "minus_zero")
 
@@ -132,6 +151,11 @@ def detect_cycle(
     return OrbitResult("cap_exceeded", None, cap, _max_abs(word, x, y))
 
 
+def _canonical(word) -> Word:
+    """``word`` as a tuple of the shared letter objects (see the module docstring)."""
+    return tuple(map(_LETTERS.setdefault, word, word))
+
+
 def _max_abs(word: list[int], x: int, y: int) -> int:
     # Every orbit value so far is a letter of `word` or one of `(x, y)`.
     return max(abs(x), abs(y), max(word, default=0), -min(word, default=0))
@@ -142,22 +166,22 @@ def orbit_interval(
 ) -> Optional[tuple[Word, Interval, int]]:
     """`detect_cycle` and `constraints.interval_for_cycle` in one orbit pass.
 
-    Each step's ``(x, y, z)`` is one cyclic triple of the word, so the
-    interval's bounds are folded, by integer cross-multiplication, while the
-    orbit runs.  Returns ``(word, interval, steps_used)``, or None when the
-    orbit does not return to ``start`` within ``cap`` steps.
+    The orbit runs with no bound bookkeeping; once it closes, the bounds are
+    folded, by integer cross-multiplication, once per distinct letter (see
+    the module docstring).  Returns ``(word, interval, steps_used)``, or None
+    when the orbit does not return to ``start`` within ``cap`` steps.  The
+    word holds the shared letter objects, and the interval's lower edge is
+    ``spec.value`` itself when the two are equal, as they are on every
+    marched interval but the first.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     x0, y0 = start
-    p, q = spec.value.numerator, spec.value.denominator
+    value = spec.value
+    p, q = value.numerator, value.denominator
     plus = spec.kind == "plus_zero"
     minus = spec.kind == "minus_zero"
     tie = plus or minus
-    # Running bounds as (num, den, strict) with den > 0, starting from the
-    # open ambient interval (-2, 2).
-    lo_n, lo_d, lo_strict = -2, 1, True
-    hi_n, hi_d, hi_strict = 2, 1, True
     word: list[int] = []
     append = word.append
     x, y = x0, y0
@@ -169,27 +193,36 @@ def orbit_interval(
                 z += 1
             elif minus and y > 0:
                 z += 1
-        # y == 0 gives z == -x: no bound, and always feasible.
+        x, y = y, z
+        if x == x0 and y == y0:
+            break
+    else:
+        return None
+    # Running bounds as (num, den, strict) with den > 0, starting from the
+    # open ambient interval (-2, 2).
+    lo_n, lo_d, lo_strict = -2, 1, True
+    hi_n, hi_d, hi_strict = 2, 1, True
+    for y in set(word):
+        # every step with middle letter y has x + z == s; y == 0 gives no bound
+        s = -((p * y) // q)
+        if tie and y % q == 0 and ((plus and y < 0) or (minus and y > 0)):
+            s += 1
         if y > 0:
-            # lam >= (-x - z)/y (weak), lam < (1 - x - z)/y (strict)
-            a = -x - z
+            # lam >= -s/y (weak), lam < (1 - s)/y (strict)
+            a = -s
             if a * lo_d > lo_n * y:
                 lo_n, lo_d, lo_strict = a, y, False
             cmp = (a + 1) * hi_d - hi_n * y
             if cmp < 0 or (cmp == 0 and not hi_strict):
                 hi_n, hi_d, hi_strict = a + 1, y, True
         elif y < 0:
-            # lam <= (x + z)/-y (weak), lam > (x + z - 1)/-y (strict)
-            a, d = x + z, -y
-            if a * hi_d < hi_n * d:
-                hi_n, hi_d, hi_strict = a, d, False
-            cmp = (a - 1) * lo_d - lo_n * d
+            # lam <= s/-y (weak), lam > (s - 1)/-y (strict)
+            d = -y
+            if s * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = s, d, False
+            cmp = (s - 1) * lo_d - lo_n * d
             if cmp > 0 or (cmp == 0 and not lo_strict):
-                lo_n, lo_d, lo_strict = a - 1, d, True
-        x, y = y, z
-        if x == x0 and y == y0:
-            ival = Interval(
-                Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), not lo_strict, not hi_strict
-            )
-            return tuple(word), ival, steps
-    return None
+                lo_n, lo_d, lo_strict = s - 1, d, True
+    lo = value if lo_n * q == p * lo_d else Fraction(lo_n, lo_d)
+    ival = Interval(lo, Fraction(hi_n, hi_d), not lo_strict, not hi_strict)
+    return _canonical(word), ival, steps

@@ -54,9 +54,12 @@ class Interval:
             object.__setattr__(self, "lo", Fraction(self.lo))
         if type(self.hi) is not Fraction:
             object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        # lo - hi cross-multiplied: a Fraction comparison pays an ABC check
+        lo, hi = self.lo, self.hi
+        cmp = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+        if cmp > 0:
             raise ValueError(f"reversed interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if cmp == 0 and not (self.lo_closed and self.hi_closed):
             raise ValueError(
                 f"empty interval at {self.lo}: a singleton needs both ends closed"
             )

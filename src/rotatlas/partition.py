@@ -157,6 +157,9 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     ``r`` (the plus-side map).  Either way the solved interval must start at
     ``r`` with the opposite closure, or `MarchError` is raised; the first
     interval, which reaches into the tail, is clipped to the body first.
+    Edges are compared in integers, and each inner boundary is one Fraction
+    shared by the two intervals that meet there: the kernel returns ``r``
+    itself as the lower edge it solved equal to ``r``.
     """
     tail = tail_of(a0, a1)
     if (a0, a1) == (0, 0):
@@ -167,7 +170,7 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
     r, closed = body_range.lo, True
-    while r < 2:
+    while r.numerator < 2 * r.denominator:  # r < 2, in integers
         if len(body) == caps.max_rounds:
             residual = Interval(r, 2, closed, False)
             raise BudgetExceeded(f"interval budget {caps.max_rounds}", start, residual)
@@ -180,13 +183,22 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
         if total_steps > caps.max_total_steps:
             residual = Interval(r, 2, closed, False)
             raise BudgetExceeded(f"total step budget {caps.max_total_steps}", start, residual)
-        if ival.lo < r:
+        if _cmp(ival.lo, r) < 0:
             ival = ival.intersect(body_range)
-        if ival is None or ival.lo != r or ival.lo_closed != closed:
+        if ival is None or _cmp(ival.lo, r) or ival.lo_closed != closed:
             raise MarchError(start, r, spec.kind, ival)
         body.append((ival, word))
         r, closed = ival.hi, not ival.hi_closed
     return PartitionAtlas(a0, a1, tail, tuple(body))
+
+
+def _cmp(a: Fraction, b: Fraction) -> int:
+    """Positive, zero or negative as ``a`` is above, at or below ``b``.
+
+    Cross-multiplied in integers: a Fraction comparison pays an ABC check
+    on its other operand.
+    """
+    return a.numerator * b.denominator - b.numerator * a.denominator
 
 
 def _solves_to(bounds: Optional[Bounds], body: Interval, ival: Interval) -> bool:
@@ -308,7 +320,8 @@ def verify_atlas(
     probes = 0
 
     # Tiling: the body entries cover the body range exactly, in order, with
-    # complementary closures at shared endpoints.
+    # complementary closures at shared endpoints (one shared Fraction in a
+    # marched atlas, so the identity test settles most of them).
     if not atlas.body:
         return _fail("empty body", probes)
     first, last = atlas.body[0][0], atlas.body[-1][0]
@@ -317,7 +330,7 @@ def verify_atlas(
     if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
         return _fail(f"body ends at {last}, expected upper edge {body_range}", probes)
     for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
-        if cur.hi != nxt.lo or cur.hi_closed == nxt.lo_closed:
+        if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
             return _fail(f"coverage breaks between {cur} and {nxt}", probes)
 
     # Tail structure: the stored tail is the one the label dictates, and its

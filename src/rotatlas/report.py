@@ -15,9 +15,9 @@ import io
 import json
 import os
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .dynamics import Word
+from .dynamics import Word, _canonical
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import tail_of
@@ -74,17 +74,11 @@ def _json_entry(ival: Interval, word: Word) -> str:
     )
 
 
-def atlas_to_json(atlas: PartitionAtlas) -> str:
-    """The canonical JSON form: what ``json.dumps(..., indent=2)`` writes.
-
-    Formatted directly for the fixed schema, one string per cycle rather
-    than one encoder chunk per letter.
-    """
+def _atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
+    """`atlas_to_json`'s text in order: the head, each body entry, the end."""
     label = atlas.tail.label
     kind = "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
-    body = ",\n".join(_json_entry(ival, word) for ival, word in atlas.body)
-    body = f"[\n{body}\n  ]" if atlas.body else "[]"
-    return (
+    yield (
         "{\n"
         f'  "a0": {atlas.a0},\n'
         f'  "a1": {atlas.a1},\n'
@@ -96,67 +90,127 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
         f'    "hi": "{atlas.tail.interval.hi}",\n'
         f'    "kind": "{kind}"\n'
         "  },\n"
-        f'  "body": {body}\n'
-        "}\n"
+        '  "body": '
     )
+    if not atlas.body:
+        yield "[]\n}\n"
+        return
+    separator = "[\n"
+    for ival, word in atlas.body:
+        yield separator
+        yield _json_entry(ival, word)
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def atlas_to_json(atlas: PartitionAtlas) -> str:
+    """The canonical JSON form: what ``json.dumps(..., indent=2)`` writes.
+
+    Formatted directly for the fixed schema, one string per cycle rather
+    than one encoder chunk per letter.
+    """
+    return "".join(_atlas_json_chunks(atlas))
+
+
+# JSON's name for each Python type `atlas_from_json` accepts
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"
+}
+
+
+def _field(record: dict, key: str, kind: type, where: str):
+    """``record[key]``, which must be present and exactly of type ``kind``."""
+    if key not in record:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = record[key]
+    if type(value) is not kind:
+        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}: {value!r}")
+    return value
+
+
+class _SharedInts(dict):
+    """JSON integer text -> the shared letter object of its value.
+
+    A ``parse_int`` hook for `json.loads`: the parser then builds no int of
+    its own, so the letters need no second pass through
+    `dynamics._canonical`, and the parse tree shrinks (that of (-14,-15)
+    from 37 MiB to 14 MiB).
+    """
+
+    def __missing__(self, text: str) -> int:
+        self[text] = letter = _canonical([int(text)])[0]
+        return letter
 
 
 def atlas_from_json(text: str) -> PartitionAtlas:
     """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
 
-    ``a0``, ``a1`` and each entry's cycle letters must be integers (JSON
-    booleans and floats are not), its closure flags must be booleans, and its
-    redundant ``interval`` and ``length`` fields must agree with its
-    endpoints and its cycle, or the file is rejected with ValueError.
+    The reader is strict: a missing field, or one of the wrong JSON type, is
+    a ValueError naming the field.  ``a0``, ``a1`` and each entry's cycle
+    letters must be integers (JSON booleans and floats are not), its closure
+    flags must be booleans, and its redundant ``interval`` and ``length``
+    fields must agree with its endpoints and its cycle.  Body entries are
+    dropped from the parse tree as they are converted, and the words hold
+    the shared letter objects of `dynamics`.
     """
-    data = json.loads(text)
-    a0, a1 = data["a0"], data["a1"]
+    data = json.loads(text, parse_int=_SharedInts().__getitem__)
+    if type(data) is not dict:
+        raise ValueError(f"atlas JSON is not an object: {type(data).__name__}")
+    a0, a1 = data.get("a0"), data.get("a1")
     if type(a0) is not int or type(a1) is not int:
-        raise ValueError(f"initial pair ({a0!r},{a1!r}) is not a pair of integers")
+        raise ValueError(f"initial pair 'a0', 'a1' = ({a0!r},{a1!r}) is not a pair of integers")
     tail = tail_of(a0, a1)
+    stored = _field(data, "tail", dict, f"atlas of ({a0},{a1})")
+    where = f"tail of ({a0},{a1})"
     if (str(tail.interval.lo), str(tail.interval.hi)) != (
-        data["tail"]["lo"],
-        data["tail"]["hi"],
+        _field(stored, "lo", str, where),
+        _field(stored, "hi", str, where),
     ):
-        raise ValueError(f"tail of ({a0},{a1}) does not match file contents")
+        raise ValueError(f"{where} does not match file contents")
+    entries = _field(data, "body", list, f"atlas of ({a0},{a1})")
+    entries.reverse()  # popped from the end, so in file order
     body = []
-    for entry in data["body"]:
-        lo_closed, hi_closed = entry["lo_closed"], entry["hi_closed"]
-        if type(lo_closed) is not bool or type(hi_closed) is not bool:
-            raise ValueError(
-                f"entry {entry['interval']} of ({a0},{a1}) has a non-boolean closure flag"
-            )
+    while entries:
+        entry = entries.pop()
+        where = f"body entry {len(body)} of ({a0},{a1})"
+        if type(entry) is not dict:
+            raise ValueError(f"{where} is not an object")
+        interval = _field(entry, "interval", str, where)
+        where = f"entry {interval} of ({a0},{a1})"
         ival = Interval(
-            parse_rational(entry["lo"]), parse_rational(entry["hi"]), lo_closed, hi_closed
+            parse_rational(_field(entry, "lo", str, where)),
+            parse_rational(_field(entry, "hi", str, where)),
+            _field(entry, "lo_closed", bool, where),
+            _field(entry, "hi_closed", bool, where),
         )
-        word = tuple(entry["cycle"])
-        # exactly int, so JSON booleans are out; one C-level pass per word
-        if set(map(type, word)) - {int}:
+        cycle = _field(entry, "cycle", list, where)
+        # exactly int, so JSON booleans and floats are out (the parser
+        # shares only the objects of JSON integers)
+        if set(map(type, cycle)) - {int}:
+            raise ValueError(f"{where} has a non-integer cycle letter")
+        word = tuple(cycle)
+        if str(ival) != interval or len(word) != _field(entry, "length", int, where):
             raise ValueError(
-                f"entry {entry['interval']} of ({a0},{a1}) has a non-integer cycle letter"
-            )
-        if str(ival) != entry["interval"] or len(word) != entry["length"]:
-            raise ValueError(
-                f"entry {entry['interval']} of ({a0},{a1}) disagrees with its "
-                f"endpoints {ival} or its cycle length {len(word)}"
+                f"{where} disagrees with its endpoints {ival} or its cycle length {len(word)}"
             )
         body.append((ival, word))
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
-def _write_atomically(out_dir: str, name: str, text: str) -> str:
-    """Write ``text`` to ``out_dir/name`` atomically; return the path.
+def _write_atomically(path: str, chunks: Iterable[str]) -> str:
+    """Write the text ``chunks`` to ``path`` atomically; return the path.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces the target: a reader sees the old file or the new one, never a
-    part, and a failed write leaves the old file and no temporary behind.
+    The chunks are streamed into a temporary file in the same directory
+    (created if missing), which then replaces the target: a reader sees the
+    old file or the new one, never a part, and a failed write leaves the
+    old file and no temporary behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -166,8 +220,12 @@ def _write_atomically(out_dir: str, name: str, text: str) -> str:
 
 
 def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
-    """Write ``atlas_A0_A1.json`` under ``out_dir`` atomically; return its path."""
-    return _write_atomically(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json", atlas_to_json(atlas))
+    """Write ``atlas_A0_A1.json`` under ``out_dir`` atomically; return its path.
+
+    The text is streamed entry by entry, never built whole.
+    """
+    path = os.path.join(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json")
+    return _write_atomically(path, _atlas_json_chunks(atlas))
 
 
 def _format_avg(value: Fraction) -> str:
@@ -188,7 +246,8 @@ def sweep_summary_csv(report: SweepReport) -> str:
 
 def write_sweep_csv(report: SweepReport, out_dir: str) -> str:
     """Write `sweep_summary_csv` to ``sweep_mM.csv`` under ``out_dir`` atomically."""
-    return _write_atomically(out_dir, f"sweep_m{report.max_m}.csv", sweep_summary_csv(report))
+    path = os.path.join(out_dir, f"sweep_m{report.max_m}.csv")
+    return _write_atomically(path, [sweep_summary_csv(report)])
 
 
 def _table_rows_cardinality(shells: Iterable[ShellStats]) -> list[list[str]]:

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import os
 
 import pytest
 
-from rotatlas import partition
+from rotatlas import partition, report
 from rotatlas.cli import build_parser, main
 
 
@@ -122,6 +123,20 @@ def test_diagram_verifies_without_probe_orbits(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "60ec825b9891dc56ef7eb0794e394b668008596740f2b6d667c7f66917bd6625"
     )
+
+
+def test_failed_diagram_write_keeps_the_previous_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "pair.svg"
+    target.write_text("previous")
+
+    def fail_on_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(report.os, "replace", fail_on_replace)
+    with pytest.raises(OSError):
+        main(["diagram", "--a0", "0", "--a1", "1", "--out", str(target)])
+    assert target.read_text() == "previous"
+    assert os.listdir(tmp_path) == ["pair.svg"]
 
 
 def test_usage_errors_exit_two():

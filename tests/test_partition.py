@@ -561,6 +561,16 @@ def test_mirror_is_the_marched_swapped_pair(atlas):
             assert _mirrored(atlas(a0, a1)) == atlas(a1, a0)
 
 
+def test_words_share_one_object_per_letter_value(atlas):
+    marched = atlas(-9, -10)
+    atlases = (marched, _mirrored(marched), atlas_from_json(atlas_to_json(marched)))
+    # the atlases keep every letter alive, so no id is reused
+    letters = [b for at in atlases for _, word in at.body for b in word]
+    values = set(letters)
+    assert min(values) < -5  # below CPython's cached small ints
+    assert len({id(b) for b in letters}) == len(values)
+
+
 def test_sweep_verifies_the_mirrored_pairs(monkeypatch):
     # words left unreversed: only the mirrored pairs (a0 > a1) can go wrong
     monkeypatch.setattr(

@@ -132,6 +132,47 @@ def test_json_rejects_a_non_integer_pair(atlas, field, value):
         atlas_from_json(json.dumps(data))
 
 
+def _edit_entry(data, drop=None, **fields):
+    entry = data["body"][3]
+    entry.update(fields)
+    if drop is not None:
+        del entry[drop]
+    return data
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+# Structural faults: each maps the parsed document to the one to write, with
+# the field the error must name.  Read without the checks, an object body
+# parsed as an empty body, "cycle": 5 and a top-level array raised
+# TypeError, a missing field KeyError, and "lo": 1 AttributeError.
+STRUCTURE_REWRITES = {
+    "top-level-array": (lambda data: [data], "not an object"),
+    "object-body": (lambda data: {**data, "body": {}}, "'body'"),
+    "integer-cycle": (lambda data: _edit_entry(data, cycle=5), "'cycle'"),
+    "no-cycle": (lambda data: _edit_entry(data, drop="cycle"), "'cycle'"),
+    "no-tail": (lambda data: _without(data, "tail"), "'tail'"),
+    "integer-lo": (lambda data: _edit_entry(data, lo=1), "'lo'"),
+    "no-length": (lambda data: _edit_entry(data, drop="length"), "'length'"),
+    "no-closure": (lambda data: _edit_entry(data, drop="hi_closed"), "'hi_closed'"),
+    "no-pair": (lambda data: _without(data, "a1"), "'a1'"),
+    "array-entry": (
+        lambda data: {**data, "body": data["body"][:3] + [[]] + data["body"][4:]},
+        "body entry 3 ",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURE_REWRITES))
+def test_json_rejects_a_structural_fault(atlas, kind):
+    rewrite, field = STRUCTURE_REWRITES[kind]
+    data = rewrite(json.loads(atlas_to_json(atlas(-1, -1))))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        atlas_from_json(json.dumps(data))
+
+
 # Closure flags that are not JSON booleans.  Each replaces a proper entry's
 # flag of the same truth value, so the entry's interval string still matches:
 # read as they are, "yes" is re-emitted as true and 1 verifies.
@@ -155,6 +196,17 @@ def test_write_atlas_json(tmp_path, atlas):
     with open(path) as fh:
         assert fh.read() == atlas_to_json(atlas(-1, -1))
     assert os.listdir(tmp_path) == ["atlas_-1_-1.json"]
+
+
+def test_write_atlas_json_streams_the_text(tmp_path, atlas, monkeypatch):
+    def whole_text(at):
+        raise AssertionError("write_atlas_json built the whole text")
+
+    expected = atlas_to_json(atlas(-2, -2))
+    monkeypatch.setattr(report, "atlas_to_json", whole_text)
+    path = write_atlas_json(atlas(-2, -2), str(tmp_path))
+    with open(path) as fh:
+        assert fh.read() == expected
 
 
 class _FullDisk:
