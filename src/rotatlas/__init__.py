@@ -9,13 +9,7 @@ rational arithmetic end to end.
 """
 
 from .constraints import interval_for_cycle
-from .dynamics import (
-    DEFAULT_ORBIT_CAP,
-    OrbitResult,
-    ParamSpec,
-    detect_cycle,
-    orbit_interval,
-)
+from .dynamics import DEFAULT_ORBIT_CAP, OrbitResult, ParamSpec, detect_cycle
 from .intervals import Interval, make_interval, parse_rational
 from .partition import (
     BudgetExceeded,
@@ -67,7 +61,6 @@ __all__ = [
     "label_of",
     "make_interval",
     "occurrence_index",
-    "orbit_interval",
     "parse_rational",
     "summarize_atlas",
     "sweep",

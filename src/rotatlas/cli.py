@@ -43,6 +43,13 @@ def _parse_word(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer word: {text!r}")
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def _default_out() -> str | None:
     return os.environ.get("ROTATLAS_OUT")
 
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify all pairs with max(|a0|,|a1|) <= m")
     p.add_argument("--out", default=_default_out(),
                    help="directory for per-pair atlas JSON and the CSV summary")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit step cap")
     p.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
     p.add_argument("--probes", type=int, default=0,
@@ -142,7 +149,7 @@ def _cmd_tail(args) -> int:
 def _cmd_partition(args) -> int:
     caps = Caps(orbit_cap=args.cap)
     atlas = compute_atlas(args.a0, args.a1, caps)
-    verdict = verify_atlas(atlas, probes_per_interval=args.probes, caps=caps)
+    verdict = verify_atlas(atlas, probes_per_interval=args.probes)
     if args.fmt == "json":
         print(report.atlas_to_json(atlas), end="")
     else:

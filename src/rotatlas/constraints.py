@@ -68,7 +68,7 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
     """The parameter interval of a cycle word within the ambient (-2,2).
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
-    None means infeasible or empty.  `dynamics.orbit_interval` folds the
+    None means infeasible or empty.  `dynamics.orbit_bounds` folds the
     same bounds once per distinct letter; `partition.verify_atlas` uses
     `cycle_bounds` as its independent check.
     """

@@ -16,27 +16,30 @@ orbit, which yields the divergence certificate used by `detect_cycle`.
 Every step ``(x, y) -> (y, z)`` has ``x + z = ceil(-lam*y)`` (one more on
 the tie lines of the one-sided maps): the sum depends on the middle letter
 ``y`` alone.  So the step inequalities of a cycle word give one constraint
-per distinct letter, and `orbit_interval` folds the interval's bounds once
-per letter of ``set(word)`` after the orbit closes, not once per step.
+per distinct letter, and `orbit_bounds` folds the word's bounds once per
+letter of ``set(word)`` after the orbit closes, not once per step.
 
-Words that `orbit_interval` returns, and that `report.atlas_from_json`
-reads, hold one shared ``int`` object per letter value (`_canonical`).
-Letters below -5 are not among CPython's cached small ints, so without the
-sharing every letter of an atlas is an object of its own: the atlas of
-(-19,-20), 4,002,847 letters, takes 32 MiB instead of 107 MiB.  A mirrored
-word is a slice of its twin, so it shares the objects too.  `detect_cycle`
-keeps plain ints: its words are transient.
+`orbit_bounds` is the march kernel: it runs the exact map or the plus-side
+map (the only two the march visits) and returns the cycle word with its
+integer bounds; `partition.compute_atlas` builds the intervals.  Words that
+`orbit_bounds` returns, and that `report.atlas_from_json` reads, hold one
+shared ``int`` object per letter value (`_canonical`).  Letters below -5
+are not among CPython's cached small ints, so without the sharing every
+letter of an atlas is an object of its own: the atlas of (-19,-20),
+4,002,847 letters, takes 32 MiB instead of 107 MiB.  A mirrored word is a
+slice of its twin, so it shares the objects too.  `detect_cycle` keeps
+plain ints: its words are transient.
 
 The step is written out in each of the two loops, `detect_cycle` and
-`orbit_interval`, and the word's interval is solved a third time by
+`orbit_bounds`, and the word's bounds are solved a third time by
 `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
 - speed: marching every pair with max(|a0|,|a1|) <= 7 through
-  `detect_cycle` + `interval_for_cycle` instead of the fused
-  `orbit_interval` took about 36% longer, and through `detect_cycle` +
-  `cycle_bounds` about 21% longer; with the once-per-letter fold, taking
-  the word from `detect_cycle` still made the march's calls about 10%
-  slower (serial, CPython 3.11, 2-vCPU VM);
+  `detect_cycle` + `interval_for_cycle` instead of the fused kernel took
+  about 36% longer, and through `detect_cycle` + `cycle_bounds` about 21%
+  longer; with the once-per-letter fold, taking the word from
+  `detect_cycle` still made the march's calls about 10% slower (serial,
+  CPython 3.11, 2-vCPU VM);
 - independence: `partition.verify_atlas` re-checks the march with its own
   solve, `constraints.cycle_bounds`, and runs no orbit for its certificate,
   so a fault in the march kernel cannot certify itself; `detect_cycle`
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval
+from .constraints import Bounds
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -70,16 +73,19 @@ class ParamSpec:
     value: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
+        # isinstance against Fraction would go through ABCMeta.__instancecheck__
+        if type(self.value) is not Fraction:
             object.__setattr__(self, "value", Fraction(self.value))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {_KINDS}")
         v = self.value
-        if self.kind == "exact" and not (-2 < v < 2):
+        # v against +-2 as n against +-2d, in integers
+        n, two = v.numerator, 2 * v.denominator
+        if self.kind == "exact" and not (-two < n < two):
             raise ValueError(f"exact parameter must lie in (-2,2), got {v}")
-        if self.kind == "plus_zero" and not (-2 <= v < 2):
+        if self.kind == "plus_zero" and not (-two <= n < two):
             raise ValueError(f"plus-side parameter must lie in [-2,2), got {v}")
-        if self.kind == "minus_zero" and not (-2 < v <= 2):
+        if self.kind == "minus_zero" and not (-two < n <= two):
             raise ValueError(f"minus-side parameter must lie in (-2,2], got {v}")
 
     @classmethod
@@ -161,38 +167,32 @@ def _max_abs(word: list[int], x: int, y: int) -> int:
     return max(abs(x), abs(y), max(word, default=0), -min(word, default=0))
 
 
-def orbit_interval(
-    spec: ParamSpec, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
-) -> Optional[tuple[Word, Interval, int]]:
-    """`detect_cycle` and `constraints.interval_for_cycle` in one orbit pass.
+def orbit_bounds(
+    lam: Fraction, plus: bool, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
+) -> Optional[tuple[Word, Bounds, int]]:
+    """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass.
 
-    The orbit runs with no bound bookkeeping; once it closes, the bounds are
-    folded, by integer cross-multiplication, once per distinct letter (see
-    the module docstring).  Returns ``(word, interval, steps_used)``, or None
-    when the orbit does not return to ``start`` within ``cap`` steps.  The
-    word holds the shared letter objects, and the interval's lower edge is
-    ``spec.value`` itself when the two are equal, as they are on every
-    marched interval but the first.
+    The orbit runs at ``lam`` itself, or just right of it when ``plus`` is
+    set, with no bound bookkeeping; once it closes, the bounds are folded,
+    by integer cross-multiplication, once per distinct letter (see the
+    module docstring).  Returns ``(word, bounds, steps_used)``, with
+    ``bounds`` in the form of `constraints.Bounds` and equal in value to
+    ``cycle_bounds(word)``, or None when the orbit does not return to
+    ``start`` within ``cap`` steps.  The word holds the shared letter
+    objects.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     x0, y0 = start
-    value = spec.value
-    p, q = value.numerator, value.denominator
-    plus = spec.kind == "plus_zero"
-    minus = spec.kind == "minus_zero"
-    tie = plus or minus
+    p, q = lam.numerator, lam.denominator
     word: list[int] = []
     append = word.append
     x, y = x0, y0
     for steps in range(1, cap + 1):
         append(x)
         z = -((p * y + q * x) // q)
-        if tie and y % q == 0:
-            if plus and y < 0:
-                z += 1
-            elif minus and y > 0:
-                z += 1
+        if plus and y < 0 and y % q == 0:
+            z += 1
         x, y = y, z
         if x == x0 and y == y0:
             break
@@ -205,8 +205,6 @@ def orbit_interval(
     for y in set(word):
         # every step with middle letter y has x + z == s; y == 0 gives no bound
         s = -((p * y) // q)
-        if tie and y % q == 0 and ((plus and y < 0) or (minus and y > 0)):
-            s += 1
         if y > 0:
             # lam >= -s/y (weak), lam < (1 - s)/y (strict)
             a = -s
@@ -216,6 +214,8 @@ def orbit_interval(
             if cmp < 0 or (cmp == 0 and not hi_strict):
                 hi_n, hi_d, hi_strict = a + 1, y, True
         elif y < 0:
+            if plus and y % q == 0:
+                s += 1
             # lam <= s/-y (weak), lam > (s - 1)/-y (strict)
             d = -y
             if s * hi_d < hi_n * d:
@@ -223,6 +223,4 @@ def orbit_interval(
             cmp = (s - 1) * lo_d - lo_n * d
             if cmp > 0 or (cmp == 0 and not lo_strict):
                 lo_n, lo_d, lo_strict = s - 1, d, True
-    lo = value if lo_n * q == p * lo_d else Fraction(lo_n, lo_d)
-    ival = Interval(lo, Fraction(hi_n, hi_d), not lo_strict, not hi_strict)
-    return _canonical(word), ival, steps
+    return _canonical(word), (lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict), steps

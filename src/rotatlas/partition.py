@@ -3,24 +3,24 @@
 Given an integer initial pair, the tail module covers a left neighbourhood of
 -2 with explicit cycles; the rest of the parameter interval (the "body") is
 marched from its closed lower edge to the open edge 2.  At each point ``r``
-one orbit pass (`dynamics.orbit_interval`) finds the cycle at ``r``, or just
-right of ``r`` when ``r`` already belongs to the previous interval, together
-with the exact interval on which that cycle occurs; the march continues from
-that interval's right end.  The cycles partition the body, so the march
-emits the partition in order.  It is expected to stop after finitely many
-intervals; explicit budgets guard against the alternative, which would mean
-either a bug or a counterexample.
+one orbit pass (`dynamics.orbit_bounds`) finds the cycle at ``r``, or just
+right of ``r`` when ``r`` already belongs to the previous interval, with
+the integer bounds of the exact interval on which that cycle occurs; the
+march builds that interval and continues from its right end.  The cycles
+partition the body, so the march emits the partition in order.  It is
+expected to stop after finitely many intervals; explicit budgets guard
+against the alternative, which would mean either a bug or a counterexample.
 
 `verify_atlas` re-checks a computed atlas from scratch with an exact
 certificate and runs no orbit for it: the entries tile the body, each stored
 interval is exactly its word's parameter set within the body, and each word
 starts at the initial pair and holds it nowhere else, so the word is the
-orbit on the whole interval; plus the advertised tail structure.  Probe
-orbits inside each interval are an opt-in cross-check of the solve against
-the dynamics.  `sweep` runs compute + verify over a square grid of initial
-pairs and aggregates the statistics reported by `report`; it marches each
-unordered pair once, mirrors the atlas to the swapped pair, and verifies
-both, solving each word's constraints once for the two.
+orbit on the whole interval; the first tail windows pass the same checks.
+Probe orbits are an opt-in cross-check of the solve against the dynamics.
+`sweep` runs compute + verify over a square grid of initial pairs and
+aggregates the statistics reported by `report`; it marches each unordered
+pair once, mirrors the atlas to the swapped pair, and verifies both,
+solving each word's constraints once for the two.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constraints import Bounds, cycle_bounds, interval_for_cycle
-from .dynamics import (
-    DEFAULT_ORBIT_CAP,
-    ParamSpec,
-    Word,
-    detect_cycle,
-    orbit_interval,
-)
+from .constraints import Bounds, cycle_bounds
+from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, Word, detect_cycle, orbit_bounds
 from .intervals import Interval
-from .tail import TailDescription, tail_of, triangular_cycle, z_interval
+from .tail import TailDescription, tail_of
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
 # Tail windows `verify_atlas` checks explicitly, from the first one on.
@@ -76,19 +70,20 @@ class BudgetExceeded(Exception):
 
 
 class MarchError(Exception):
-    """A solved interval does not start at the marched point as it must.
+    """A solved interval is empty or does not start at the marched point as it must.
 
-    It must start closed there on ``side`` "exact", open on "plus_zero".
+    It must start closed there on ``side`` "exact", open on "plus_zero";
+    ``solved`` holds the kernel's `constraints.Bounds`.
     """
 
-    def __init__(self, start: tuple[int, int], lam: Fraction, side: str, solved):
+    def __init__(self, start: tuple[int, int], lam: Fraction, side: str, solved: Bounds):
         self.start = start
         self.lam = lam
         self.side = side
         self.solved = solved
         super().__init__(
-            f"march for {start} at {lam} ({side}) solved {solved}, "
-            f"which does not start {'closed' if side == 'exact' else 'open'} there"
+            f"march for {start} at {lam} ({side}) solved bounds {solved}, "
+            f"which do not start {'closed' if side == 'exact' else 'open'} there"
         )
 
 
@@ -154,51 +149,47 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     Otherwise the body starts closed at the right edge of the tail and ends
     open at 2.  From a point ``r`` that the previous interval left open, the
     orbit runs at ``r`` itself; from one it closed, it runs just right of
-    ``r`` (the plus-side map).  Either way the solved interval must start at
-    ``r`` with the opposite closure, or `MarchError` is raised; the first
-    interval, which reaches into the tail, is clipped to the body first.
-    Edges are compared in integers, and each inner boundary is one Fraction
-    shared by the two intervals that meet there: the kernel returns ``r``
-    itself as the lower edge it solved equal to ``r``.
+    ``r`` (the plus-side map).  Either way the kernel's solved bounds must
+    start at ``r`` with the opposite closure and be non-empty, or
+    `MarchError` is raised; the first interval, which reaches into the
+    tail, is clipped to the body first.  Edges are compared in integers,
+    and the interval is built here with ``r`` itself as its lower edge, so
+    each inner boundary is one Fraction shared by the two intervals that
+    meet there.
     """
     tail = tail_of(a0, a1)
     if (a0, a1) == (0, 0):
         return PartitionAtlas(a0, a1, tail, ((FULL_RANGE, (0,)),))
 
-    body_range = Interval(tail.interval.hi, Fraction(2), True, False)
     start = (a0, a1)
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
-    r, closed = body_range.lo, True
+    r, closed = tail.interval.hi, True
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
         if len(body) == caps.max_rounds:
             residual = Interval(r, 2, closed, False)
             raise BudgetExceeded(f"interval budget {caps.max_rounds}", start, residual)
-        spec = ParamSpec.exact(r) if closed else ParamSpec.plus_zero(r)
-        found = orbit_interval(spec, start, caps.orbit_cap)
+        found = orbit_bounds(r, not closed, start, caps.orbit_cap)
         if found is None:
             raise OrbitCapExceeded(r, start, caps.orbit_cap)
-        word, ival, steps = found
+        word, bounds, steps = found
         total_steps += steps
         if total_steps > caps.max_total_steps:
             residual = Interval(r, 2, closed, False)
             raise BudgetExceeded(f"total step budget {caps.max_total_steps}", start, residual)
-        if _cmp(ival.lo, r) < 0:
-            ival = ival.intersect(body_range)
-        if ival is None or _cmp(ival.lo, r) or ival.lo_closed != closed:
-            raise MarchError(start, r, spec.kind, ival)
+        lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+        num, den = r.numerator, r.denominator
+        below = num * lo_d - lo_n * den  # r minus the solved lower edge
+        if below > 0 and not body:
+            below, lo_closed = 0, True  # clipped to the body's closed lower edge
+        above = hi_n * den - num * hi_d  # the solved upper edge minus r
+        empty = above < 0 or (above == 0 and not (closed and hi_closed))
+        if below or lo_closed != closed or empty:
+            raise MarchError(start, r, "exact" if closed else "plus_zero", bounds)
+        ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
         body.append((ival, word))
-        r, closed = ival.hi, not ival.hi_closed
+        r, closed = ival.hi, not hi_closed
     return PartitionAtlas(a0, a1, tail, tuple(body))
-
-
-def _cmp(a: Fraction, b: Fraction) -> int:
-    """Positive, zero or negative as ``a`` is above, at or below ``b``.
-
-    Cross-multiplied in integers: a Fraction comparison pays an ABC check
-    on its other operand.
-    """
-    return a.numerator * b.denominator - b.numerator * a.denominator
 
 
 def _solves_to(bounds: Optional[Bounds], body: Interval, ival: Interval) -> bool:
@@ -258,16 +249,44 @@ def _fail(message: str, probes: int) -> VerificationReport:
     return VerificationReport(False, message, probes)
 
 
+def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
+    """Whether the orbit of ``start`` at ``lam`` is exactly ``word``.
+
+    `detect_cycle` runs at most ``len(word)`` steps: an orbit that spells
+    ``word`` closes in exactly that many, so the cap changes no verdict, and
+    a faulty solve cannot make one probe run long.
+    """
+    return detect_cycle(ParamSpec("exact", lam), start, len(word)).cycle == word
+
+
+def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
+    """The closed endpoints of ``ival``, then ``per_interval`` evenly spaced interior points."""
+    if not per_interval:
+        return []
+    lo, hi = ival.lo, ival.hi
+    lams = []
+    if ival.lo_closed:
+        lams.append(lo)
+    if lo != hi:
+        if ival.hi_closed:
+            lams.append(hi)
+        # lo + (hi - lo) * j/(P+1), one Fraction each
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        parts = per_interval + 1
+        den = ld * hd * parts
+        lams.extend(Fraction(ln * hd * (parts - j) + hn * ld * j, den) for j in range(1, parts))
+    return lams
+
+
 def verify_atlas(
     atlas: PartitionAtlas,
     probes_per_interval: int = 2,
-    caps: Caps = Caps(),
     solved: Optional[dict[Word, Optional[Bounds]]] = None,
 ) -> VerificationReport:
     """Re-check a computed atlas against the dynamics from scratch.
 
-    The body check is a certificate, not a sample, and it runs no orbit.
-    For every entry ``(ival, word)`` it establishes two facts:
+    The certificate is a proof, not a sample, and it runs no orbit.  For
+    every entry ``(ival, word)`` of the body, it establishes two facts:
 
     1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
        bounds of `cycle_bounds`: every cyclic step inequality
@@ -284,10 +303,15 @@ def verify_atlas(
     periodic.  A cycle up to rotation has one rotation starting at the pair,
     so distinct cycles are distinct tuples.
 
-    With ``probes_per_interval`` >= 1, `detect_cycle` also runs at the
-    closed endpoints and at that many interior points of every entry and
-    must return exactly ``word``: a cross-check of the solve against the
-    dynamics, which the certificate does not need.  0 runs no probe.
+    The tail's first `TAIL_PIECES` windows (the one window of a constant
+    tail) pass the same checks, each against ``(-2, 2)`` and with the pair
+    held once anywhere in the cycle, so the orbit there is the cycle rotated
+    to start at the pair; the rest is the `tail` module's closed form.
+
+    With ``probes_per_interval`` >= 1, `detect_cycle` also runs, capped at
+    the word's length, at each tail window's midpoint and at the closed
+    endpoints and that many interior points of every entry, and must return
+    the expected word: a cross-check the certificate does not need.
 
     ``solved`` maps words to their `cycle_bounds`; a caller that passes one
     dict to two calls lets a pair and its swap share the solve, and without
@@ -305,17 +329,13 @@ def verify_atlas(
     its own bounds, never another word's, and the certificate is the same
     with or without a shared cache.  Pass an empty dict, or one filled only
     by earlier calls.
-
-    The tail is an explicit infinite family: its first `TAIL_PIECES` windows
-    are checked against the constraint solve, each window's cycle must hold
-    the pair exactly once, and with probes it is re-detected at the window's
-    midpoint; the rest is the `tail` module's closed form.
     """
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
     if solved is None:
         solved = {}
     a0, a1 = atlas.a0, atlas.a1
+    start = (a0, a1)
     body_range = atlas.body_range
     probes = 0
 
@@ -333,44 +353,27 @@ def verify_atlas(
         if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
             return _fail(f"coverage breaks between {cur} and {nxt}", probes)
 
-    # Tail structure: the stored tail is the one the label dictates, and its
-    # advertised pieces are genuine (window = exact parameter interval of the
-    # window's cycle, which holds the pair exactly once, so the orbit there
-    # is that cycle rotated to start at the pair).
-    label = atlas.tail.label
+    # Tail: the stored tail is the pair's, and its first windows pass the
+    # certificate.  k_start >= 1 on a ramp tail, so k == 0 is the constant one.
     if atlas.tail != tail_of(a0, a1):
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail", probes)
-    if label.d > 0:
-        for k in range(atlas.tail.k_start, atlas.tail.k_start + TAIL_PIECES):
-            window = z_interval(label.s, label.d, k)
-            cycle = triangular_cycle(label.s, label.d, k)
-            if interval_for_cycle(cycle) != window:
-                return _fail(f"tail window mismatch at k={k}", probes)
-            offsets = _pair_offsets(cycle, a0, a1)
-            if len(offsets) != 1:
-                return _fail(f"initial pair not once in tail cycle k={k}", probes)
-            if probes_per_interval:
-                lam = window.midpoint()
-                result = detect_cycle(ParamSpec.exact(lam), (a0, a1), caps.orbit_cap)
-                probes += 1
-                offset = offsets[0]
-                if result.outcome != "cycle" or result.cycle != cycle[offset:] + cycle[:offset]:
-                    return _fail(f"tail cycle not re-detected at k={k}", probes)
-    else:
-        if not a0 == a1 == label.s or interval_for_cycle((label.s,)) != atlas.tail.interval:
-            return _fail("constant tail cycle does not hold on the tail", probes)
+    k_start = atlas.tail.k_start or 0
+    pieces = atlas.tail.pieces_through(k_start + TAIL_PIECES - 1)
+    for k, (window, cycle) in enumerate(pieces, k_start):
+        name = f"tail cycle k={k}" if k else "constant tail cycle"
+        if not _solves_to(cycle_bounds(cycle), FULL_RANGE, window):
+            return _fail(f"{name} does not hold on the tail", probes)
+        offsets = _pair_offsets(cycle, a0, a1)
+        if len(offsets) != 1:
+            return _fail(f"initial pair not once in {name}", probes)
         if probes_per_interval:
-            result = detect_cycle(
-                ParamSpec.exact(atlas.tail.interval.midpoint()), (a0, a1), caps.orbit_cap
-            )
+            i = offsets[0]
             probes += 1
-            if result.outcome != "cycle" or result.cycle != (label.s,):
-                return _fail("constant tail cycle not re-detected", probes)
+            if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
+                return _fail(f"{name} not re-detected", probes)
 
     # Body entries: the certificate above, entry by entry, in integers.
     seen: set[Word] = set()
-    start = (a0, a1)
-    cap = caps.orbit_cap
     for ival, word in atlas.body:
         if not word:
             return _fail(f"empty cycle on {ival}", probes)
@@ -384,26 +387,9 @@ def verify_atlas(
             return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
         if _pair_offsets(word, a0, a1) != [0]:
             return _fail(f"cycle on {ival} does not hold {start} at its start only", probes)
-        if not probes_per_interval:
-            continue
-        lo, hi = ival.lo, ival.hi
-        lams = []
-        if ival.lo_closed:
-            lams.append(lo)
-        if lo != hi:
-            if ival.hi_closed:
-                lams.append(hi)
-            # lo + (hi - lo) * j/(P+1), one Fraction each
-            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-            parts = probes_per_interval + 1
-            den = ld * hd * parts
-            lams.extend(
-                Fraction(ln * hd * (parts - j) + hn * ld * j, den) for j in range(1, parts)
-            )
-        for lam in lams:
-            result = detect_cycle(ParamSpec("exact", lam), start, cap)
+        for lam in _probe_points(ival, probes_per_interval):
             probes += 1
-            if result.outcome != "cycle" or result.cycle != word:
+            if not _probe(lam, start, word):
                 return _fail(f"cycle on {ival} not re-detected at {lam}", probes)
 
     return VerificationReport(True, None, probes)
@@ -551,9 +537,7 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     solved: dict[Word, Optional[Bounds]] = {}
     summaries = []
     for at in atlases:
-        verdict = verify_atlas(
-            at, probes_per_interval=probes_per_interval, caps=caps, solved=solved
-        )
+        verdict = verify_atlas(at, probes_per_interval=probes_per_interval, solved=solved)
         if out_dir is not None:
             from . import report
 
@@ -584,6 +568,8 @@ def sweep(
         raise ValueError("max_m must be >= 1")
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     grid = [
         (a0, a1, caps, probes_per_interval, out_dir)
         for a0 in range(-max_m, max_m + 1)

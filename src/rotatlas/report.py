@@ -151,7 +151,10 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     flags must be booleans, and its redundant ``interval`` and ``length``
     fields must agree with its endpoints and its cycle.  Body entries are
     dropped from the parse tree as they are converted, and the words hold
-    the shared letter objects of `dynamics`.
+    the shared letter objects of `dynamics`.  An entry whose ``lo`` text is
+    the previous entry's ``hi`` text reuses that Fraction, so, as in a
+    marched atlas, each inner boundary is one object shared by the two
+    intervals that meet there.
     """
     data = json.loads(text, parse_int=_SharedInts().__getitem__)
     if type(data) is not dict:
@@ -170,6 +173,7 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     entries = _field(data, "body", list, f"atlas of ({a0},{a1})")
     entries.reverse()  # popped from the end, so in file order
     body = []
+    hi_text = hi = None
     while entries:
         entry = entries.pop()
         where = f"body entry {len(body)} of ({a0},{a1})"
@@ -177,9 +181,13 @@ def atlas_from_json(text: str) -> PartitionAtlas:
             raise ValueError(f"{where} is not an object")
         interval = _field(entry, "interval", str, where)
         where = f"entry {interval} of ({a0},{a1})"
+        lo_text = _field(entry, "lo", str, where)
+        lo = hi if lo_text == hi_text else parse_rational(lo_text)
+        hi_text = _field(entry, "hi", str, where)
+        hi = parse_rational(hi_text)
         ival = Interval(
-            parse_rational(_field(entry, "lo", str, where)),
-            parse_rational(_field(entry, "hi", str, where)),
+            lo,
+            hi,
             _field(entry, "lo_closed", bool, where),
             _field(entry, "hi_closed", bool, where),
         )

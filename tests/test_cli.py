@@ -146,6 +146,8 @@ def test_usage_errors_exit_two():
         ["partition", "--a0", "0", "--a1", "0", "--json", "--table"],
         ["sweep", "--max-m", "1", "--unknown-flag"],
         ["orbit", "--a0", "1", "--a1", "1", "--lambda", "x/y"],
+        ["sweep", "--max-m", "1", "--jobs", "0"],
+        ["sweep", "--max-m", "1", "--jobs", "-2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

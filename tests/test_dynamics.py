@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotatlas import (
-    OrbitResult,
-    ParamSpec,
-    detect_cycle,
-    interval_for_cycle,
-    orbit_interval,
-)
+from rotatlas import OrbitResult, ParamSpec, detect_cycle, make_interval
+from rotatlas.constraints import cycle_bounds
+from rotatlas.dynamics import orbit_bounds
 from reference import step, step_inverse, word_is_cycle_at
 from words import is_cyclic_palindrome, rotation_equal
 
@@ -26,15 +22,13 @@ inner_lambdas = st.integers(1, 40).flatmap(
 )
 # The parameters the march visits: a point itself, or just right of it.
 march_specs = st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero")), inner_lambdas)
-# Every side, with denominators <= 6 half the time, so ties (q | y) on the
-# plus and the minus side are common.
+# The march sides, with denominators <= 6 half the time, so plus-side ties
+# (q | y) are common.
 small_lambdas = st.integers(1, 6).flatmap(
     lambda q: st.builds(F, st.integers(-2 * q + 1, 2 * q - 1), st.just(q))
 )
 kernel_specs = st.builds(
-    ParamSpec,
-    st.sampled_from(("exact", "plus_zero", "minus_zero")),
-    st.one_of(inner_lambdas, small_lambdas),
+    ParamSpec, st.sampled_from(("exact", "plus_zero")), st.one_of(inner_lambdas, small_lambdas)
 )
 # Every side, plus both boundary specializations.
 all_specs = st.one_of(
@@ -65,18 +59,28 @@ def test_step_inverse_examples():
 
 
 def test_param_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exact parameter must lie in \(-2,2\), got 2$"):
         ParamSpec.exact(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exact parameter must lie in \(-2,2\), got -2$"):
         ParamSpec.exact(-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^plus-side parameter must lie in \[-2,2\), got 2$"):
         ParamSpec.plus_zero(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^minus-side parameter must lie in \(-2,2\], got -2$"):
         ParamSpec.minus_zero(-2)
     ParamSpec.plus_zero(-2)
     ParamSpec.minus_zero(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown kind 'sideways'"):
         ParamSpec("sideways", F(0))
+    # just inside and just outside each edge, with a denominator above 1
+    for kind in ("exact", "plus_zero", "minus_zero"):
+        for value in (F(-7, 4), F(7, 4), F(-9, 4), F(9, 4)):
+            if -2 < value < 2:
+                assert ParamSpec(kind, value).value is value
+            else:
+                with pytest.raises(ValueError):
+                    ParamSpec(kind, value)
+    # ints and floats become Fractions
+    assert type(ParamSpec.exact(1).value) is F and ParamSpec.exact(0.5).value == F(1, 2)
 
 
 def test_step_soundness_random():
@@ -269,15 +273,25 @@ def test_max_abs_and_steps_used_on_every_outcome(spec, start, cap):
         assert gaps[-1] < 0 and all(g >= 0 for g in gaps[:-1])
 
 
+def _kernel(spec, start, cap=10**7):
+    return orbit_bounds(spec.value, spec.kind == "plus_zero", start, cap)
+
+
+def _values(bounds):
+    """Bounds as (lo, lo_closed, hi, hi_closed), each edge one reduced Fraction."""
+    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
+    return F(lo_n, lo_d), lo_closed, F(hi_n, hi_d), hi_closed
+
+
 @settings(deadline=None)
 @given(kernel_specs, pairs)
-def test_orbit_interval_is_one_pass_of_detect_cycle_and_interval_for_cycle(spec, start):
+def test_orbit_bounds_is_one_pass_of_detect_cycle_and_cycle_bounds(spec, start):
     reference = detect_cycle(spec, start)
     assert reference.outcome == "cycle"
-    word, ival, steps = orbit_interval(spec, start)
+    word, bounds, steps = _kernel(spec, start)
     assert word == reference.cycle
     assert steps == reference.steps_used
-    assert ival == interval_for_cycle(word)
+    assert _values(bounds) == _values(cycle_bounds(word))
     # both loop kernels inline `step`; the word must be its orbit
     point = start
     for letter in word:
@@ -288,36 +302,22 @@ def test_orbit_interval_is_one_pass_of_detect_cycle_and_interval_for_cycle(spec,
 
 @settings(deadline=None)
 @given(march_specs, pairs, st.integers(1, 40))
-def test_orbit_interval_cap_agrees_with_detect_cycle(spec, start, cap):
-    found = orbit_interval(spec, start, cap)
+def test_orbit_bounds_cap_agrees_with_detect_cycle(spec, start, cap):
+    found = _kernel(spec, start, cap)
     reference = detect_cycle(spec, start, cap)
     assert (found is None) == (reference.outcome == "cap_exceeded")
     if found is not None:
         assert (found[0], found[2]) == (reference.cycle, reference.steps_used)
 
 
-def test_orbit_interval_examples():
-    word, ival, steps = orbit_interval(ParamSpec.exact(0), (1, 0))
-    assert (word, str(ival), steps) == ((1, 0, -1, 0), "[0]", 4)
+def test_orbit_bounds_examples():
+    word, bounds, steps = orbit_bounds(F(0), False, (1, 0))
+    assert (word, str(make_interval(*_values(bounds))), steps) == ((1, 0, -1, 0), "[0]", 4)
     # just right of 8/5 the 38-cycle at [8/5] gives way to another cycle
-    exact = orbit_interval(ParamSpec.exact(F(8, 5)), (-1, -1))
-    plus = orbit_interval(ParamSpec.plus_zero(F(8, 5)), (-1, -1))
-    assert str(exact[1]) == "[8/5]" and len(exact[0]) == 38
-    assert plus[1].lo == F(8, 5) and not plus[1].lo_closed
-    assert orbit_interval(ParamSpec.exact(0), (5, 7), cap=3) is None
+    exact = orbit_bounds(F(8, 5), False, (-1, -1))
+    plus = orbit_bounds(F(8, 5), True, (-1, -1))
+    assert str(make_interval(*_values(exact[1]))) == "[8/5]" and len(exact[0]) == 38
+    assert _values(plus[1])[:2] == (F(8, 5), False)
+    assert orbit_bounds(F(0), False, (5, 7), cap=3) is None
     with pytest.raises(ValueError):
-        orbit_interval(ParamSpec.exact(0), (5, 7), cap=0)
-
-
-def test_orbit_interval_on_the_minus_side():
-    # not marched, but the kernel carries the whole tie rule of `step`
-    rng = random.Random(11)
-    specs = [PERIODIC_EDGE] + [ParamSpec.minus_zero(random_lambda(rng)) for _ in range(40)]
-    for spec in specs:
-        start = (rng.randint(-6, 6), rng.randint(-6, 6))
-        reference = detect_cycle(spec, start)
-        word, ival, steps = orbit_interval(spec, start)
-        assert (word, steps) == (reference.cycle, reference.steps_used)
-        assert ival == interval_for_cycle(word)
-        # the minus-side cycle holds on some (value - eps, value)
-        assert ival.lo < spec.value <= ival.hi
+        orbit_bounds(F(0), False, (5, 7), cap=0)

@@ -26,7 +26,7 @@ from rotatlas import (
     sweep,
     verify_atlas,
 )
-from rotatlas import partition
+from rotatlas import partition, tail
 from rotatlas.constraints import cycle_bounds
 from rotatlas.partition import FULL_RANGE, _mirrored, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
@@ -315,22 +315,44 @@ def test_verify_probe_counts_are_pinned(atlas, pair):
 
 
 @pytest.mark.parametrize(
-    "pair, name, broken, failure",
+    "pair, module, name, broken, failure",
     [
-        ((-1, -1), "triangular_cycle", lambda good: lambda *args: good(*args) * 2,
+        ((-1, -1), tail, "triangular_cycle", lambda good: lambda *args: good(*args) * 2,
          "initial pair not once in tail cycle k=1"),
-        ((1, 1), "interval_for_cycle", lambda good: lambda word: None,
+        ((1, 1), partition, "cycle_bounds", lambda good: lambda word: None,
          "constant tail cycle does not hold on the tail"),
     ],
     ids=["doubled ramp cycle", "unsolved constant cycle"],
 )
 def test_verify_checks_the_tail_words_without_probes(
-    atlas, monkeypatch, pair, name, broken, failure
+    atlas, monkeypatch, pair, module, name, broken, failure
 ):
-    monkeypatch.setattr(partition, name, broken(getattr(partition, name)))
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
     for probes in (0, 2):
         report = verify_atlas(atlas(*pair), probes_per_interval=probes)
         assert (report.ok, report.failure, report.probes_run) == (False, failure, 0)
+
+
+@pytest.mark.parametrize("pair", [(-1, -1), (1, 1), (0, 0)], ids=str)
+def test_probe_orbits_are_capped_by_their_word(atlas, monkeypatch, pair):
+    at = atlas(*pair)
+    t = at.tail
+    # body entries and the checked tail windows, with the words they carry
+    entries = list(at.body) + t.pieces_through((t.k_start or 0) + partition.TAIL_PIECES - 1)
+    calls = []
+    detect = partition.detect_cycle
+
+    def recorded(spec, start, cap):
+        calls.append((spec.value, cap))
+        return detect(spec, start, cap)
+
+    monkeypatch.setattr(partition, "detect_cycle", recorded)
+    for probes in (1, 2):
+        calls.clear()
+        report = verify_atlas(at, probes_per_interval=probes)
+        assert report.ok and len(calls) == report.probes_run > 0
+        for lam, cap in calls:
+            assert {len(word) for ival, word in entries if contains(ival, lam)} == {cap}
 
 
 def _mutations(word, other):
@@ -432,21 +454,19 @@ def test_round_budget_exhaustion(atlas):
     assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)
 
 
-def _flip_lower_closure(orbit_interval):
+def _flip_lower_closure(orbit_bounds):
     """A broken kernel: every solved interval starts with the wrong closure."""
 
-    def broken(spec, start, cap):
-        word, ival, steps = orbit_interval(spec, start, cap)
-        if ival.is_singleton:
-            ival = dataclasses.replace(ival, hi=ival.hi + 1, hi_closed=False)
-        return word, dataclasses.replace(ival, lo_closed=not ival.lo_closed), steps
+    def broken(lam, plus, start, cap):
+        word, bounds, steps = orbit_bounds(lam, plus, start, cap)
+        return word, bounds[:2] + (not bounds[2],) + bounds[3:], steps
 
     return broken
 
 
 def test_march_rejects_a_misplaced_interval(monkeypatch):
     monkeypatch.setattr(
-        rotatlas.partition, "orbit_interval", _flip_lower_closure(rotatlas.partition.orbit_interval)
+        rotatlas.partition, "orbit_bounds", _flip_lower_closure(rotatlas.partition.orbit_bounds)
     )
     with pytest.raises(MarchError) as exc:
         compute_atlas(1, 2)
@@ -456,21 +476,46 @@ def test_march_rejects_a_misplaced_interval(monkeypatch):
     assert "(1, 2)" in str(exc.value) and str(exc.value.lam) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b, r, plus: (r.numerator, r.denominator, b[2], r.numerator, r.denominator, False),
+        lambda b, r, plus: b[:3] + (r.numerator - r.denominator, r.denominator, b[5]),
+        lambda b, r, plus: (b[0] + b[1], b[1] * 2) + b[2:],
+        # only the first interval may reach below r
+        lambda b, r, plus: b if plus else (b[0] - b[1],) + b[1:],
+    ],
+    ids=["half-open at r", "upper edge below r", "lower edge raised", "lower edge lowered"],
+)
+def test_march_rejects_an_empty_or_moved_interval(monkeypatch, edit):
+    good = partition.orbit_bounds
+
+    def broken(lam, plus, start, cap):
+        word, bounds, steps = good(lam, plus, start, cap)
+        return word, edit(bounds, lam, plus), steps
+
+    monkeypatch.setattr(partition, "orbit_bounds", broken)
+    with pytest.raises(MarchError) as exc:
+        compute_atlas(-2, -2)
+    assert exc.value.start == (-2, -2) and exc.value.side == "exact"
+    assert len(exc.value.solved) == 6
+
+
 def test_march_checks_survive_optimized_python():
     script = (
         "import dataclasses\n"
         "from rotatlas import partition\n"
         "print(__debug__, len(partition.compute_atlas(-1, -1).body))\n"
-        "good = partition.orbit_interval\n"
-        "def broken(spec, start, cap):\n"
-        "    word, ival, steps = good(spec, start, cap)\n"
-        "    return word, dataclasses.replace(ival, lo=ival.lo - 1), steps\n"
-        "partition.orbit_interval = broken\n"
+        "good = partition.orbit_bounds\n"
+        "def broken(lam, plus, start, cap):\n"
+        "    word, (lo_n, lo_d, *rest), steps = good(lam, plus, start, cap)\n"
+        "    return word, (lo_n - lo_d, lo_d, *rest), steps\n"
+        "partition.orbit_bounds = broken\n"
         "try:\n"
         "    partition.compute_atlas(-1, -1)\n"
         "except partition.MarchError as exc:\n"
         "    print(exc.side)\n"
-        "partition.orbit_interval = good\n"
+        "partition.orbit_bounds = good\n"
         "at = partition.compute_atlas(-2, -2)\n"
         "k = [str(ival) for ival, _ in at.body].index('(-3/2,-4/3)')\n"
         "body = list(at.body)\n"
@@ -555,6 +600,12 @@ def test_sweep_rejects_bad_m():
         sweep(0)
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        sweep(1, jobs=jobs)
+
+
 def test_mirror_is_the_marched_swapped_pair(atlas):
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
@@ -628,4 +679,11 @@ def test_sweep_solves_each_marched_word_once(monkeypatch):
         for a1 in range(a0, 4)
         for _, word in compute_atlas(a0, a1).body
     ]
-    assert sorted(solved) == sorted(marched)
+    # the tail windows are solved too, once per verified pair
+    tails = []
+    for a0 in range(-3, 4):
+        for a1 in range(-3, 4):
+            t = tail.tail_of(a0, a1)
+            k_max = (t.k_start or 0) + partition.TAIL_PIECES - 1
+            tails += [word for _, word in t.pieces_through(k_max)]
+    assert sorted(solved) == sorted(marched + tails)

@@ -61,6 +61,27 @@ def test_json_round_trip(atlas):
         assert atlas_from_json(atlas_to_json(at)) == at
 
 
+def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
+    parses = []
+    parse = report.parse_rational
+
+    def counted_parse(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(report, "parse_rational", counted_parse)
+    text = atlas_to_json(atlas(-9, -10))
+    body = atlas_from_json(text).body
+    assert len(body) > 100 and len(parses) == len(body) + 1
+    assert all(cur.hi is nxt.lo for (cur, _), (nxt, _) in zip(body, body[1:]))
+    # a lower edge written otherwise than the previous upper one is parsed anew
+    data = json.loads(text)
+    data["body"][5]["lo"] = " " + data["body"][5]["lo"]
+    body = atlas_from_json(json.dumps(data)).body
+    assert body[4][0].hi == body[5][0].lo and body[4][0].hi is not body[5][0].lo
+    assert body == atlas(-9, -10).body
+
+
 def test_json_schema_fields(atlas):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     assert set(data) == {"a0", "a1", "s", "d", "K", "tail", "body"}
