@@ -17,7 +17,7 @@ from . import report
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle
 from .intervals import parse_rational
-from .partition import BudgetExceeded, Caps, OrbitCapExceeded, compute_atlas, sweep, verify_atlas
+from .partition import BudgetExceeded, OrbitCapExceeded, compute_atlas, sweep, verify_atlas
 from .tail import tail_of
 
 _SIDES = {"exact": "exact", "plus": "plus_zero", "minus": "minus_zero"}
@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--table", dest="fmt", action="store_const", const="table")
     fmt.add_argument("--format", dest="fmt", choices=["json", "table"])
     p.add_argument("--out", default=_default_out(), help="directory for the JSON atlas")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit step cap")
-    p.add_argument("--probes", type=int, default=2,
-                   help="probe orbits per interval, cross-checking the exact "
-                   "certificate: endpoints plus this many interior points; 0 runs none")
 
     p = sub.add_parser("sweep", help="compute and verify atlases over a grid")
     p.add_argument("--max-m", type=int, required=True,
@@ -102,11 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_default_out(),
                    help="directory for per-pair atlas JSON and the CSV summary")
     p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit step cap")
     p.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
-    p.add_argument("--probes", type=int, default=0,
-                   help="probe orbits per interval, cross-checking the exact "
-                   "certificate: endpoints plus this many interior points; 0 runs none")
 
     p = sub.add_parser("diagram", help="emit an SVG number line of one atlas")
     _add_point_args(p)
@@ -147,9 +139,8 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    caps = Caps(orbit_cap=args.cap)
-    atlas = compute_atlas(args.a0, args.a1, caps)
-    verdict = verify_atlas(atlas, probes_per_interval=args.probes)
+    atlas = compute_atlas(args.a0, args.a1)
+    verdict = verify_atlas(atlas)
     if args.fmt == "json":
         print(report.atlas_to_json(atlas), end="")
     else:
@@ -160,19 +151,12 @@ def _cmd_partition(args) -> int:
     if not verdict.ok:
         print(f"verification FAILED: {verdict.failure}", file=sys.stderr)
         return 1
-    print(f"verification passed ({verdict.probes_run} probe orbits)", file=sys.stderr)
+    print("verification passed", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    caps = Caps(orbit_cap=args.cap)
-    rep = sweep(
-        args.max_m,
-        caps=caps,
-        jobs=args.jobs,
-        probes_per_interval=args.probes,
-        out_dir=args.out,
-    )
+    rep = sweep(args.max_m, jobs=args.jobs, out_dir=args.out)
     print(report.render_tables(rep, args.fmt), end="")
     if args.out:
         csv_path = report.write_sweep_csv(rep, args.out)
@@ -187,7 +171,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diagram(args) -> int:
     atlas = compute_atlas(args.a0, args.a1)
-    verdict = verify_atlas(atlas, probes_per_interval=0)
+    verdict = verify_atlas(atlas)
     if not verdict.ok:
         print(f"verification FAILED: {verdict.failure}", file=sys.stderr)
         return 1

@@ -48,7 +48,7 @@ The step is written out in each of the two loops, `detect_cycle` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -107,13 +107,20 @@ class OrbitResult:
 
     outcome is "cycle" (word holds one full period starting at the initial
     pair), "cap_exceeded" (no return within the step cap), or "diverged"
-    (a certificate proves the orbit unbounded).
+    (a certificate proves the orbit unbounded).  ``visited`` holds every
+    orbit value so far; only `max_abs` reads it, so a caller that never
+    asks, such as a verification probe, pays for no scan.
     """
 
     outcome: str
     cycle: Optional[Word]
     steps_used: int
-    max_abs: int
+    visited: list[int] = field(compare=False, repr=False)
+
+    @property
+    def max_abs(self) -> int:
+        """The largest ``|a_n|`` over the orbit so far, scanned on each access."""
+        return max(max(self.visited), -min(self.visited))
 
 
 def detect_cycle(
@@ -143,7 +150,8 @@ def detect_cycle(
     x, y = x0, y0
     for steps in range(cap):
         if certify_divergence and x - y < 0:
-            return OrbitResult("diverged", None, steps, _max_abs(word, x, y))
+            word += (x, y)
+            return OrbitResult("diverged", None, steps, word)
         append(x)
         z = -((p * y + q * x) // q)
         if tie and y % q == 0:
@@ -153,18 +161,15 @@ def detect_cycle(
                 z += 1
         x, y = y, z
         if x == x0 and y == y0:
-            return OrbitResult("cycle", tuple(word), steps + 1, _max_abs(word, x, y))
-    return OrbitResult("cap_exceeded", None, cap, _max_abs(word, x, y))
+            # (x, y) is the start again, whose values the word holds
+            return OrbitResult("cycle", tuple(word), steps + 1, word)
+    word += (x, y)
+    return OrbitResult("cap_exceeded", None, cap, word)
 
 
 def _canonical(word) -> Word:
     """``word`` as a tuple of the shared letter objects (see the module docstring)."""
     return tuple(map(_LETTERS.setdefault, word, word))
-
-
-def _max_abs(word: list[int], x: int, y: int) -> int:
-    # Every orbit value so far is a letter of `word` or one of `(x, y)`.
-    return max(abs(x), abs(y), max(word, default=0), -min(word, default=0))
 
 
 def orbit_bounds(

@@ -16,7 +16,8 @@ certificate and runs no orbit for it: the entries tile the body, each stored
 interval is exactly its word's parameter set within the body, and each word
 starts at the initial pair and holds it nowhere else, so the word is the
 orbit on the whole interval; the first tail windows pass the same checks.
-Probe orbits are an opt-in cross-check of the solve against the dynamics.
+Every command verifies this way.  Probe orbits (``probes_per_interval``) are
+a library-only cross-check of the solve against the dynamics.
 `sweep` runs compute + verify over a square grid of initial pairs and
 aggregates the statistics reported by `report`; it marches each unordered
 pair once, mirrors the atlas to the swapped pair, and verifies both,
@@ -242,11 +243,10 @@ class VerificationReport:
 
     ok: bool
     failure: Optional[str] = None
-    probes_run: int = 0
 
 
-def _fail(message: str, probes: int) -> VerificationReport:
-    return VerificationReport(False, message, probes)
+def _fail(message: str) -> VerificationReport:
+    return VerificationReport(False, message)
 
 
 def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
@@ -280,7 +280,7 @@ def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
 
 def verify_atlas(
     atlas: PartitionAtlas,
-    probes_per_interval: int = 2,
+    probes_per_interval: int = 0,
     solved: Optional[dict[Word, Optional[Bounds]]] = None,
 ) -> VerificationReport:
     """Re-check a computed atlas against the dynamics from scratch.
@@ -308,10 +308,12 @@ def verify_atlas(
     held once anywhere in the cycle, so the orbit there is the cycle rotated
     to start at the pair; the rest is the `tail` module's closed form.
 
-    With ``probes_per_interval`` >= 1, `detect_cycle` also runs, capped at
-    the word's length, at each tail window's midpoint and at the closed
-    endpoints and that many interior points of every entry, and must return
-    the expected word: a cross-check the certificate does not need.
+    ``probes_per_interval`` is 0 by default, and no command sets it.  With
+    1 or more, `detect_cycle` also runs, capped at the word's length, at
+    each tail window's midpoint and at the closed endpoints and that many
+    interior points of every entry, and must return the expected word: a
+    cross-check of the solve against the dynamics that the certificate does
+    not need.
 
     ``solved`` maps words to their `cycle_bounds`; a caller that passes one
     dict to two calls lets a pair and its swap share the solve, and without
@@ -337,62 +339,59 @@ def verify_atlas(
     a0, a1 = atlas.a0, atlas.a1
     start = (a0, a1)
     body_range = atlas.body_range
-    probes = 0
 
     # Tiling: the body entries cover the body range exactly, in order, with
     # complementary closures at shared endpoints (one shared Fraction in a
     # marched atlas, so the identity test settles most of them).
     if not atlas.body:
-        return _fail("empty body", probes)
+        return _fail("empty body")
     first, last = atlas.body[0][0], atlas.body[-1][0]
     if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
-        return _fail(f"body starts at {first}, expected lower edge {body_range}", probes)
+        return _fail(f"body starts at {first}, expected lower edge {body_range}")
     if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
-        return _fail(f"body ends at {last}, expected upper edge {body_range}", probes)
+        return _fail(f"body ends at {last}, expected upper edge {body_range}")
     for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
         if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
-            return _fail(f"coverage breaks between {cur} and {nxt}", probes)
+            return _fail(f"coverage breaks between {cur} and {nxt}")
 
     # Tail: the stored tail is the pair's, and its first windows pass the
     # certificate.  k_start >= 1 on a ramp tail, so k == 0 is the constant one.
     if atlas.tail != tail_of(a0, a1):
-        return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail", probes)
+        return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail")
     k_start = atlas.tail.k_start or 0
     pieces = atlas.tail.pieces_through(k_start + TAIL_PIECES - 1)
     for k, (window, cycle) in enumerate(pieces, k_start):
         name = f"tail cycle k={k}" if k else "constant tail cycle"
         if not _solves_to(cycle_bounds(cycle), FULL_RANGE, window):
-            return _fail(f"{name} does not hold on the tail", probes)
+            return _fail(f"{name} does not hold on the tail")
         offsets = _pair_offsets(cycle, a0, a1)
         if len(offsets) != 1:
-            return _fail(f"initial pair not once in {name}", probes)
+            return _fail(f"initial pair not once in {name}")
         if probes_per_interval:
             i = offsets[0]
-            probes += 1
             if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
-                return _fail(f"{name} not re-detected", probes)
+                return _fail(f"{name} not re-detected")
 
     # Body entries: the certificate above, entry by entry, in integers.
     seen: set[Word] = set()
     for ival, word in atlas.body:
         if not word:
-            return _fail(f"empty cycle on {ival}", probes)
+            return _fail(f"empty cycle on {ival}")
         if word in seen:
-            return _fail(f"duplicate cycle on {ival}", probes)
+            return _fail(f"duplicate cycle on {ival}")
         seen.add(word)
         mirror = _mirror_word(word)
         bounds = solved[mirror] if mirror in solved else cycle_bounds(word)
         solved[word] = bounds
         if not _solves_to(bounds, body_range, ival):
-            return _fail(f"stored interval {ival} is not the cycle's parameter set", probes)
+            return _fail(f"stored interval {ival} is not the cycle's parameter set")
         if _pair_offsets(word, a0, a1) != [0]:
-            return _fail(f"cycle on {ival} does not hold {start} at its start only", probes)
+            return _fail(f"cycle on {ival} does not hold {start} at its start only")
         for lam in _probe_points(ival, probes_per_interval):
-            probes += 1
             if not _probe(lam, start, word):
-                return _fail(f"cycle on {ival} not re-detected at {lam}", probes)
+                return _fail(f"cycle on {ival} not re-detected at {lam}")
 
-    return VerificationReport(True, None, probes)
+    return VerificationReport(True)
 
 
 @dataclass(frozen=True)
@@ -531,13 +530,13 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     The two verifications share one ``solved`` cache, so each word's
     constraints are solved once for the pair.
     """
-    a0, a1, caps, probes_per_interval, out_dir = args
-    atlas = compute_atlas(a0, a1, caps)
+    a0, a1, out_dir = args
+    atlas = compute_atlas(a0, a1)
     atlases = [atlas] if a0 == a1 else [atlas, _mirrored(atlas)]
     solved: dict[Word, Optional[Bounds]] = {}
     summaries = []
     for at in atlases:
-        verdict = verify_atlas(at, probes_per_interval=probes_per_interval, solved=solved)
+        verdict = verify_atlas(at, solved=solved)
         if out_dir is not None:
             from . import report
 
@@ -546,32 +545,24 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     return summaries
 
 
-def sweep(
-    max_m: int,
-    caps: Caps = Caps(),
-    jobs: int = 1,
-    probes_per_interval: int = 0,
-    out_dir: Optional[str] = None,
-) -> SweepReport:
+def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
-    Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
-    the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
-    marched or mirrored, gets the full certificate, by default with no probe
-    orbit (``probes_per_interval`` as in `verify_atlas`); the mirror reuses
-    its twin's word solves, looked up by the exact mirrored word.  Budget
-    failures propagate as exceptions naming the marched pair of the two.
-    The result is deterministic and independent of ``jobs``; with
-    ``out_dir`` set, one JSON atlas per pair is written as a side effect.
+    Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``,
+    under the default `Caps`; the atlas of ``(a1, a0)`` is its mirror (see
+    `_mirrored`).  Every atlas, marched or mirrored, gets the full
+    certificate and no probe orbit; the mirror reuses its twin's word
+    solves, looked up by the exact mirrored word.  Budget failures propagate
+    as exceptions naming the marched pair of the two.  The result is
+    deterministic and independent of ``jobs``; with ``out_dir`` set, one
+    JSON atlas per pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    if probes_per_interval < 0:
-        raise ValueError("probes_per_interval must be >= 0")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     grid = [
-        (a0, a1, caps, probes_per_interval, out_dir)
+        (a0, a1, out_dir)
         for a0 in range(-max_m, max_m + 1)
         for a1 in range(a0, max_m + 1)
     ]

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .dynamics import Word, _canonical
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
-from .tail import tail_of
+from .tail import Label, tail_of
 
 
 def render_endpoint_listing(atlas: PartitionAtlas) -> str:
@@ -74,10 +74,13 @@ def _json_entry(ival: Interval, word: Word) -> str:
     )
 
 
+def _tail_kind(label: Label) -> str:
+    return "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
+
+
 def _atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
     """`atlas_to_json`'s text in order: the head, each body entry, the end."""
     label = atlas.tail.label
-    kind = "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
     yield (
         "{\n"
         f'  "a0": {atlas.a0},\n'
@@ -88,7 +91,7 @@ def _atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
         '  "tail": {\n'
         f'    "lo": "{atlas.tail.interval.lo}",\n'
         f'    "hi": "{atlas.tail.interval.hi}",\n'
-        f'    "kind": "{kind}"\n'
+        f'    "kind": "{_tail_kind(label)}"\n'
         "  },\n"
         '  "body": '
     )
@@ -114,7 +117,8 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
 
 # JSON's name for each Python type `atlas_from_json` accepts
 _JSON_TYPES = {
-    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"
+    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean",
+    type(None): "null",
 }
 
 
@@ -126,6 +130,12 @@ def _field(record: dict, key: str, kind: type, where: str):
     if type(value) is not kind:
         raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}: {value!r}")
     return value
+
+
+def _expect(record: dict, key: str, expected, where: str) -> None:
+    """``record[key]`` must be present and equal to ``expected``, of its exact type."""
+    if _field(record, key, type(expected), where) != expected:
+        raise ValueError(f"{where} field {key!r} is not the pair's {expected!r}")
 
 
 class _SharedInts(dict):
@@ -146,10 +156,12 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
 
     The reader is strict: a missing field, or one of the wrong JSON type, is
-    a ValueError naming the field.  ``a0``, ``a1`` and each entry's cycle
-    letters must be integers (JSON booleans and floats are not), its closure
-    flags must be booleans, and its redundant ``interval`` and ``length``
-    fields must agree with its endpoints and its cycle.  Body entries are
+    a ValueError naming the field.  The label fields ``s``, ``d`` and ``K``
+    and the tail's ``lo``, ``hi`` and ``kind`` must be those of the pair's
+    `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
+    integers (JSON booleans and floats are not), its closure flags must be
+    booleans, and its redundant ``interval`` and ``length`` fields must
+    agree with its endpoints and its cycle.  Body entries are
     dropped from the parse tree as they are converted, and the words hold
     the shared letter objects of `dynamics`.  An entry whose ``lo`` text is
     the previous entry's ``hi`` text reuses that Fraction, so, as in a
@@ -163,14 +175,16 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     if type(a0) is not int or type(a1) is not int:
         raise ValueError(f"initial pair 'a0', 'a1' = ({a0!r},{a1!r}) is not a pair of integers")
     tail = tail_of(a0, a1)
-    stored = _field(data, "tail", dict, f"atlas of ({a0},{a1})")
+    label = tail.label
+    where = f"atlas of ({a0},{a1})"
+    for key, expected in (("s", label.s), ("d", label.d), ("K", label.K)):
+        _expect(data, key, expected, where)
+    stored = _field(data, "tail", dict, where)
+    entries = _field(data, "body", list, where)
     where = f"tail of ({a0},{a1})"
-    if (str(tail.interval.lo), str(tail.interval.hi)) != (
-        _field(stored, "lo", str, where),
-        _field(stored, "hi", str, where),
-    ):
-        raise ValueError(f"{where} does not match file contents")
-    entries = _field(data, "body", list, f"atlas of ({a0},{a1})")
+    _expect(stored, "lo", str(tail.interval.lo), where)
+    _expect(stored, "hi", str(tail.interval.hi), where)
+    _expect(stored, "kind", _tail_kind(label), where)
     entries.reverse()  # popped from the end, so in file order
     body = []
     hi_text = hi = None

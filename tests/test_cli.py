@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 
 import pytest
 
 from rotatlas import partition, report
-from rotatlas.cli import build_parser, main
+from rotatlas.cli import _COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -23,7 +25,9 @@ def test_orbit_cycle(capsys):
 def test_orbit_word_rendering(capsys):
     code, out, _ = run(capsys, "orbit", "--a0", "-1", "--a1", "1", "--lambda", "-3/4")
     assert code == 0
-    assert "(-1, 1, 2, 1, -1)" in out
+    assert out == (
+        "outcome: cycle\nperiod 5: (-1, 1, 2, 1, -1)\nsteps used: 5\nlargest |a_n|: 2\n"
+    )
 
 
 def test_orbit_one_sided_divergence(capsys):
@@ -32,14 +36,15 @@ def test_orbit_one_sided_divergence(capsys):
         capsys, "orbit", "--a0", "0", "--a1", "1", "--lambda", "-2", "--side", "plus"
     )
     assert code == 0
-    assert "outcome: diverged" in out
+    assert out == "outcome: diverged\nsteps used: 0\nlargest |a_n|: 1\n"
 
 
 def test_orbit_cap(capsys):
     code, out, _ = run(
         capsys, "orbit", "--a0", "5", "--a1", "7", "--lambda", "0", "--cap", "2"
     )
-    assert code == 1 and "cap_exceeded" in out
+    assert code == 1
+    assert out == "outcome: cap_exceeded\nsteps used: 2\nlargest |a_n|: 7\n"
 
 
 def test_cycle_interval(capsys):
@@ -111,18 +116,33 @@ def test_diagram_command(capsys, tmp_path):
     assert code == 0 and out.startswith("<svg ")
 
 
+# sha256 of each stdout, measured while partition, and earlier diagram,
+# still ran 2 probe orbits per interval
+UNPROBED_STDOUT = {
+    ("diagram", "--a0", "2", "--a1", "3"):
+        "60ec825b9891dc56ef7eb0794e394b668008596740f2b6d667c7f66917bd6625",
+    ("partition", "--a0", "2", "--a1", "3"):
+        "3ce7a2a69fc82b58faa6c58f9a0a73df90be3691c69477925a923650c914b9bb",
+    ("partition", "--a0", "2", "--a1", "3", "--json"):
+        "fd12b695dec5afc9754fd4b8687e4c6646ac6e68357cc7789007c7a562790dae",
+}
+
+
 def test_diagram_verifies_without_probe_orbits(capsys, tmp_path, monkeypatch):
     def no_orbit(*args):
-        raise AssertionError("diagram ran a probe orbit")
+        raise AssertionError("a command ran a probe orbit")
 
     monkeypatch.setattr(partition, "detect_cycle", no_orbit)
     target = tmp_path / "pair.svg"
     code, _, _ = run(capsys, "diagram", "--a0", "2", "--a1", "3", "--out", str(target))
     assert code == 0
-    # the SVG written while diagram still ran 2 probe orbits per interval
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-        "60ec825b9891dc56ef7eb0794e394b668008596740f2b6d667c7f66917bd6625"
-    )
+    digest = UNPROBED_STDOUT["diagram", "--a0", "2", "--a1", "3"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    for argv, digest in UNPROBED_STDOUT.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        if argv[0] == "partition":
+            assert err == "verification passed\n"
 
 
 def test_failed_diagram_write_keeps_the_previous_file(capsys, tmp_path, monkeypatch):
@@ -148,27 +168,28 @@ def test_usage_errors_exit_two():
         ["orbit", "--a0", "1", "--a1", "1", "--lambda", "x/y"],
         ["sweep", "--max-m", "1", "--jobs", "0"],
         ["sweep", "--max-m", "1", "--jobs", "-2"],
+        # budgets and probe orbits are library settings, not flags
+        ["partition", "--a0", "0", "--a1", "0", "--probes", "2"],
+        ["partition", "--a0", "0", "--a1", "0", "--cap", "5"],
+        ["sweep", "--max-m", "1", "--probes", "2"],
+        ["sweep", "--max-m", "1", "--cap", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
 
 
-def test_probe_defaults():
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert all(argv[0] == "rotatlas" for argv in commands)
     parser = build_parser()
-    assert parser.parse_args(["partition", "--a0", "0", "--a1", "0"]).probes == 2
-    assert parser.parse_args(["sweep", "--max-m", "1"]).probes == 0
-
-
-def test_negative_probes_exit_two_and_zero_probes_pass(capsys):
-    for argv in (
-        ["partition", "--a0", "-2", "--a1", "-2"],
-        ["sweep", "--max-m", "1"],
-    ):
-        assert main(argv + ["--probes", "-1"]) == 2
-        assert "probes_per_interval must be >= 0" in capsys.readouterr().err
-        assert main(argv + ["--probes", "0"]) == 0
-        assert "FAILED" not in capsys.readouterr().err
+    parsed = [parser.parse_args(argv[1:]) for argv in commands]
+    # every subcommand is shown at least once
+    assert {args.command for args in parsed} == set(_COMMANDS)
 
 
 def test_out_of_range_parameter_exits_two(capsys):

@@ -135,7 +135,7 @@ def test_divergent_edge_gap_never_increases():
 
 def test_detect_cycle_period_four_at_zero():
     r = detect_cycle(ParamSpec.exact(0), (5, 7))
-    assert r == OrbitResult("cycle", (5, 7, -5, -7), 4, 7)
+    assert r == OrbitResult("cycle", (5, 7, -5, -7), 4, [5, 7, -5, -7]) and r.max_abs == 7
     rng = random.Random(6)
     for _ in range(200):
         p = (rng.randint(-30, 30), rng.randint(-30, 30))

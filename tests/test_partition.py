@@ -40,11 +40,25 @@ def entry_map(atlas):
     return {str(ival): word for ival, word in atlas.body}
 
 
+@pytest.fixture
+def probe_orbits(monkeypatch):
+    """``(parameter, cap)`` of every `detect_cycle` call `partition` makes from now on."""
+    calls = []
+    detect = partition.detect_cycle
+
+    def recorded(spec, start, cap):
+        calls.append((spec.value, cap))
+        return detect(spec, start, cap)
+
+    monkeypatch.setattr(partition, "detect_cycle", recorded)
+    return calls
+
+
 def test_origin_is_trivial(atlas):
     at = atlas(0, 0)
     assert [(str(i), w) for i, w in at.body] == [("(-2,2)", (0,))]
     assert at.body_range == at.table_range == parse_interval("(-2,2)")
-    assert verify_atlas(at).ok
+    assert verify_atlas(at, probes_per_interval=2).ok
 
 
 def test_minus_one_minus_one(atlas):
@@ -107,7 +121,7 @@ def test_deferred_occurrence_pair_has_wider_body(atlas):
     table = at.table_body()
     assert len(table) < at.interval_count
     assert entry_map(at)["[-4/3,-1)"] == (2, 3, 2, 0, -2, -2, 0)
-    assert verify_atlas(at).ok
+    assert verify_atlas(at, probes_per_interval=2).ok
 
 
 def test_verify_rejects_perturbed_endpoint(atlas):
@@ -116,7 +130,7 @@ def test_verify_rejects_perturbed_endpoint(atlas):
     ival, word = body[1]
     body[1] = (dataclasses.replace(ival, hi=ival.hi - F(1, 10**6)), word)
     bad = dataclasses.replace(at, body=tuple(body))
-    report = verify_atlas(bad)
+    report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok and "coverage" in report.failure
 
 
@@ -126,7 +140,7 @@ def test_verify_rejects_swapped_cycles(atlas):
     (i1, w1), (i2, w2) = body[1], body[3]
     body[1], body[3] = (i1, w2), (i2, w1)
     bad = dataclasses.replace(at, body=tuple(body))
-    report = verify_atlas(bad)
+    report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok and "not the cycle's parameter set" in report.failure
 
 
@@ -135,13 +149,13 @@ def test_verify_rejects_duplicate_cycle(atlas):
     body = list(at.body)
     body[1] = (body[1][0], body[3][1])
     bad = dataclasses.replace(at, body=tuple(body))
-    assert not verify_atlas(bad).ok
+    assert not verify_atlas(bad, probes_per_interval=2).ok
 
 
 def test_verify_rejects_foreign_tail(atlas):
     at = atlas(-1, -1)
     bad = dataclasses.replace(at, tail=dataclasses.replace(at.tail, k_start=2))
-    report = verify_atlas(bad)
+    report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok and "tail" in report.failure
 
 
@@ -277,7 +291,7 @@ def test_verify_rejects_the_corrupted_mirror_with_a_warm_cache(atlas, pair, name
         assert report == verify_atlas(bad, probes_per_interval=probes)
 
 
-def test_verify_rejects_a_doubled_word_without_probes(atlas):
+def test_verify_rejects_a_doubled_word_without_probes(atlas, probe_orbits):
     at = atlas(-2, -2)
     # The constraint solve alone accepts the doubled word, whose interval is
     # the word's own; the pair occurring twice in it gives it away.
@@ -286,12 +300,10 @@ def test_verify_rejects_a_doubled_word_without_probes(atlas):
     bad = _edit(at, {k: (ival, word * 2)})
     assert _solves_to(cycle_bounds(word * 2), at.body_range, ival)
     report = verify_atlas(bad, probes_per_interval=0)
-    assert not report.ok and report.probes_run == 0
+    assert not report.ok and probe_orbits == []
     assert report.failure == "cycle on (-3/2,-4/3) does not hold (-2, -2) at its start only"
     with pytest.raises(ValueError):
         verify_atlas(at, probes_per_interval=-1)
-    with pytest.raises(ValueError):
-        sweep(1, probes_per_interval=-1)
 
 
 def test_verify_rejects_an_empty_word_read_from_json(atlas):
@@ -299,7 +311,7 @@ def test_verify_rejects_an_empty_word_read_from_json(atlas):
     data["body"][3]["cycle"] = []
     data["body"][3]["length"] = 0
     bad = atlas_from_json(json.dumps(data))
-    report = verify_atlas(bad)
+    report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok and report.failure == f"empty cycle on {bad.body[3][0]}"
 
 
@@ -309,9 +321,15 @@ PROBES_RUN = {(-3, -4): (264, 394), (2, 3): (104, 154), (-2, -2): (82, 121)}
 
 
 @pytest.mark.parametrize("pair", sorted(PROBES_RUN), ids=str)
-def test_verify_probe_counts_are_pinned(atlas, pair):
-    runs = tuple(verify_atlas(atlas(*pair), probes_per_interval=k).probes_run for k in (0, 1, 2))
-    assert runs == (0,) + PROBES_RUN[pair]
+def test_verify_probe_counts_are_pinned(atlas, probe_orbits, pair):
+    runs = []
+    for k in (0, 1, 2):
+        probe_orbits.clear()
+        assert verify_atlas(atlas(*pair), probes_per_interval=k).ok
+        runs.append(len(probe_orbits))
+    assert tuple(runs) == (0,) + PROBES_RUN[pair]
+    probe_orbits.clear()
+    assert verify_atlas(atlas(*pair)).ok and probe_orbits == []
 
 
 @pytest.mark.parametrize(
@@ -325,34 +343,35 @@ def test_verify_probe_counts_are_pinned(atlas, pair):
     ids=["doubled ramp cycle", "unsolved constant cycle"],
 )
 def test_verify_checks_the_tail_words_without_probes(
-    atlas, monkeypatch, pair, module, name, broken, failure
+    atlas, monkeypatch, probe_orbits, pair, module, name, broken, failure
 ):
     monkeypatch.setattr(module, name, broken(getattr(module, name)))
     for probes in (0, 2):
         report = verify_atlas(atlas(*pair), probes_per_interval=probes)
-        assert (report.ok, report.failure, report.probes_run) == (False, failure, 0)
+        assert (report.ok, report.failure, len(probe_orbits)) == (False, failure, 0)
 
 
 @pytest.mark.parametrize("pair", [(-1, -1), (1, 1), (0, 0)], ids=str)
-def test_probe_orbits_are_capped_by_their_word(atlas, monkeypatch, pair):
+def test_probe_orbits_are_capped_by_their_word(atlas, probe_orbits, pair):
     at = atlas(*pair)
     t = at.tail
     # body entries and the checked tail windows, with the words they carry
     entries = list(at.body) + t.pieces_through((t.k_start or 0) + partition.TAIL_PIECES - 1)
-    calls = []
-    detect = partition.detect_cycle
-
-    def recorded(spec, start, cap):
-        calls.append((spec.value, cap))
-        return detect(spec, start, cap)
-
-    monkeypatch.setattr(partition, "detect_cycle", recorded)
     for probes in (1, 2):
-        calls.clear()
-        report = verify_atlas(at, probes_per_interval=probes)
-        assert report.ok and len(calls) == report.probes_run > 0
-        for lam, cap in calls:
+        probe_orbits.clear()
+        assert verify_atlas(at, probes_per_interval=probes).ok and probe_orbits
+        for lam, cap in probe_orbits:
             assert {len(word) for ival, word in entries if contains(ival, lam)} == {cap}
+
+
+def test_probes_scan_no_orbit_for_its_largest_value(atlas, monkeypatch, probe_orbits):
+    def unread(result):
+        raise AssertionError("a probe read OrbitResult.max_abs")
+
+    monkeypatch.setattr(rotatlas.OrbitResult, "max_abs", property(unread))
+    for pair in ((-2, -2), (2, 3)):
+        assert verify_atlas(atlas(*pair), probes_per_interval=2).ok
+    assert probe_orbits
 
 
 def _mutations(word, other):
@@ -641,8 +660,8 @@ def test_sweep_files_reproduce_the_json_golden(tmp_path):
     assert not [name for name in os.listdir(tmp_path) if not name.endswith(".json")]
 
 
-def test_sweep_marches_each_unordered_pair_once(monkeypatch):
-    marched, verified, probes = [], [], set()
+def test_sweep_marches_each_unordered_pair_once(monkeypatch, probe_orbits):
+    marched, verified = [], []
     compute, verify = partition.compute_atlas, partition.verify_atlas
 
     def counted_compute(a0, a1, *args, **kwargs):
@@ -651,7 +670,6 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch):
 
     def counted_verify(at, *args, **kwargs):
         verified.append((at.a0, at.a1))
-        probes.add(kwargs["probes_per_interval"])
         return verify(at, *args, **kwargs)
 
     monkeypatch.setattr(partition, "compute_atlas", counted_compute)
@@ -660,7 +678,7 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch):
     assert len(marched) == 28 and all(a0 <= a1 for a0, a1 in marched)
     grid = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
     assert len(verified) == 49 and sorted(verified) == grid
-    assert probes == {0}
+    assert probe_orbits == []
 
 
 def test_sweep_solves_each_marched_word_once(monkeypatch):

@@ -161,8 +161,8 @@ def _edit_entry(data, drop=None, **fields):
     return data
 
 
-def _without(data, key):
-    return {k: v for k, v in data.items() if k != key}
+def _without(data, *keys):
+    return {k: v for k, v in data.items() if k not in keys}
 
 
 # Structural faults: each maps the parsed document to the one to write, with
@@ -182,6 +182,27 @@ STRUCTURE_REWRITES = {
     "array-entry": (
         lambda data: {**data, "body": data["body"][:3] + [[]] + data["body"][4:]},
         "body entry 3 ",
+    ),
+    # The label and the tail kind must be the pair's.  Read without the
+    # checks, each of these files parsed as the (-1,-1) atlas.
+    "wrong-s": (lambda data: {**data, "s": 7}, "'s'"),
+    "string-d": (lambda data: {**data, "d": "x"}, "'d'"),
+    "boolean-d": (lambda data: {**data, "d": True}, "'d'"),
+    "null-K": (lambda data: {**data, "K": None}, "'K'"),
+    "wrong-kind": (lambda data: {**data, "tail": {**data["tail"], "kind": "bogus"}}, "'kind'"),
+    "no-s": (lambda data: _without(data, "s"), "'s'"),
+    "no-d": (lambda data: _without(data, "d"), "'d'"),
+    "no-K": (lambda data: _without(data, "K"), "'K'"),
+    "no-kind": (lambda data: {**data, "tail": _without(data["tail"], "kind")}, "'kind'"),
+    "bogus-label": (
+        lambda data: {
+            **data, "s": 7, "d": "x", "K": None, "tail": {**data["tail"], "kind": "bogus"}
+        },
+        "'s'",
+    ),
+    "no-label": (
+        lambda data: {**_without(data, "s", "d", "K"), "tail": _without(data["tail"], "kind")},
+        "'s'",
     ),
 }
 
