@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _word_text(word) -> str:
-    return "(" + ", ".join(map(str, word)) + ")"
+    return f"({report.word_text(word)})"
 
 
 def _parse_word(text: str) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ a single point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from .intervals import Interval, make_interval
@@ -27,7 +28,15 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
 
     One pass over the cyclic triples ``(b_i, b_{i+1}, b_{i+2})``; bounds are
     compared by integer cross-multiplication, without a Fraction per
-    constraint.  Endpoint closure comes from the strictest binding
+    constraint.  Each constraint depends only on the middle letter
+    ``b_{i+1}`` and the outer sum ``b_i + b_{i+2}``, so the loop runs over
+    those two, the sums made by one `map` in C, and tests the sign of the
+    middle letter, positive first: zero letters are the rarest.  Against
+    the plain triple loop (kept as the test oracle) this took 0.64 s
+    instead of 0.75 s over the words of the reverify benchmark's eight
+    atlases, and the same time over those of max(|a0|,|a1|) <= 7 (best of
+    7, CPython 3.11, 2-vCPU VM), with the same tuples as results.
+    Endpoint closure comes from the strictest binding
     constraint: a point is closed only if every constraint admits equality
     there.  None means infeasible (a zero letter whose neighbours do not sum to 0);
     otherwise the bounds may still describe an empty set, which
@@ -39,28 +48,27 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     # Running lower bound as (num, den, strict), den > 0; likewise upper.
     lo_n, lo_d, lo_strict = -2, 1, True
     hi_n, hi_d, hi_strict = 2, 1, True
-    for b0, b1, b2 in zip(word, word[1:] + word[:1], word[2:] + word[:2]):
-        if b1 == 0:
-            if b2 != -b0:
-                return None
-            continue
-        a_n = -b0 - b2
+    # (b_{i+1}, b_i + b_{i+2}) for every cyclic i, in order
+    for b1, a in zip(word[1:] + word[:1], map(add, word, word[2:] + word[:2])):
         if b1 > 0:
-            # x >= a_n/b1 (weak), x < (a_n + 1)/b1 (strict)
-            if a_n * lo_d > lo_n * b1:
-                lo_n, lo_d, lo_strict = a_n, b1, False
+            # x >= -a/b1 (weak), x < (1 - a)/b1 (strict)
+            a = -a
+            if a * lo_d > lo_n * b1:
+                lo_n, lo_d, lo_strict = a, b1, False
             # equal bound: weak never tightens an existing bound
-            cmp = (a_n + 1) * hi_d - hi_n * b1
+            cmp = (a + 1) * hi_d - hi_n * b1
             if cmp < 0 or (cmp == 0 and not hi_strict):
-                hi_n, hi_d, hi_strict = a_n + 1, b1, True
-        else:
-            # dividing by b1 < 0 flips: x <= -a_n/-b1, x > (-a_n - 1)/-b1
-            a_n, d = -a_n, -b1
-            if a_n * hi_d < hi_n * d:
-                hi_n, hi_d, hi_strict = a_n, d, False
-            cmp = (a_n - 1) * lo_d - lo_n * d
+                hi_n, hi_d, hi_strict = a + 1, b1, True
+        elif b1 < 0:
+            # dividing by b1 < 0 flips: x <= a/-b1, x > (a - 1)/-b1
+            d = -b1
+            if a * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = a, d, False
+            cmp = (a - 1) * lo_d - lo_n * d
             if cmp > 0 or (cmp == 0 and not lo_strict):
-                lo_n, lo_d, lo_strict = a_n - 1, d, True
+                lo_n, lo_d, lo_strict = a - 1, d, True
+        elif a:
+            return None
     return lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict
 
 

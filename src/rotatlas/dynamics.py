@@ -30,7 +30,20 @@ letter of an atlas is an object of its own: the atlas of (-19,-20),
 slice of its twin, so it shares the objects too.  `detect_cycle` keeps
 plain ints: its words are transient.
 
-The step is written out in each of the two loops, `detect_cycle` and
+Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
+``c(y) = -((p*y) // q)``, so the exact step is ``x, y = y, c(y) - x``.
+Each of the two kernels runs one loop per side: the exact loop is that
+bare step, with no tie test and no divergence test; the one-sided loop
+adds 1 on the tie lines and, in `detect_cycle`, tests the divergence
+certificate.  The tie rule is still written once per kernel.  Probe orbits
+are exact, so verification's cross-check runs the bare loop.  On the
+13,198 probe orbits of the reverify benchmark's four fixed pairs (4.3 M
+steps), `detect_cycle` took 0.96 s instead of 1.19 s; on the 55,144 march
+calls of the 225 pairs with max(|a0|,|a1|) <= 7, `orbit_bounds` took
+1.43 s instead of 1.58 s (best of 7 interleaved rounds, CPython 3.11,
+2-vCPU VM).
+
+The step is written out in each of the two kernels, `detect_cycle` and
 `orbit_bounds`, and the word's bounds are solved a third time by
 `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
@@ -140,29 +153,30 @@ def detect_cycle(
         raise ValueError("cap must be >= 1")
     x0, y0 = start
     p, q = spec.value.numerator, spec.value.denominator
-    plus = spec.kind == "plus_zero"
-    minus = spec.kind == "minus_zero"
-    tie = plus or minus  # exact orbits never test the tie
-    certify_divergence = plus and p == -2 * q
-
     word: list[int] = []
     append = word.append
     x, y = x0, y0
-    for steps in range(cap):
-        if certify_divergence and x - y < 0:
-            word += (x, y)
-            return OrbitResult("diverged", None, steps, word)
-        append(x)
-        z = -((p * y + q * x) // q)
-        if tie and y % q == 0:
-            if plus and y < 0:
+    if spec.kind == "exact":
+        for steps in range(cap):
+            append(x)
+            x, y = y, -((p * y) // q) - x
+            if x == x0 and y == y0:
+                # (x, y) is the start again, whose values the word holds
+                return OrbitResult("cycle", tuple(word), steps + 1, word)
+    else:
+        plus = spec.kind == "plus_zero"
+        certify_divergence = plus and p == -2 * q
+        for steps in range(cap):
+            if certify_divergence and x - y < 0:
+                word += (x, y)
+                return OrbitResult("diverged", None, steps, word)
+            append(x)
+            z = -((p * y) // q) - x
+            if y % q == 0 and (y < 0 if plus else y > 0):
                 z += 1
-            elif minus and y > 0:
-                z += 1
-        x, y = y, z
-        if x == x0 and y == y0:
-            # (x, y) is the start again, whose values the word holds
-            return OrbitResult("cycle", tuple(word), steps + 1, word)
+            x, y = y, z
+            if x == x0 and y == y0:
+                return OrbitResult("cycle", tuple(word), steps + 1, word)
     word += (x, y)
     return OrbitResult("cap_exceeded", None, cap, word)
 
@@ -193,16 +207,25 @@ def orbit_bounds(
     word: list[int] = []
     append = word.append
     x, y = x0, y0
-    for steps in range(1, cap + 1):
-        append(x)
-        z = -((p * y + q * x) // q)
-        if plus and y < 0 and y % q == 0:
-            z += 1
-        x, y = y, z
-        if x == x0 and y == y0:
-            break
+    if plus:
+        for steps in range(1, cap + 1):
+            append(x)
+            z = -((p * y) // q) - x
+            if y < 0 and y % q == 0:
+                z += 1
+            x, y = y, z
+            if x == x0 and y == y0:
+                break
+        else:
+            return None
     else:
-        return None
+        for steps in range(1, cap + 1):
+            append(x)
+            x, y = y, -((p * y) // q) - x
+            if x == x0 and y == y0:
+                break
+        else:
+            return None
     # Running bounds as (num, den, strict) with den > 0, starting from the
     # open ambient interval (-2, 2).
     lo_n, lo_d, lo_strict = -2, 1, True

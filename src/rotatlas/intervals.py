@@ -70,7 +70,10 @@ class Interval:
 
     @property
     def is_singleton(self) -> bool:
-        return self.lo == self.hi
+        # identity, then numerator and denominator: Fractions are reduced,
+        # and Fraction.__eq__ pays a numbers.Rational check
+        lo, hi = self.lo, self.hi
+        return lo is hi or (lo.numerator == hi.numerator and lo.denominator == hi.denominator)
 
     def midpoint(self) -> Fraction:
         """The arithmetic mean of the endpoints (the point itself for a singleton)."""

@@ -3,7 +3,8 @@
 The package's orbit loops inline the step map and its verifier solves whole
 words in integers; these are the plain, one-step-at-a-time definitions, plus
 the textual interval parser and membership test that tests use to state
-expected intervals.
+expected intervals, the triple-loop word solve and the SVG coordinate on
+exact Fractions.
 """
 
 from fractions import Fraction
@@ -77,3 +78,42 @@ def parse_interval(text: str) -> Interval:
         text[0] == "[",
         text[-1] == "]",
     )
+
+
+def cycle_bounds(word):
+    """The triple-loop solve `rotatlas.constraints.cycle_bounds` is checked against.
+
+    One cyclic triple ``(b0, b1, b2)`` per step, the zero letter tested
+    first; the same running bounds in the same order, so the same tuple.
+    """
+    word = tuple(word)
+    if not word:
+        raise ValueError("cycle words are non-empty")
+    lo_n, lo_d, lo_strict = -2, 1, True
+    hi_n, hi_d, hi_strict = 2, 1, True
+    for b0, b1, b2 in zip(word, word[1:] + word[:1], word[2:] + word[:2]):
+        if b1 == 0:
+            if b2 != -b0:
+                return None
+            continue
+        a_n = -b0 - b2
+        if b1 > 0:
+            if a_n * lo_d > lo_n * b1:
+                lo_n, lo_d, lo_strict = a_n, b1, False
+            cmp = (a_n + 1) * hi_d - hi_n * b1
+            if cmp < 0 or (cmp == 0 and not hi_strict):
+                hi_n, hi_d, hi_strict = a_n + 1, b1, True
+        else:
+            a_n, d = -a_n, -b1
+            if a_n * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = a_n, d, False
+            cmp = (a_n - 1) * lo_d - lo_n * d
+            if cmp > 0 or (cmp == 0 and not lo_strict):
+                lo_n, lo_d, lo_strict = a_n - 1, d, True
+    return lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict
+
+
+def svg_x(value) -> float:
+    """The SVG x coordinate of ``value``, computed on the exact Fraction."""
+    frac = (Fraction(value) - Fraction(-2)) / 4
+    return round(30 + float(frac) * 840, 2)

@@ -11,6 +11,7 @@ from rotatlas.constraints import cycle_bounds
 from rotatlas.intervals import make_interval
 from rotatlas.partition import _mirror_word
 from reference import contains, parse_interval
+from reference import cycle_bounds as triple_loop_bounds
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,37 @@ def _from_bounds(bounds):
 def test_interval_for_cycle_is_make_interval_of_cycle_bounds(word):
     assert interval_for_cycle(word) == _from_bounds(cycle_bounds(word))
     assert interval_for_cycle(word) == fold_constraints(word)
+
+
+# Words where zero letters are common: feasible ones (b_{i+2} == -b_i
+# around each zero) are rare otherwise.
+words_with_zeros = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**4, 10**4)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(words_with_zeros)
+def test_cycle_bounds_is_the_triple_loop(word):
+    assert cycle_bounds(word) == triple_loop_bounds(word)
+
+
+@given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6))
+def test_cycle_bounds_is_the_triple_loop_on_feasible_zero_letters(word):
+    # each non-zero b as (b, 0, -b): every zero letter is feasible
+    wrapped = tuple(letter for b in word for letter in (b, 0, -b))
+    bounds = cycle_bounds(wrapped)
+    assert bounds == triple_loop_bounds(wrapped) and bounds is not None
+
+
+def test_cycle_bounds_is_the_triple_loop_on_every_m4_word(atlas):
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            at = atlas(a0, a1)
+            pieces = at.tail.pieces_through((at.tail.k_start or 0) + 3)
+            for _, word in at.body + tuple(pieces):
+                assert cycle_bounds(word) == triple_loop_bounds(word), (a0, a1, word)
 
 
 def _bound_values(bounds):

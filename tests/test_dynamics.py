@@ -20,8 +20,16 @@ pairs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 inner_lambdas = st.integers(1, 40).flatmap(
     lambda q: st.builds(F, st.integers(-2 * q + 1, 2 * q - 1), st.just(q))
 )
-# The parameters the march visits: a point itself, or just right of it.
-march_specs = st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero")), inner_lambdas)
+# Exact points with large denominators, as probe points have.
+probe_lambdas = st.integers(10**6, 10**15).flatmap(
+    lambda q: st.builds(F, st.integers(-2 * q + 1, 2 * q - 1), st.just(q))
+)
+# The parameters the march visits (a point itself, or just right of it),
+# and probe points.
+march_specs = st.one_of(
+    st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero")), inner_lambdas),
+    st.builds(ParamSpec.exact, probe_lambdas),
+)
 # The march sides, with denominators <= 6 half the time, so plus-side ties
 # (q | y) are common.
 small_lambdas = st.integers(1, 6).flatmap(
@@ -33,6 +41,7 @@ kernel_specs = st.builds(
 # Every side, plus both boundary specializations.
 all_specs = st.one_of(
     st.builds(ParamSpec, st.sampled_from(("exact", "plus_zero", "minus_zero")), inner_lambdas),
+    st.builds(ParamSpec.exact, probe_lambdas),
     st.sampled_from((DIVERGENT_EDGE, PERIODIC_EDGE)),
 )
 
@@ -271,6 +280,23 @@ def test_max_abs_and_steps_used_on_every_outcome(spec, start, cap):
         assert r.outcome == "diverged" and spec == DIVERGENT_EDGE
         assert r.steps_used < cap
         assert gaps[-1] < 0 and all(g >= 0 for g in gaps[:-1])
+
+
+def test_exact_loop_at_a_large_denominator():
+    spec = ParamSpec.exact(F(1234567890123, 10**12))
+    r = detect_cycle(spec, (1, 2), cap=5)
+    assert (r.outcome, r.cycle, r.steps_used) == ("cap_exceeded", None, 5)
+    values = [1, 2]
+    point = (1, 2)
+    for _ in range(5):
+        point = step(spec, point)
+        values.append(point[1])
+    assert r.visited == values
+    full = detect_cycle(spec, (1, 2))
+    assert full.outcome == "cycle" and full.steps_used > 5
+    assert full.cycle[:7] == tuple(values)
+    assert _kernel(spec, (1, 2), 5) is None
+    assert _kernel(spec, (1, 2))[0] == full.cycle
 
 
 def _kernel(spec, start, cap=10**7):

@@ -54,6 +54,24 @@ def test_interval_validation():
     assert point(3).lo == F(3) and type(point(3).hi) is F
 
 
+def test_is_singleton_compares_values_not_objects():
+    # equal endpoints held in distinct objects, as parsing builds them
+    lo, hi = F(-8, 5), F("-8/5")
+    assert lo is not hi and point(F(2)).is_singleton
+    assert Interval(lo, hi, True, True).is_singleton
+    assert Interval(F(0), F(-0), True, True).is_singleton
+    assert not Interval(F(-8, 5), F(-7, 5), True, True).is_singleton
+    assert not Interval(F(1, 3), F(2, 3), False, False).is_singleton
+    assert not Interval(F(1, 3), F(1, 2), True, False).is_singleton
+
+
+@given(rationals, rationals)
+def test_is_singleton_is_endpoint_equality(a, b):
+    lo, hi = sorted((a, b))
+    closed = lo == hi
+    assert Interval(lo, F(hi.numerator, hi.denominator), closed, closed).is_singleton == closed
+
+
 def test_make_interval_empty_cases():
     assert make_interval(F(1), True, F(0), True) is None
     assert make_interval(F(1), False, F(1), True) is None

@@ -149,7 +149,9 @@ def test_verify_rejects_duplicate_cycle(atlas):
     body = list(at.body)
     body[1] = (body[1][0], body[3][1])
     bad = dataclasses.replace(at, body=tuple(body))
-    assert not verify_atlas(bad, probes_per_interval=2).ok
+    report = verify_atlas(bad, probes_per_interval=2)
+    assert not report.ok
+    assert report.failure == f"stored interval {body[1][0]} is not the cycle's parameter set"
 
 
 def test_verify_rejects_foreign_tail(atlas):
@@ -271,6 +273,10 @@ def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
         assert verify_atlas(at, probes_per_interval=probes).ok
         report = verify_atlas(bad, probes_per_interval=probes)
         assert not report.ok and report.failure
+        if name == "duplicate word":
+            # the tiling leaves no two equal intervals, so the repeat fails its solve
+            ival = bad.body[-1][0]
+            assert report.failure == f"stored interval {ival} is not the cycle's parameter set"
 
 
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)

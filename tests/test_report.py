@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import re
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rotatlas import report, sweep
 from rotatlas.report import (
@@ -17,6 +22,11 @@ from rotatlas.report import (
     write_atlas_json,
     write_sweep_csv,
 )
+from reference import svg_x
+
+# The benchmark's digests of atlas_to_json and emit_diagram, recorded with
+# the outputs that every change must reproduce byte for byte; read only.
+BENCH_REFERENCE = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "reference.json")
 
 
 def atlas_to_dict(atlas):
@@ -345,3 +355,54 @@ def test_diagram_is_deterministic_svg(atlas):
 def test_diagram_origin(atlas):
     svg = emit_diagram(atlas(0, 0))
     assert svg.count("<rect") == 2  # background + the single full-width segment
+
+
+def test_diagram_x_is_the_fraction_formula_on_every_m4_boundary(atlas):
+    values = set()
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            at = atlas(a0, a1)
+            values.update((at.tail.interval.lo, at.body_range.lo))
+            for ival, _ in at.body:
+                values.update((ival.lo, ival.hi))
+    assert len(values) == 284
+    for v in values:
+        assert report._x(v) == svg_x(v), v
+
+
+@given(st.integers(-2 * 10**12, 2 * 10**12), st.integers(1, 10**12))
+def test_diagram_x_is_the_fraction_formula_on_random_rationals(n, d):
+    v = F(n, d)
+    assert report._x(v) == svg_x(v)
+
+
+def test_diagram_x_is_the_fraction_formula_near_rounding_ties():
+    # x = 30 + 210 * (v + 2) lands on a half-hundredth for these v
+    rng = random.Random(7)
+    for _ in range(2000):
+        half = F(2 * rng.randint(0, 84000) + 1, 200)
+        v = (half - 30) / 210 - 2 + F(rng.choice((-1, 0, 1)), rng.randint(10**6, 10**15))
+        if -2 <= v <= 2:
+            assert report._x(v) == svg_x(v), v
+
+
+def test_word_text_matches_str():
+    word = (0, -1, 7, -300, 10**20, -7, 0)
+    assert report.word_text(word) == ", ".join(map(str, word))
+    assert report.word_text(word, ",\n        ") == ",\n        ".join(map(str, word))
+    assert report.word_text(()) == ""
+
+
+def _reference_pairs():
+    with open(BENCH_REFERENCE) as fh:
+        pairs = json.load(fh)["pairs"]
+    shell3 = [key for key in pairs if max(abs(int(v)) for v in key.split(",")) == 3]
+    assert len(shell3) == 24
+    return {key: pairs[key] for key in shell3 + ["-9,-10"]}
+
+
+@pytest.mark.parametrize("key, expected", sorted(_reference_pairs().items()))
+def test_json_and_svg_bytes_match_the_benchmark_reference(atlas, key, expected):
+    at = atlas(*map(int, key.split(",")))
+    assert hashlib.sha256(atlas_to_json(at).encode()).hexdigest() == expected["json"]
+    assert hashlib.sha256(emit_diagram(at).encode()).hexdigest() == expected["svg"]
