@@ -141,10 +141,12 @@ def _cmd_tail(args) -> int:
 def _cmd_partition(args) -> int:
     atlas = compute_atlas(args.a0, args.a1)
     verdict = verify_atlas(atlas)
+    # streamed entry by entry: the text of a large atlas is never held whole
     if args.fmt == "json":
-        print(report.atlas_to_json(atlas), end="")
+        sys.stdout.writelines(report.atlas_json_chunks(atlas))
     else:
-        print(report.render_atlas_table(atlas))
+        for line in report.atlas_table_lines(atlas):
+            print(line)
     if args.out:
         path = report.write_atlas_json(atlas, args.out)
         print(f"wrote {path}", file=sys.stderr)

@@ -23,7 +23,8 @@ letter of ``set(word)`` after the orbit closes, not once per step.
 map (the only two the march visits) and returns the cycle word with its
 integer bounds; `partition.compute_atlas` builds the intervals.  Words that
 `orbit_bounds` returns, and that `report.atlas_from_json` reads, hold one
-shared ``int`` object per letter value (`_canonical`).  Letters below -5
+shared ``int`` object per letter value (`_canonical`, one dict lookup per
+letter: a miss stores its key).  Letters below -5
 are not among CPython's cached small ints, so without the sharing every
 letter of an atlas is an object of its own: the atlas of (-19,-20),
 4,002,847 letters, takes 32 MiB instead of 107 MiB.  A mirrored word is a
@@ -31,17 +32,26 @@ slice of its twin, so it shares the objects too.  `detect_cycle` keeps
 plain ints: its words are transient.
 
 Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
-``c(y) = -((p*y) // q)``, so the exact step is ``x, y = y, c(y) - x``.
-Each of the two kernels runs one loop per side: the exact loop is that
-bare step, with no tie test and no divergence test; the one-sided loop
-adds 1 on the tie lines and, in `detect_cycle`, tests the divergence
-certificate.  The tie rule is still written once per kernel.  Probe orbits
-are exact, so verification's cross-check runs the bare loop.  On the
-13,198 probe orbits of the reverify benchmark's four fixed pairs (4.3 M
-steps), `detect_cycle` took 0.96 s instead of 1.19 s; on the 55,144 march
-calls of the 225 pairs with max(|a0|,|a1|) <= 7, `orbit_bounds` took
-1.43 s instead of 1.58 s (best of 7 interleaved rounds, CPython 3.11,
-2-vCPU VM).
+``c(y) = -((p*y) // q)``.  Each of the two kernels runs one loop per side:
+the exact loop is that bare step, with no tie test and no divergence test;
+the one-sided loop adds 1 on the tie lines and, in `detect_cycle`, tests
+the divergence certificate.  The loops the march and the probes run (both
+loops of `orbit_bounds` and the exact loop of `detect_cycle`) take two
+steps per pass, ``x = c(y) - x`` and then ``y = c(x) - y``, testing for
+the start after each: no tuple swap, and half the loop overhead.  The last
+pass may run past the cap, so the cap is tested on the word's length once
+the loop ends.  The tie rule is written once in `detect_cycle`'s one-sided
+loop, which keeps one step per pass (no workload runs it), and in
+`orbit_bounds` once per half-pass and once in the fold.  Probe orbits are
+exact, so verification's cross-check runs the bare loop.  Against one step
+per pass, on the 13,198 probe orbits of the reverify benchmark's four
+fixed pairs (4.3 M steps), `detect_cycle` took 0.70 s instead of 0.80 s;
+on the 29,318 march calls of the 120 unordered pairs with
+max(|a0|,|a1|) <= 7 (2.46 M steps), `orbit_bounds` took 1.01 s instead of
+1.11 s (batches of 200 calls interleaved in one process, mean of 5 rounds,
+CPython 3.11, 2-vCPU VM).  The loops call ``word.append`` rather than a
+bound-method local, which CPython 3.11 specialises: on the exact march
+orbits the loop alone took 0.19 s instead of 0.20 s.
 
 The step is written out in each of the two kernels, `detect_cycle` and
 `orbit_bounds`, and the word's bounds are solved a third time by
@@ -69,8 +79,17 @@ from .constraints import Bounds
 
 DEFAULT_ORBIT_CAP = 10**7
 
+
+class _Letters(dict):
+    """Letter value -> the one int object of that value; a miss stores its key."""
+
+    def __missing__(self, letter: int) -> int:
+        self[letter] = letter
+        return letter
+
+
 # One int object per letter value, shared by every word `_canonical` returns.
-_LETTERS: dict[int, int] = {}
+_LETTERS = _Letters()
 
 _KINDS = ("exact", "plus_zero", "minus_zero")
 
@@ -154,15 +173,24 @@ def detect_cycle(
     x0, y0 = start
     p, q = spec.value.numerator, spec.value.denominator
     word: list[int] = []
-    append = word.append
     x, y = x0, y0
     if spec.kind == "exact":
-        for steps in range(cap):
-            append(x)
-            x, y = y, -((p * y) // q) - x
+        # Two steps per pass, x and y taking turns as the newer value; with
+        # cap // 2 + 1 passes the word can grow past any cap, so the cap is
+        # tested on its length below.
+        for _ in range(cap // 2 + 1):
+            word.append(x)
+            x = -((p * y) // q) - x
+            if y == x0 and x == y0:
+                x, y = y, x  # (x, y) is the start again, in order
+                break
+            word.append(y)
+            y = -((p * x) // q) - y
             if x == x0 and y == y0:
-                # (x, y) is the start again, whose values the word holds
-                return OrbitResult("cycle", tuple(word), steps + 1, word)
+                break
+        if len(word) <= cap:
+            # the word holds one period, from the start
+            return OrbitResult("cycle", tuple(word), len(word), word)
     else:
         plus = spec.kind == "plus_zero"
         certify_divergence = plus and p == -2 * q
@@ -170,20 +198,24 @@ def detect_cycle(
             if certify_divergence and x - y < 0:
                 word += (x, y)
                 return OrbitResult("diverged", None, steps, word)
-            append(x)
+            word.append(x)
             z = -((p * y) // q) - x
             if y % q == 0 and (y < 0 if plus else y > 0):
                 z += 1
             x, y = y, z
             if x == x0 and y == y0:
                 return OrbitResult("cycle", tuple(word), steps + 1, word)
+    # ``visited`` ends two values past the cap.  (x, y) follow the word's
+    # last value (they are the start again when an exact orbit closed past
+    # the cap), and the cut drops what an exact pass ran beyond.
     word += (x, y)
+    del word[cap + 2 :]
     return OrbitResult("cap_exceeded", None, cap, word)
 
 
 def _canonical(word) -> Word:
     """``word`` as a tuple of the shared letter objects (see the module docstring)."""
-    return tuple(map(_LETTERS.setdefault, word, word))
+    return tuple(map(_LETTERS.__getitem__, word))
 
 
 def orbit_bounds(
@@ -205,27 +237,35 @@ def orbit_bounds(
     x0, y0 = start
     p, q = lam.numerator, lam.denominator
     word: list[int] = []
-    append = word.append
     x, y = x0, y0
+    # Two steps per pass, as in `detect_cycle`; the word may outgrow the cap.
     if plus:
-        for steps in range(1, cap + 1):
-            append(x)
-            z = -((p * y) // q) - x
+        for _ in range(cap // 2 + 1):
+            word.append(x)
+            x = -((p * y) // q) - x
             if y < 0 and y % q == 0:
-                z += 1
-            x, y = y, z
+                x += 1
+            if y == x0 and x == y0:
+                break
+            word.append(y)
+            y = -((p * x) // q) - y
+            if x < 0 and x % q == 0:
+                y += 1
             if x == x0 and y == y0:
                 break
-        else:
-            return None
     else:
-        for steps in range(1, cap + 1):
-            append(x)
-            x, y = y, -((p * y) // q) - x
+        for _ in range(cap // 2 + 1):
+            word.append(x)
+            x = -((p * y) // q) - x
+            if y == x0 and x == y0:
+                break
+            word.append(y)
+            y = -((p * x) // q) - y
             if x == x0 and y == y0:
                 break
-        else:
-            return None
+    steps = len(word)
+    if steps > cap:
+        return None
     # Running bounds as (num, den, strict) with den > 0, starting from the
     # open ambient interval (-2, 2).
     lo_n, lo_d, lo_strict = -2, 1, True
@@ -238,9 +278,9 @@ def orbit_bounds(
             a = -s
             if a * lo_d > lo_n * y:
                 lo_n, lo_d, lo_strict = a, y, False
-            cmp = (a + 1) * hi_d - hi_n * y
-            if cmp < 0 or (cmp == 0 and not hi_strict):
-                hi_n, hi_d, hi_strict = a + 1, y, True
+            a += 1
+            if a * hi_d <= hi_n * y and (a * hi_d < hi_n * y or not hi_strict):
+                hi_n, hi_d, hi_strict = a, y, True
         elif y < 0:
             if plus and y % q == 0:
                 s += 1
@@ -248,7 +288,7 @@ def orbit_bounds(
             d = -y
             if s * hi_d < hi_n * d:
                 hi_n, hi_d, hi_strict = s, d, False
-            cmp = (s - 1) * lo_d - lo_n * d
-            if cmp > 0 or (cmp == 0 and not lo_strict):
-                lo_n, lo_d, lo_strict = s - 1, d, True
+            s -= 1
+            if s * lo_d >= lo_n * d and (s * lo_d > lo_n * d or not lo_strict):
+                lo_n, lo_d, lo_strict = s, d, True
     return _canonical(word), (lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict), steps

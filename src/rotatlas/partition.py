@@ -37,17 +37,34 @@ from .intervals import Interval
 from .tail import TailDescription, tail_of
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
+# `verify_atlas`'s mark for a word missing from ``solved``, where None means infeasible
+_UNSOLVED = object()
 # Tail windows `verify_atlas` checks explicitly, from the first one on.
 TAIL_PIECES = 4
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Budgets guarding the march (``max_rounds`` caps the body intervals)."""
+    """Budgets guarding the march (``max_rounds`` caps the body intervals).
+
+    ``max_rounds`` left at None scales with the pair (see `interval_budget`).
+    """
 
     orbit_cap: int = DEFAULT_ORBIT_CAP
-    max_rounds: int = 10**4
+    max_rounds: Optional[int] = None
     max_total_steps: int = 10**9
+
+    def interval_budget(self, a0: int, a1: int) -> int:
+        """``max_rounds``, or by default ``max(10**4, 50*m*m)`` with ``m = max(|a0|,|a1|)``.
+
+        Interval counts grow with the shell: (-24,-25) has 9,504 and
+        (-29,-30) 13,568, which a fixed 10**4 would reject, while 50*m*m
+        (45,000 there) still stops a runaway march loudly.
+        """
+        if self.max_rounds is not None:
+            return self.max_rounds
+        m = max(abs(a0), abs(a1))
+        return max(10**4, 50 * m * m)
 
 
 class OrbitCapExceeded(Exception):
@@ -163,13 +180,14 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
         return PartitionAtlas(a0, a1, tail, ((FULL_RANGE, (0,)),))
 
     start = (a0, a1)
+    max_rounds = caps.interval_budget(a0, a1)
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
     r, closed = tail.interval.hi, True
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
-        if len(body) == caps.max_rounds:
+        if len(body) == max_rounds:
             residual = Interval(r, 2, closed, False)
-            raise BudgetExceeded(f"interval budget {caps.max_rounds}", start, residual)
+            raise BudgetExceeded(f"interval budget {max_rounds}", start, residual)
         found = orbit_bounds(r, not closed, start, caps.orbit_cap)
         if found is None:
             raise OrbitCapExceeded(r, start, caps.orbit_cap)
@@ -193,23 +211,32 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
-def _solves_to(bounds: Optional[Bounds], body: Interval, ival: Interval) -> bool:
-    """Whether a word's solved set, cut to ``body``, is exactly ``ival``, in integers.
+def _edge(body: Interval) -> tuple[int, int, bool]:
+    """The lower edge of ``body`` as `_solves_to` takes it: numerator, denominator, closure."""
+    return body.lo.numerator, body.lo.denominator, body.lo_closed
 
-    ``bounds`` are the word's `cycle_bounds`: the test is
-    ``interval_for_cycle(word) ∩ body == ival``.  The solved lower bound is
-    raised to the body's lower edge, and both ends are compared with
-    ``ival``'s by cross-multiplication.  The solved upper bound never passes
-    the body's open upper edge 2, so it needs no clip.  A match with the
-    non-empty ``ival`` also shows the intersection non-empty.
+
+def _solves_to(
+    bounds: Optional[Bounds], edge_n: int, edge_d: int, edge_closed: bool, ival: Interval
+) -> bool:
+    """Whether a word's solved set, cut to a body, is exactly ``ival``, in integers.
+
+    ``bounds`` are the word's `cycle_bounds`, and the body runs from the
+    lower edge ``edge_n/edge_d`` (closed or not, see `_edge`) to the open
+    edge 2: the test is ``interval_for_cycle(word) ∩ body == ival``.  The
+    solved lower bound is raised to the body's lower edge, and both ends
+    are compared with ``ival``'s by cross-multiplication.  The solved upper
+    bound never passes the body's open upper edge 2, so it needs no clip.
+    A match with the non-empty ``ival`` also shows the intersection
+    non-empty.  `verify_atlas` passes the edge as integers, read once per
+    atlas rather than once per entry.
     """
     if bounds is None:
         return False
     lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
-    edge = body.lo
-    cmp = lo_n * edge.denominator - edge.numerator * lo_d
-    if cmp < 0 or (cmp == 0 and not body.lo_closed):
-        lo_n, lo_d, lo_closed = edge.numerator, edge.denominator, body.lo_closed
+    cmp = lo_n * edge_d - edge_n * lo_d
+    if cmp < 0 or (cmp == 0 and not edge_closed):
+        lo_n, lo_d, lo_closed = edge_n, edge_d, edge_closed
     lo, hi = ival.lo, ival.hi
     return (
         lo_closed == ival.lo_closed
@@ -219,22 +246,21 @@ def _solves_to(bounds: Optional[Bounds], body: Interval, ival: Interval) -> bool
     )
 
 
-def _pair_offsets(word: Word, a0: int, a1: int) -> list[int]:
-    """The cyclic indices ``i`` with ``(word[i], word[(i+1) % n]) == (a0, a1)``.
+def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
+    """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
 
     ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
     equal to ``a0`` cost a step in Python.
     """
     n = len(word)
-    offsets = []
-    i = -1
     while True:
         try:
-            i = word.index(a0, i + 1)
+            i = word.index(a0, i)
         except ValueError:
-            return offsets
+            return -1
         if word[(i + 1) % n] == a1:
-            offsets.append(i)
+            return i
+        i += 1
 
 
 @dataclass(frozen=True)
@@ -261,8 +287,6 @@ def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
 
 def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
     """The closed endpoints of ``ival``, then ``per_interval`` evenly spaced interior points."""
-    if not per_interval:
-        return []
     lo, hi = ival.lo, ival.hi
     lams = []
     if ival.lo_closed:
@@ -366,32 +390,34 @@ def verify_atlas(
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail")
     k_start = atlas.tail.k_start or 0
     pieces = atlas.tail.pieces_through(k_start + TAIL_PIECES - 1)
+    full_edge = _edge(FULL_RANGE)
     for k, (window, cycle) in enumerate(pieces, k_start):
         name = f"tail cycle k={k}" if k else "constant tail cycle"
-        if not _solves_to(cycle_bounds(cycle), FULL_RANGE, window):
+        if not _solves_to(cycle_bounds(cycle), *full_edge, window):
             return _fail(f"{name} does not hold on the tail")
-        offsets = _pair_offsets(cycle, a0, a1)
-        if len(offsets) != 1:
+        i = _pair_index(cycle, a0, a1, 0)
+        if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
             return _fail(f"initial pair not once in {name}")
-        if probes_per_interval:
-            i = offsets[0]
-            if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
-                return _fail(f"{name} not re-detected")
+        if probes_per_interval and not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
+            return _fail(f"{name} not re-detected")
 
     # Body entries: the certificate above, entry by entry, in integers.
+    edge_n, edge_d, edge_closed = _edge(body_range)
     for ival, word in atlas.body:
         if not word:
             return _fail(f"empty cycle on {ival}")
-        mirror = _mirror_word(word)
-        bounds = solved[mirror] if mirror in solved else cycle_bounds(word)
+        bounds = solved.get(_mirror_word(word), _UNSOLVED)
+        if bounds is _UNSOLVED:
+            bounds = cycle_bounds(word)
         solved[word] = bounds
-        if not _solves_to(bounds, body_range, ival):
+        if not _solves_to(bounds, edge_n, edge_d, edge_closed, ival):
             return _fail(f"stored interval {ival} is not the cycle's parameter set")
-        if _pair_offsets(word, a0, a1) != [0]:
+        if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
             return _fail(f"cycle on {ival} does not hold {start} at its start only")
-        for lam in _probe_points(ival, probes_per_interval):
-            if not _probe(lam, start, word):
-                return _fail(f"cycle on {ival} not re-detected at {lam}")
+        if probes_per_interval:
+            for lam in _probe_points(ival, probes_per_interval):
+                if not _probe(lam, start, word):
+                    return _fail(f"cycle on {ival} not re-detected at {lam}")
 
     return VerificationReport(True)
 

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -68,20 +69,26 @@ def render_endpoint_listing(atlas: PartitionAtlas) -> str:
     return " ".join(f"{marks.get(v, '')}{v}" for v in sorted(values))
 
 
+def atlas_table_lines(atlas: PartitionAtlas) -> Iterator[str]:
+    """`render_atlas_table`'s lines in order, without their newlines."""
+    label = atlas.tail.label
+    yield (
+        f"initial pair ({atlas.a0},{atlas.a1})  label s={label.s} d={label.d}"
+        + (f" K={label.K}" if label.K is not None else "")
+    )
+    yield f"tail {atlas.tail.interval}"
+    yield (
+        f"body {atlas.body_range}: {atlas.interval_count} intervals, "
+        f"{atlas.singleton_count} singletons"
+    )
+    yield f"endpoints: {render_endpoint_listing(atlas)}"
+    for ival, word in atlas.body:
+        yield f"  {str(ival):>22}  len {len(word):>4}  ({word_text(word)})"
+
+
 def render_atlas_table(atlas: PartitionAtlas) -> str:
     """Human-oriented per-entry view of one atlas."""
-    label = atlas.tail.label
-    lines = [
-        f"initial pair ({atlas.a0},{atlas.a1})  label s={label.s} d={label.d}"
-        + (f" K={label.K}" if label.K is not None else ""),
-        f"tail {atlas.tail.interval}",
-        f"body {atlas.body_range}: {atlas.interval_count} intervals, "
-        f"{atlas.singleton_count} singletons",
-        f"endpoints: {render_endpoint_listing(atlas)}",
-    ]
-    for ival, word in atlas.body:
-        lines.append(f"  {str(ival):>22}  len {len(word):>4}  ({word_text(word)})")
-    return "\n".join(lines)
+    return "\n".join(atlas_table_lines(atlas))
 
 
 def _json_entry(ival: Interval, word: Word) -> str:
@@ -104,7 +111,7 @@ def _tail_kind(label: Label) -> str:
     return "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
 
 
-def _atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
+def atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
     """`atlas_to_json`'s text in order: the head, each body entry, the end."""
     label = atlas.tail.label
     yield (
@@ -138,7 +145,7 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
     Formatted directly for the fixed schema, one string per cycle rather
     than one encoder chunk per letter.
     """
-    return "".join(_atlas_json_chunks(atlas))
+    return "".join(atlas_json_chunks(atlas))
 
 
 # JSON's name for each Python type `atlas_from_json` accepts
@@ -273,7 +280,7 @@ def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
     The text is streamed entry by entry, never built whole.
     """
     path = os.path.join(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json")
-    return _write_atomically(path, _atlas_json_chunks(atlas))
+    return _write_atomically(path, atlas_json_chunks(atlas))
 
 
 def _format_avg(value: Fraction) -> str:
@@ -377,8 +384,6 @@ def _x(value: Fraction) -> float:
 
 def _color(length: int, max_length: int) -> str:
     # Hue runs blue (short cycles) to red (long); rendered edge only.
-    import math
-
     if max_length <= 1:
         ratio = 0.0
     else:

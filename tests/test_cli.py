@@ -197,3 +197,24 @@ def test_out_of_range_parameter_exits_two(capsys):
     code = main(["orbit", "--a0", "0", "--a1", "1", "--lambda", "2", "--side", "plus"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+BENCH_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "reference.json")
+
+
+@pytest.mark.parametrize("max_m, jobs", [("7", "2"), ("2", "1")])
+def test_sweep_stdout_matches_the_benchmark_reference(capsys, max_m, jobs):
+    with open(BENCH_REFERENCE) as fh:
+        expected = json.load(fh)["sweeps"][max_m]["stdout"]
+    code, out, _ = run(capsys, "sweep", "--max-m", max_m, "--jobs", jobs)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("a0, a1", [(2, 3), (-2, -2), (-9, -10)])
+def test_partition_streams_the_whole_text_forms(capsys, atlas, a0, a1):
+    at = atlas(a0, a1)
+    pair = ("--a0", str(a0), "--a1", str(a1))
+    code, out, _ = run(capsys, "partition", *pair, "--json")
+    assert code == 0 and out == report.atlas_to_json(at)
+    code, out, _ = run(capsys, "partition", *pair)
+    assert code == 0 and out == report.render_atlas_table(at) + "\n"

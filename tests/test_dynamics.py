@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -347,3 +348,55 @@ def test_orbit_bounds_examples():
     assert orbit_bounds(F(0), False, (5, 7), cap=3) is None
     with pytest.raises(ValueError):
         orbit_bounds(F(0), False, (5, 7), cap=0)
+
+
+# Denominators 1..10 for plus-side ties; -199/100 fixes (m, m) for 1 <= m <= 4.
+EDGE_LAMBDAS = (
+    F(-199, 100), F(-19, 10), F(-3, 2), F(-1), F(-1, 3), F(0), F(2, 5), F(1), F(3, 2), F(7, 4),
+)
+
+
+def _walk(spec, start, steps):
+    """The orbit values ``a_0 .. a_{steps+1}`` of the reference map, and the period if seen."""
+    values = list(start)
+    point = start
+    period = None
+    for n in range(1, steps + 1):
+        point = step(spec, point)
+        values.append(point[1])
+        if period is None and point == start:
+            period = n
+    return values, period
+
+
+def test_two_step_loops_at_every_cap_edge():
+    # Both orbit kernels advance two steps per pass; caps just below, at and
+    # just above the period put the return on either half of a pass.
+    periods = set()
+    for lam in EDGE_LAMBDAS:
+        for start in itertools.product(range(-4, 5), repeat=2):
+            for spec in (ParamSpec.exact(lam), ParamSpec.plus_zero(lam)):
+                _, period = _walk(spec, start, 2000)
+                assert period is not None, (spec, start)
+                periods.add(period)
+                for cap in sorted({1, max(period - 1, 1), period, period + 1}):
+                    values, _ = _walk(spec, start, cap)
+                    word = tuple(values[:period])
+                    found = _kernel(spec, start, cap)
+                    if period > cap:
+                        assert found is None, (spec, start, cap)
+                    else:
+                        assert (found[0], found[2]) == (word, period), (spec, start, cap)
+                    if spec.kind != "exact":
+                        continue
+                    r = detect_cycle(spec, start, cap)
+                    if period > cap:
+                        assert (r.outcome, r.cycle, r.steps_used) == ("cap_exceeded", None, cap)
+                        assert r.visited == values, (spec, start, cap)
+                    else:
+                        assert (r.outcome, r.cycle, r.steps_used) == ("cycle", word, period)
+    # period 1 ((0, 0), and (m, m) near -2), and odd and even periods above it
+    assert 1 in periods
+    assert {p % 2 for p in periods if p > 1} == {0, 1}
+    for m in range(1, 5):
+        assert _kernel(ParamSpec.exact(F(-199, 100)), (m, m), 1)[0] == (m,)

@@ -28,7 +28,7 @@ from rotatlas import (
 )
 from rotatlas import partition, tail
 from rotatlas.constraints import cycle_bounds
-from rotatlas.partition import FULL_RANGE, _mirrored, _solves_to
+from rotatlas.partition import FULL_RANGE, _edge, _mirrored, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
 from reference import contains, parse_interval, word_is_cycle_at
 from words import rotation_equal
@@ -304,7 +304,7 @@ def test_verify_rejects_a_doubled_word_without_probes(atlas, probe_orbits):
     k = [str(ival) for ival, _ in at.body].index("(-3/2,-4/3)")
     ival, word = at.body[k]
     bad = _edit(at, {k: (ival, word * 2)})
-    assert _solves_to(cycle_bounds(word * 2), at.body_range, ival)
+    assert _solves_to(cycle_bounds(word * 2), *_edge(at.body_range), ival)
     report = verify_atlas(bad, probes_per_interval=0)
     assert not report.ok and probe_orbits == []
     assert report.failure == "cycle on (-3/2,-4/3) does not hold (-2, -2) at its start only"
@@ -464,7 +464,7 @@ def test_integer_certificate_matches_the_interval_check(word, data):
         candidates += [solved, _near(data, solved)]
     for ival in candidates:
         if ival is not None:
-            assert _solves_to(cycle_bounds(word), body, ival) == (solved == ival)
+            assert _solves_to(cycle_bounds(word), *_edge(body), ival) == (solved == ival)
 
 
 def test_round_budget_exhaustion(atlas):
@@ -583,6 +583,20 @@ def test_march_reproduces_the_midpoint_refinement_json(atlas):
         for a1 in range(-4, 5):
             digest.update(atlas_to_json(atlas(a0, a1)).encode())
     assert [digest.hexdigest()] == _json_m4_golden()
+
+
+def test_default_interval_budget_scales_with_the_shell():
+    caps = Caps()
+    assert caps.interval_budget(0, 0) == caps.interval_budget(-14, 14) == 10**4
+    assert caps.interval_budget(15, -3) == caps.interval_budget(-3, -15) == 50 * 15 * 15
+    # (-29,-30) has 13,568 intervals, past the old fixed 10**4
+    assert caps.interval_budget(-29, -30) == 45_000
+    assert Caps(max_rounds=7).interval_budget(-29, -30) == 7
+    # an explicit budget still raises, naming itself and the residual
+    with pytest.raises(BudgetExceeded) as exc:
+        compute_atlas(-2, -2, Caps(max_rounds=3))
+    assert exc.value.reason == "interval budget 3"
+    assert exc.value.residual.hi == 2 and not exc.value.residual.hi_closed
 
 
 def test_orbit_cap_exhaustion():
