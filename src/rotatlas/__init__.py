@@ -13,9 +13,7 @@ from .dynamics import DEFAULT_ORBIT_CAP, OrbitResult, ParamSpec, detect_cycle
 from .intervals import Interval, make_interval, parse_rational
 from .partition import (
     BudgetExceeded,
-    Caps,
     MarchError,
-    OrbitCapExceeded,
     PartitionAtlas,
     PointSummary,
     ShellStats,
@@ -42,11 +40,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ORBIT_CAP",
     "BudgetExceeded",
-    "Caps",
     "Interval",
     "Label",
     "MarchError",
-    "OrbitCapExceeded",
     "OrbitResult",
     "ParamSpec",
     "PartitionAtlas",

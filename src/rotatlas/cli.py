@@ -17,7 +17,7 @@ from . import report
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle
 from .intervals import parse_rational
-from .partition import BudgetExceeded, OrbitCapExceeded, compute_atlas, sweep, verify_atlas
+from .partition import BudgetExceeded, compute_atlas, sweep, verify_atlas
 from .tail import tail_of
 
 _SIDES = {"exact": "exact", "plus": "plus_zero", "minus": "minus_zero"}
@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BudgetExceeded, OrbitCapExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -33,17 +33,18 @@ plain ints: its words are transient.
 
 Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
 ``c(y) = -((p*y) // q)``.  Each of the two kernels runs one loop per side:
-the exact loop is that bare step, with no tie test and no divergence test;
-the one-sided loop adds 1 on the tie lines and, in `detect_cycle`, tests
-the divergence certificate.  The loops the march and the probes run (both
-loops of `orbit_bounds` and the exact loop of `detect_cycle`) take two
-steps per pass, ``x = c(y) - x`` and then ``y = c(x) - y``, testing for
-the start after each: no tuple swap, and half the loop overhead.  The last
-pass may run past the cap, so the cap is tested on the word's length once
-the loop ends.  The tie rule is written once in `detect_cycle`'s one-sided
-loop, which keeps one step per pass (no workload runs it), and in
-`orbit_bounds` once per half-pass and once in the fold.  Probe orbits are
-exact, so verification's cross-check runs the bare loop.  Against one step
+the exact loop, that bare step with no tie test and no divergence test, is
+written once, in `_exact_orbit`, which both kernels call; the one-sided
+loops add 1 on the tie lines and, in `detect_cycle`, test the divergence
+certificate.  The loops the march and the probes run (`_exact_orbit` and
+the plus-side loop of `orbit_bounds`) take two steps per pass,
+``x = c(y) - x`` and then ``y = c(x) - y``, testing for the start after
+each: no tuple swap, and half the loop overhead.  The last pass may run
+past the cap, so the cap is tested on the word's length once the loop
+ends.  The tie rule is written once in `detect_cycle`'s one-sided loop,
+which keeps one step per pass (no workload runs it), and in `orbit_bounds`
+once per half-pass and once in the fold.  Probe orbits are exact, so
+verification's cross-check runs the bare loop.  Against one step
 per pass, on the 13,198 probe orbits of the reverify benchmark's four
 fixed pairs (4.3 M steps), `detect_cycle` took 0.70 s instead of 0.80 s;
 on the 29,318 march calls of the 120 unordered pairs with
@@ -53,9 +54,9 @@ CPython 3.11, 2-vCPU VM).  The loops call ``word.append`` rather than a
 bound-method local, which CPython 3.11 specialises: on the exact march
 orbits the loop alone took 0.19 s instead of 0.20 s.
 
-The step is written out in each of the two kernels, `detect_cycle` and
-`orbit_bounds`, and the word's bounds are solved a third time by
-`constraints.cycle_bounds`.  The three are kept apart on purpose:
+The one-sided step is written out in each of the two kernels,
+`detect_cycle` and `orbit_bounds`, and the word's bounds are solved a third
+time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
 - speed: marching every pair with max(|a0|,|a1|) <= 7 through
   `detect_cycle` + `interval_for_cycle` instead of the fused kernel took
@@ -155,6 +156,27 @@ class OrbitResult:
         return max(max(self.visited), -min(self.visited))
 
 
+def _exact_orbit(p: int, q: int, start: LatticePoint, cap: int) -> tuple[list[int], int, int]:
+    """The exact orbit of ``start`` at ``p/q``, two steps per pass: ``(word, x, y)``.
+
+    After ``cap // 2 + 1`` passes the word may be one value past the cap,
+    so callers test the cap on its length.  ``(x, y)`` is the state after
+    the word's last value, in order: ``start`` again if the orbit closed.
+    """
+    x0, y0 = x, y = start
+    word: list[int] = []
+    for _ in range(cap // 2 + 1):
+        word.append(x)
+        x = -((p * y) // q) - x
+        if y == x0 and x == y0:
+            return word, y, x
+        word.append(y)
+        y = -((p * x) // q) - y
+        if x == x0 and y == y0:
+            break
+    return word, x, y
+
+
 def detect_cycle(
     spec: ParamSpec, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
 ) -> OrbitResult:
@@ -170,28 +192,15 @@ def detect_cycle(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    x0, y0 = start
     p, q = spec.value.numerator, spec.value.denominator
-    word: list[int] = []
-    x, y = x0, y0
     if spec.kind == "exact":
-        # Two steps per pass, x and y taking turns as the newer value; with
-        # cap // 2 + 1 passes the word can grow past any cap, so the cap is
-        # tested on its length below.
-        for _ in range(cap // 2 + 1):
-            word.append(x)
-            x = -((p * y) // q) - x
-            if y == x0 and x == y0:
-                x, y = y, x  # (x, y) is the start again, in order
-                break
-            word.append(y)
-            y = -((p * x) // q) - y
-            if x == x0 and y == y0:
-                break
+        word, x, y = _exact_orbit(p, q, start, cap)
         if len(word) <= cap:
             # the word holds one period, from the start
             return OrbitResult("cycle", tuple(word), len(word), word)
     else:
+        x0, y0 = x, y = start
+        word = []
         plus = spec.kind == "plus_zero"
         certify_divergence = plus and p == -2 * q
         for steps in range(cap):
@@ -234,12 +243,11 @@ def orbit_bounds(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    x0, y0 = start
     p, q = lam.numerator, lam.denominator
-    word: list[int] = []
-    x, y = x0, y0
-    # Two steps per pass, as in `detect_cycle`; the word may outgrow the cap.
     if plus:
+        x0, y0 = x, y = start
+        word: list[int] = []
+        # Two steps per pass, as in `_exact_orbit`; the word may outgrow the cap.
         for _ in range(cap // 2 + 1):
             word.append(x)
             x = -((p * y) // q) - x
@@ -254,15 +262,7 @@ def orbit_bounds(
             if x == x0 and y == y0:
                 break
     else:
-        for _ in range(cap // 2 + 1):
-            word.append(x)
-            x = -((p * y) // q) - x
-            if y == x0 and x == y0:
-                break
-            word.append(y)
-            y = -((p * x) // q) - y
-            if x == x0 and y == y0:
-                break
+        word = _exact_orbit(p, q, start, cap)[0]
     steps = len(word)
     if steps > cap:
         return None

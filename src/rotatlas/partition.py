@@ -8,8 +8,10 @@ right of ``r`` when ``r`` already belongs to the previous interval, with
 the integer bounds of the exact interval on which that cycle occurs; the
 march builds that interval and continues from its right end.  The cycles
 partition the body, so the march emits the partition in order.  It is
-expected to stop after finitely many intervals; explicit budgets guard
+expected to stop after finitely many intervals; fixed budgets guard
 against the alternative, which would mean either a bug or a counterexample.
+Each raises `BudgetExceeded`, naming the pair, the budget and the unmarched
+residual; it and `MarchError` pickle, so they cross `sweep`'s process pool.
 
 `verify_atlas` re-checks a computed atlas from scratch with an exact
 certificate and runs no orbit for it: the entries tile the body, each stored
@@ -43,48 +45,34 @@ _UNSOLVED = object()
 TAIL_PIECES = 4
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Budgets guarding the march (``max_rounds`` caps the body intervals).
+# The march's budgets, read once per `compute_atlas` call: `DEFAULT_ORBIT_CAP`
+# steps per orbit, this many steps in all, and `_interval_budget` intervals.
+TOTAL_STEP_BUDGET = 10**9
 
-    ``max_rounds`` left at None scales with the pair (see `interval_budget`).
+
+def _interval_budget(a0: int, a1: int) -> int:
+    """At most ``max(10**4, 50*m*m)`` body intervals, with ``m = max(|a0|,|a1|)``.
+
+    Interval counts grow with the shell: (-24,-25) has 9,504 and
+    (-29,-30) 13,568, which a fixed 10**4 would reject, while 50*m*m
+    (45,000 there) still stops a runaway march loudly.
     """
-
-    orbit_cap: int = DEFAULT_ORBIT_CAP
-    max_rounds: Optional[int] = None
-    max_total_steps: int = 10**9
-
-    def interval_budget(self, a0: int, a1: int) -> int:
-        """``max_rounds``, or by default ``max(10**4, 50*m*m)`` with ``m = max(|a0|,|a1|)``.
-
-        Interval counts grow with the shell: (-24,-25) has 9,504 and
-        (-29,-30) 13,568, which a fixed 10**4 would reject, while 50*m*m
-        (45,000 there) still stops a runaway march loudly.
-        """
-        if self.max_rounds is not None:
-            return self.max_rounds
-        m = max(abs(a0), abs(a1))
-        return max(10**4, 50 * m * m)
-
-
-class OrbitCapExceeded(Exception):
-    """An orbit at a marched parameter failed to close within the step cap."""
-
-    def __init__(self, lam: Fraction, start: tuple[int, int], cap: int):
-        self.lam = lam
-        self.start = start
-        self.cap = cap
-        super().__init__(f"orbit of {start} at parameter {lam} open after {cap} steps")
+    m = max(abs(a0), abs(a1))
+    return max(10**4, 50 * m * m)
 
 
 class BudgetExceeded(Exception):
-    """The march ran out of intervals or total orbit steps; ``residual`` is unmarched."""
+    """The march hit a budget (``reason``) at the lower edge of ``residual``, left unmarched."""
 
     def __init__(self, reason: str, start: tuple[int, int], residual: Interval):
         self.reason = reason
         self.start = start
         self.residual = residual
         super().__init__(f"march for {start} exceeded {reason}; residual {residual}")
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it crosses the process pool
+        return type(self), (self.reason, self.start, self.residual)
 
 
 class MarchError(Exception):
@@ -103,6 +91,9 @@ class MarchError(Exception):
             f"march for {start} at {lam} ({side}) solved bounds {solved}, "
             f"which do not start {'closed' if side == 'exact' else 'open'} there"
         )
+
+    def __reduce__(self):
+        return type(self), (self.start, self.lam, self.side, self.solved)
 
 
 @dataclass(frozen=True)
@@ -160,7 +151,7 @@ class PartitionAtlas:
         return sum(len(word) for _, word in self.body)
 
 
-def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
+def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     """March the body of one initial pair from left to right.
 
     The pair (0, 0) short-circuits: its single cycle (0) covers everything.
@@ -173,29 +164,31 @@ def compute_atlas(a0: int, a1: int, caps: Caps = Caps()) -> PartitionAtlas:
     tail, is clipped to the body first.  Edges are compared in integers,
     and the interval is built here with ``r`` itself as its lower edge, so
     each inner boundary is one Fraction shared by the two intervals that
-    meet there.
+    meet there.  Exhausting a budget (see `TOTAL_STEP_BUDGET`) raises
+    `BudgetExceeded` with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
     """
     tail = tail_of(a0, a1)
     if (a0, a1) == (0, 0):
         return PartitionAtlas(a0, a1, tail, ((FULL_RANGE, (0,)),))
 
     start = (a0, a1)
-    max_rounds = caps.interval_budget(a0, a1)
+    cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
     r, closed = tail.interval.hi, True
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
         if len(body) == max_rounds:
-            residual = Interval(r, 2, closed, False)
-            raise BudgetExceeded(f"interval budget {max_rounds}", start, residual)
-        found = orbit_bounds(r, not closed, start, caps.orbit_cap)
+            reason = f"interval budget {max_rounds}"
+            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+        found = orbit_bounds(r, not closed, start, cap)
         if found is None:
-            raise OrbitCapExceeded(r, start, caps.orbit_cap)
+            reason = f"orbit step cap {cap} at {r}"
+            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
         word, bounds, steps = found
         total_steps += steps
-        if total_steps > caps.max_total_steps:
-            residual = Interval(r, 2, closed, False)
-            raise BudgetExceeded(f"total step budget {caps.max_total_steps}", start, residual)
+        if total_steps > max_steps:
+            reason = f"total step budget {max_steps}"
+            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
         lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
         num, den = r.numerator, r.denominator
         below = num * lo_d - lo_n * den  # r minus the solved lower edge
@@ -576,14 +569,15 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
 def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
-    Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``,
-    under the default `Caps`; the atlas of ``(a1, a0)`` is its mirror (see
-    `_mirrored`).  Every atlas, marched or mirrored, gets the full
-    certificate and no probe orbit; the mirror reuses its twin's word
-    solves, looked up by the exact mirrored word.  Budget failures propagate
-    as exceptions naming the marched pair of the two.  The result is
-    deterministic and independent of ``jobs``; with ``out_dir`` set, one
-    JSON atlas per pair is written as a side effect.
+    Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
+    the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
+    marched or mirrored, gets the full certificate and no probe orbit; the
+    mirror reuses its twin's word solves, looked up by the exact mirrored
+    word.  The first `BudgetExceeded` or `MarchError` in grid order
+    propagates, naming the marched pair of the two, with the same text at
+    any ``jobs``; at most one worker per unordered pair is started.  The
+    result is deterministic and independent of ``jobs``; with ``out_dir``
+    set, one JSON atlas per pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -596,7 +590,7 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
     ]
     if jobs > 1:
         # chunksize 1: pairs differ wildly in cost, let idle workers pull
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             batches = list(pool.map(_sweep_pair, grid, chunksize=1))
     else:
         batches = [_sweep_pair(args) for args in grid]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -190,6 +191,37 @@ def test_readme_command_lines_parse():
     parsed = [parser.parse_args(argv[1:]) for argv in commands]
     # every subcommand is shown at least once
     assert {args.command for args in parsed} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--a0", "-2", "--a1", "-2"),
+        ("sweep", "--max-m", "2", "--jobs", "1"),
+        pytest.param(
+            ("sweep", "--max-m", "2", "--jobs", "2"),
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="pool workers must inherit the patched budget",
+            ),
+        ),
+    ],
+    ids=["partition", "sweep-jobs-1", "sweep-jobs-2"],
+)
+def test_exhausted_budget_exits_one_without_a_traceback(capfd, monkeypatch, argv):
+    # capfd also catches what the sweep's workers write to stderr
+    monkeypatch.setattr(partition, "_interval_budget", lambda a0, a1: 2)
+    with pytest.raises(partition.BudgetExceeded) as exc:
+        partition.compute_atlas(-2, -2)
+    code, out, err = run(capfd, *argv)
+    assert code == 1 and out == ""
+    assert err == f"budget exhausted: {exc.value}\n"
+    assert re.fullmatch(
+        r"budget exhausted: march for \(-2, -2\) exceeded interval budget 2; "
+        r"residual [\[(]-?\d+(/\d+)?,2\)\n",
+        err,
+    )
+    assert "Traceback" not in err
 
 
 def test_out_of_range_parameter_exits_two(capsys):

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,10 +16,8 @@ from hypothesis import strategies as st
 import rotatlas
 from rotatlas import (
     BudgetExceeded,
-    Caps,
     Interval,
     MarchError,
-    OrbitCapExceeded,
     ParamSpec,
     compute_atlas,
     detect_cycle,
@@ -467,15 +468,17 @@ def test_integer_certificate_matches_the_interval_check(word, data):
             assert _solves_to(cycle_bounds(word), *_edge(body), ival) == (solved == ival)
 
 
-def test_round_budget_exhaustion(atlas):
+def test_round_budget_exhaustion(atlas, monkeypatch):
+    full = atlas(-2, -2)  # marched before the budget shrinks
+    monkeypatch.setattr(partition, "_interval_budget", lambda a0, a1: 2)
     with pytest.raises(BudgetExceeded) as exc:
-        compute_atlas(-2, -2, Caps(max_rounds=2))
+        compute_atlas(-2, -2)
     assert exc.value.start == (-2, -2)
     residual = exc.value.residual
     assert residual.hi == 2 and not residual.hi_closed
-    assert contains(atlas(-2, -2).body_range, residual.lo)
+    assert contains(full.body_range, residual.lo)
     # two intervals were marched; the residual starts where the third does
-    third, _ = atlas(-2, -2).body[2]
+    third, _ = full.body[2]
     assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)
 
 
@@ -585,30 +588,109 @@ def test_march_reproduces_the_midpoint_refinement_json(atlas):
     assert [digest.hexdigest()] == _json_m4_golden()
 
 
-def test_default_interval_budget_scales_with_the_shell():
-    caps = Caps()
-    assert caps.interval_budget(0, 0) == caps.interval_budget(-14, 14) == 10**4
-    assert caps.interval_budget(15, -3) == caps.interval_budget(-3, -15) == 50 * 15 * 15
+def test_default_interval_budget_scales_with_the_shell(monkeypatch):
+    budget = partition._interval_budget
+    assert budget(0, 0) == budget(-14, 14) == 10**4
+    assert budget(15, -3) == budget(-3, -15) == 50 * 15 * 15
     # (-29,-30) has 13,568 intervals, past the old fixed 10**4
-    assert caps.interval_budget(-29, -30) == 45_000
-    assert Caps(max_rounds=7).interval_budget(-29, -30) == 7
-    # an explicit budget still raises, naming itself and the residual
+    assert budget(-29, -30) == 45_000
+    # the march reads the budget, and exhausting it names it and the residual
+    monkeypatch.setattr(partition, "_interval_budget", lambda a0, a1: 3)
     with pytest.raises(BudgetExceeded) as exc:
-        compute_atlas(-2, -2, Caps(max_rounds=3))
+        compute_atlas(-2, -2)
     assert exc.value.reason == "interval budget 3"
     assert exc.value.residual.hi == 2 and not exc.value.residual.hi_closed
 
 
-def test_orbit_cap_exhaustion():
-    with pytest.raises(OrbitCapExceeded) as exc:
-        compute_atlas(-1, -1, Caps(orbit_cap=10))
-    assert exc.value.cap == 10
-    assert F(-2) < exc.value.lam < F(2)
+def test_orbit_cap_exhaustion(monkeypatch):
+    monkeypatch.setattr(partition, "DEFAULT_ORBIT_CAP", 10)
+    with pytest.raises(BudgetExceeded) as exc:
+        compute_atlas(-1, -1)
+    residual = exc.value.residual
+    assert exc.value.start == (-1, -1)
+    assert exc.value.reason == f"orbit step cap 10 at {residual.lo}"
+    assert F(-2) < residual.lo < F(2)
+    assert residual.hi == 2 and not residual.hi_closed
+    # the residual starts at the parameter whose orbit stayed open
+    assert partition.orbit_bounds(residual.lo, not residual.lo_closed, (-1, -1), 10) is None
 
 
-def test_total_step_budget_exhaustion():
-    with pytest.raises(BudgetExceeded):
-        compute_atlas(-2, -2, Caps(max_total_steps=50))
+def test_total_step_budget_exhaustion(atlas, monkeypatch):
+    full = atlas(-2, -2)  # marched before the budget shrinks
+    monkeypatch.setattr(partition, "TOTAL_STEP_BUDGET", 50)
+    with pytest.raises(BudgetExceeded) as exc:
+        compute_atlas(-2, -2)
+    assert exc.value.start == (-2, -2)
+    assert exc.value.reason == "total step budget 50"
+    residual = exc.value.residual
+    assert residual.hi == 2 and not residual.hi_closed
+    # each march orbit runs one word's length; the residual starts at the
+    # interval whose orbit took the total past 50
+    totals = itertools.accumulate(len(word) for _, word in full.body)
+    k = next(i for i, total in enumerate(totals) if total > 50)
+    ival, _ = full.body[k]
+    assert (residual.lo, residual.lo_closed) == (ival.lo, ival.lo_closed)
+
+
+def test_march_failures_survive_pickling():
+    residual = Interval(F(-3, 2), F(2), False, False)
+    march = MarchError((1, 2), F(-1, 3), "plus_zero", (-1, 3, False, 0, 1, True))
+    for exc in (BudgetExceeded("interval budget 7", (-2, -2), residual), march):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc) and str(copy) == str(exc)
+        assert vars(copy) == vars(exc) and copy.args == exc.args
+
+
+FORCED_BUDGETS = {
+    "interval": ("_interval_budget", lambda a0, a1: 2),
+    "orbit-cap": ("DEFAULT_ORBIT_CAP", 10),
+    "total-steps": ("TOTAL_STEP_BUDGET", 50),
+}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched budget",
+)
+@pytest.mark.parametrize("budget", FORCED_BUDGETS)
+def test_budget_failure_crosses_the_process_pool(monkeypatch, budget):
+    monkeypatch.setattr(partition, *FORCED_BUDGETS[budget])
+    with pytest.raises(BudgetExceeded) as serial:
+        sweep(2, jobs=1)
+    with pytest.raises(BudgetExceeded) as pooled:
+        sweep(2, jobs=2)
+    assert str(pooled.value) == str(serial.value)
+    assert vars(pooled.value) == vars(serial.value)
+    residual = pooled.value.residual
+    assert residual.hi == 2 and not residual.hi_closed
+    assert pooled.value.start == (-2, -2)
+
+
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for `ProcessPoolExecutor`: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(partition, "ProcessPoolExecutor", InlineExecutor)
+    # max_m 1 has 6 unordered pairs, max_m 2 has 15
+    assert sweep(1, jobs=500) == sweep(1, jobs=1)
+    sweep(2, jobs=2)
+    sweep(2, jobs=15)
+    sweep(2, jobs=16)
+    assert sizes == [6, 2, 15, 15]
 
 
 def test_summary_statistics(atlas):
