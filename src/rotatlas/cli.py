@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify all pairs with max(|a0|,|a1|) <= m")
     p.add_argument("--out", default=_default_out(),
                    help="directory for per-pair atlas JSON and the CSV summary")
-    p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="processes that march pairs, this one included")
     p.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
 
     p = sub.add_parser("diagram", help="emit an SVG number line of one atlas")

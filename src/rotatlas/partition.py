@@ -28,7 +28,6 @@ solving each word's constraints once for the two.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -566,6 +565,14 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     return summaries
 
 
+def _outcome(call, *args):
+    """``call(*args)``, or the `BudgetExceeded` or `MarchError` it raised."""
+    try:
+        return call(*args)
+    except (BudgetExceeded, MarchError) as exc:
+        return exc
+
+
 def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
@@ -573,11 +580,16 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
     the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
     marched or mirrored, gets the full certificate and no probe orbit; the
     mirror reuses its twin's word solves, looked up by the exact mirrored
-    word.  The first `BudgetExceeded` or `MarchError` in grid order
-    propagates, naming the marched pair of the two, with the same text at
-    any ``jobs``; at most one worker per unordered pair is started.  The
-    result is deterministic and independent of ``jobs``; with ``out_dir``
-    set, one JSON atlas per pair is written as a side effect.
+    word.  With ``jobs`` above 1, ``jobs`` processes march pairs, this one
+    included: ``jobs - 1`` pool workers (never more than the unordered pairs
+    minus one) take the pairs from the front of the grid, and this process
+    takes them from the back, each one it can still cancel in the pool,
+    until it meets one a worker holds.  The first `BudgetExceeded` or
+    `MarchError` in grid order propagates (with ``jobs`` above 1, once
+    every pair has run), naming the marched pair of the two, with the same
+    text at any ``jobs``.  The result is deterministic
+    and independent of ``jobs``; with ``out_dir`` set, one JSON atlas per
+    pair is written as a side effect.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -589,9 +601,22 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
         for a1 in range(a0, max_m + 1)
     ]
     if jobs > 1:
-        # chunksize 1: pairs differ wildly in cost, let idle workers pull
-        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            batches = list(pool.map(_sweep_pair, grid, chunksize=1))
+        # imported here, so commands that start no pool do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs - 1, len(grid) - 1)) as pool:
+            futures = [pool.submit(_sweep_pair, args) for args in grid]
+            batches = [None] * len(grid)
+            for i in reversed(range(len(grid))):
+                if not futures[i].cancel():
+                    break  # a worker holds this pair, and the pool runs every earlier one
+                batches[i] = _outcome(_sweep_pair, grid[i])
+            for i, future in enumerate(futures):
+                if not future.cancelled():
+                    batches[i] = _outcome(future.result)
+        failure = next((b for b in batches if isinstance(b, Exception)), None)
+        if failure is not None:
+            raise failure
     else:
         batches = [_sweep_pair(args) for args in grid]
     summaries = [summary for batch in batches for summary in batch]

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,3 +28,10 @@ def test_every_module_level_import_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(), module)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported(tree)) - used) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `sweep --jobs N` with N > 1 imports it, when it starts the pool
+    code = "import rotatlas.cli, sys; assert 'concurrent.futures' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH="src")
+    subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent.parent, env=env, check=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -666,14 +667,23 @@ def test_budget_failure_crosses_the_process_pool(monkeypatch, budget):
     assert pooled.value.start == (-2, -2)
 
 
-def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
-    sizes = []
+def _inline_pool(monkeypatch, started):
+    """Stand in for `ProcessPoolExecutor` in-process; return its sizes and the pairs it ran.
+
+    The first ``started`` futures submitted run at once, as if a worker had
+    taken them, so they can no longer be cancelled; the rest stay pending.
+    """
+    sizes, ran = [], []
+
+    class InlineFuture(concurrent.futures.Future):
+        def result(self, timeout=None):
+            # nothing runs a pending future later, so waiting on one would hang
+            return super().result(timeout=0)
 
     class InlineExecutor:
-        """Stands in for `ProcessPoolExecutor`: records its size, maps in-process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            self.submitted = 0
 
         def __enter__(self):
             return self
@@ -681,16 +691,113 @@ def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def submit(self, fn, args):
+            future = InlineFuture()
+            if self.submitted < started:
+                future.set_running_or_notify_cancel()
+                ran.append(args[:2])
+                try:
+                    future.set_result(fn(args))
+                except Exception as exc:
+                    future.set_exception(exc)
+            self.submitted += 1
+            return future
 
-    monkeypatch.setattr(partition, "ProcessPoolExecutor", InlineExecutor)
-    # max_m 1 has 6 unordered pairs, max_m 2 has 15
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return sizes, ran
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """The pairs `partition.compute_atlas` is called with from now on, in call order."""
+    calls = []
+    compute = partition.compute_atlas
+
+    def recorded(a0, a1):
+        calls.append((a0, a1))
+        return compute(a0, a1)
+
+    monkeypatch.setattr(partition, "compute_atlas", recorded)
+    return calls
+
+
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+    sizes, _ = _inline_pool(monkeypatch, started=10**6)
+    # max_m 1 has 6 unordered pairs, max_m 2 has 15; the caller marches too,
+    # so a pool gets jobs - 1 workers, never more than the pairs minus one
     assert sweep(1, jobs=500) == sweep(1, jobs=1)
     sweep(2, jobs=2)
     sweep(2, jobs=15)
     sweep(2, jobs=16)
-    assert sizes == [6, 2, 15, 15]
+    assert sizes == [5, 1, 14, 14]
+
+
+def test_sweep_caller_marches_every_pair_when_no_worker_starts(monkeypatch, marches):
+    _, ran = _inline_pool(monkeypatch, started=0)
+    pooled = sweep(2, jobs=2)
+    assert ran == []
+    pairs = [(a0, a1) for a0 in range(-2, 3) for a1 in range(a0, 3)]
+    # from the back of the grid, one pair at a time
+    assert marches == pairs[::-1]
+    assert pooled == sweep(2, jobs=1)
+
+
+def test_sweep_caller_marches_no_pair_a_worker_holds(monkeypatch, marches):
+    _, ran = _inline_pool(monkeypatch, started=10**6)
+    assert sweep(2, jobs=2) == sweep(2, jobs=1)
+    assert len(ran) == 15
+    # the pool ran all 15 pairs, then the serial sweep marched them again
+    assert marches == ran + ran
+
+
+def test_sweep_raises_the_first_failure_in_grid_order(monkeypatch):
+    residual = Interval(F(1), F(2), True, False)
+    early = BudgetExceeded("interval budget 7", (-2, -1), residual)
+    late = MarchError((2, 2), F(1), "exact", (1, 1, True, 0, 1, True))
+    raised = []
+    compute = partition.compute_atlas
+
+    def failing(a0, a1):
+        for exc in (early, late):
+            if exc.start == (a0, a1):
+                raised.append(exc.start)
+                raise exc
+        return compute(a0, a1)
+
+    monkeypatch.setattr(partition, "compute_atlas", failing)
+    with pytest.raises(BudgetExceeded) as serial:
+        sweep(2, jobs=1)
+    assert raised == [(-2, -1)]
+    # a worker holds the first three pairs; the caller marches the rest
+    # from (2, 2) down and meets its MarchError before the worker's failure
+    _, ran = _inline_pool(monkeypatch, started=3)
+    with pytest.raises(BudgetExceeded) as pooled:
+        sweep(2, jobs=2)
+    assert ran == [(-2, -2), (-2, -1), (-2, 0)]
+    assert raised == [(-2, -1), (-2, -1), (2, 2)]
+    assert str(pooled.value) == str(serial.value)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the wrapped march",
+)
+def test_sweep_marches_in_the_caller_and_its_worker(monkeypatch, tmp_path):
+    log = tmp_path / "marches"
+    compute = partition.compute_atlas
+
+    def logged(a0, a1):
+        with open(log, "a") as fh:
+            fh.write(f"{a0} {a1} {os.getpid()}\n")
+        return compute(a0, a1)
+
+    monkeypatch.setattr(partition, "compute_atlas", logged)
+    assert sweep(3, jobs=2).all_verified
+    rows = [line.split() for line in log.read_text().splitlines()]
+    pairs = sorted((int(a0), int(a1)) for a0, a1, _ in rows)
+    assert pairs == [(a0, a1) for a0 in range(-3, 4) for a1 in range(a0, 4)]
+    pids = {int(pid) for _, _, pid in rows}
+    assert len(pids) == 2 and os.getpid() in pids
 
 
 def test_summary_statistics(atlas):
