@@ -21,14 +21,14 @@ orbit on the whole interval; the first tail windows pass the same checks.
 Every command verifies this way.  Probe orbits (``probes_per_interval``) are
 a library-only cross-check of the solve against the dynamics.
 `sweep` runs compute + verify over a square grid of initial pairs and
-aggregates the statistics reported by `report`; it marches each unordered
-pair once, mirrors the atlas to the swapped pair, and verifies both,
-solving each word's constraints once for the two.
+aggregates the statistics reported by `report`; it marches and certifies
+each unordered pair once, mirrors the atlas to the swapped pair, and checks
+the mirror as the exact swap image of its verified twin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -38,8 +38,6 @@ from .intervals import Interval
 from .tail import TailDescription, tail_of
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
-# `verify_atlas`'s mark for a word missing from ``solved``, where None means infeasible
-_UNSOLVED = object()
 # Tail windows `verify_atlas` checks explicitly, from the first one on.
 TAIL_PIECES = 4
 
@@ -297,7 +295,7 @@ def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
 def verify_atlas(
     atlas: PartitionAtlas,
     probes_per_interval: int = 0,
-    solved: Optional[dict[Word, Optional[Bounds]]] = None,
+    twin: Optional[PartitionAtlas] = None,
 ) -> VerificationReport:
     """Re-check a computed atlas against the dynamics from scratch.
 
@@ -330,62 +328,60 @@ def verify_atlas(
     held once anywhere in the cycle, so the orbit there is the cycle rotated
     to start at the pair; the rest is the `tail` module's closed form.
 
+    ``twin``, an atlas of the swapped pair ``(a1, a0)`` that this function
+    has passed, replaces the solves: ``atlas`` is then certified as its
+    exact swap image.  The stored tail is the twin's and the pair's, the
+    body has the twin's entry count and intervals, and each word ``v``
+    satisfies ``v[::-1] == w[2:] + w[:2]`` for the twin's word ``w``: it is
+    ``w`` reversed and rotated to start at ``(a0, a1)``.  By the swap
+    theorem (see `_mirrored`) and the twin's certificate, ``v`` is then the
+    orbit of ``(a0, a1)`` on the whole interval, with the same minimal
+    period, since ``w`` holds ``(a1, a0)`` once.  The twin's tiling covers
+    this body and its tail windows were solved there, so each window's
+    cycle is only checked to hold ``(a0, a1)`` once.  The word test is
+    written apart from `_mirror_word`, so a fault in `_mirrored` cannot
+    certify itself.
+
     ``probes_per_interval`` is 0 by default, and no command sets it.  With
     1 or more, `detect_cycle` also runs, capped at the word's length, at
     each tail window's midpoint and at the closed endpoints and that many
     interior points of every entry, and must return the expected word: a
     cross-check of the solve against the dynamics that the certificate does
     not need.
-
-    ``solved`` maps words to their `cycle_bounds`; a caller that passes one
-    dict to two calls lets a pair and its swap share the solve, and without
-    it the call uses a fresh dict of its own.  Every body word's bounds are stored
-    under that word, and a word whose exact mirror `_mirror_word` is already
-    a key reuses the mirror's bounds instead of solving again.  That is sound
-    because ``cycle_bounds(_mirror_word(w))`` equals ``cycle_bounds(w)`` as
-    values (None iff None): the mirror's cyclic triples are ``w``'s triples
-    ``(b0, b1, b2)`` read as ``(b2, b1, b0)``, every constraint depends only on
-    ``(b1, b0 + b2)``, and the fold keeps the extreme bound with the strict
-    closure on ties whatever the order.  The cache is content-addressed: its
-    only entries are `cycle_bounds` values of words this function read, each
-    keyed by the exact tuple of its word, never by an index or a stored
-    interval.  So a swapped, rotated, doubled or foreign word gets a miss or
-    its own bounds, never another word's, and the certificate is the same
-    with or without a shared cache.  Pass an empty dict, or one filled only
-    by earlier calls.
     """
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
-    if solved is None:
-        solved = {}
     a0, a1 = atlas.a0, atlas.a1
     start = (a0, a1)
-    body_range = atlas.body_range
 
-    # Tiling: the body entries cover the body range exactly, in order, with
-    # complementary closures at shared endpoints (one shared Fraction in a
-    # marched atlas, so the identity test settles most of them).
-    if not atlas.body:
-        return _fail("empty body")
-    first, last = atlas.body[0][0], atlas.body[-1][0]
-    if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
-        return _fail(f"body starts at {first}, expected lower edge {body_range}")
-    if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
-        return _fail(f"body ends at {last}, expected upper edge {body_range}")
-    for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
-        if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
-            return _fail(f"coverage breaks between {cur} and {nxt}")
+    if twin is not None and (twin.a0, twin.a1, len(twin.body)) != (a1, a0, len(atlas.body)):
+        return _fail(f"twin {twin.a0, twin.a1} with {len(twin.body)} entries is not its swap")
+    if twin is None:
+        # Tiling: the entries cover the body range exactly, in order, with
+        # complementary closures at shared endpoints (one shared Fraction in
+        # a marched atlas, so the identity test settles most of them).
+        body_range = atlas.body_range
+        if not atlas.body:
+            return _fail("empty body")
+        first, last = atlas.body[0][0], atlas.body[-1][0]
+        if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
+            return _fail(f"body starts at {first}, expected lower edge {body_range}")
+        if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
+            return _fail(f"body ends at {last}, expected upper edge {body_range}")
+        for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
+            if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
+                return _fail(f"coverage breaks between {cur} and {nxt}")
+        edge_n, edge_d, edge_closed = _edge(body_range)
 
-    # Tail: the stored tail is the pair's, and its first windows pass the
-    # certificate.  k_start >= 1 on a ramp tail, so k == 0 is the constant one.
-    if atlas.tail != tail_of(a0, a1):
+    # Tail: the stored tail is the pair's (and the twin's), and its first windows
+    # pass the certificate.  k_start >= 1 on a ramp tail; k == 0 is the constant one.
+    tail = tail_of(a0, a1)
+    if atlas.tail != tail or (twin is not None and twin.tail != tail):
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail")
-    k_start = atlas.tail.k_start or 0
-    pieces = atlas.tail.pieces_through(k_start + TAIL_PIECES - 1)
-    full_edge = _edge(FULL_RANGE)
-    for k, (window, cycle) in enumerate(pieces, k_start):
+    k_start = tail.k_start or 0
+    for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
         name = f"tail cycle k={k}" if k else "constant tail cycle"
-        if not _solves_to(cycle_bounds(cycle), *full_edge, window):
+        if twin is None and not _solves_to(cycle_bounds(cycle), *_edge(FULL_RANGE), window):
             return _fail(f"{name} does not hold on the tail")
         i = _pair_index(cycle, a0, a1, 0)
         if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
@@ -393,19 +389,21 @@ def verify_atlas(
         if probes_per_interval and not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
             return _fail(f"{name} not re-detected")
 
-    # Body entries: the certificate above, entry by entry, in integers.
-    edge_n, edge_d, edge_closed = _edge(body_range)
-    for ival, word in atlas.body:
-        if not word:
-            return _fail(f"empty cycle on {ival}")
-        bounds = solved.get(_mirror_word(word), _UNSOLVED)
-        if bounds is _UNSOLVED:
-            bounds = cycle_bounds(word)
-        solved[word] = bounds
-        if not _solves_to(bounds, edge_n, edge_d, edge_closed, ival):
-            return _fail(f"stored interval {ival} is not the cycle's parameter set")
-        if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
-            return _fail(f"cycle on {ival} does not hold {start} at its start only")
+    # Body entries: the certificate above, or the twin's swap image, in integers.
+    for k, (ival, word) in enumerate(atlas.body):
+        if twin is None:
+            if not word:
+                return _fail(f"empty cycle on {ival}")
+            if not _solves_to(cycle_bounds(word), edge_n, edge_d, edge_closed, ival):
+                return _fail(f"stored interval {ival} is not the cycle's parameter set")
+            if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
+                return _fail(f"cycle on {ival} does not hold {start} at its start only")
+        else:
+            twin_ival, twin_word = twin.body[k]
+            if ival is not twin_ival and ival != twin_ival:
+                return _fail(f"stored interval {ival} is not its twin's {twin_ival}")
+            if word[::-1] != twin_word[2:] + twin_word[:2]:
+                return _fail(f"cycle on {ival} is not its twin's cycle reversed")
         if probes_per_interval:
             for lam in _probe_points(ival, probes_per_interval):
                 if not _probe(lam, start, word):
@@ -537,8 +535,8 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     intervals.  Each word ``(w0, w1, ..., w_{n-1})`` becomes its reversal
     rotated to start at the swapped pair, ``(w1, w0, w_{n-1}, ..., w2)``.
     The label, and so the tail, is swap-symmetric.  `sweep` verifies the
-    result all the same, with the full certificate; only the word solves are
-    shared with the twin (see ``solved`` in `verify_atlas`).
+    result all the same, as the swap image of its verified twin (see
+    ``twin`` in `verify_atlas`).
     """
     body = tuple((ival, _mirror_word(word)) for ival, word in atlas.body)
     return PartitionAtlas(atlas.a1, atlas.a0, atlas.tail, body)
@@ -547,21 +545,23 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
 def _sweep_pair(args: tuple) -> list[PointSummary]:
     """March ``(a0, a1)``; verify, write and summarize it and its mirror ``(a1, a0)``.
 
-    The two verifications share one ``solved`` cache, so each word's
-    constraints are solved once for the pair.
+    The mirror is checked as its twin's swap image if the twin verified, else
+    from scratch; its summary is the twin's with the pair swapped.
     """
     a0, a1, out_dir = args
     atlas = compute_atlas(a0, a1)
-    atlases = [atlas] if a0 == a1 else [atlas, _mirrored(atlas)]
-    solved: dict[Word, Optional[Bounds]] = {}
-    summaries = []
-    for at in atlases:
-        verdict = verify_atlas(at, solved=solved)
-        if out_dir is not None:
-            from . import report
+    verdict = verify_atlas(atlas)
+    atlases, summaries = [atlas], [summarize_atlas(atlas, verdict)]
+    if a0 != a1:
+        atlases.append(_mirrored(atlas))
+        mirrored = verify_atlas(atlases[1], twin=atlas if verdict.ok else None)
+        swapped = dict(a0=a1, a1=a0, verified=mirrored.ok, failure=mirrored.failure)
+        summaries.append(replace(summaries[0], **swapped))
+    if out_dir is not None:
+        from . import report
 
+        for at in atlases:
             report.write_atlas_json(at, out_dir)
-        summaries.append(summarize_atlas(at, verdict))
     return summaries
 
 
@@ -577,10 +577,10 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
     Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
-    the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas,
-    marched or mirrored, gets the full certificate and no probe orbit; the
-    mirror reuses its twin's word solves, looked up by the exact mirrored
-    word.  With ``jobs`` above 1, ``jobs`` processes march pairs, this one
+    the atlas of ``(a1, a0)`` is its mirror (see `_mirrored`).  Every atlas
+    is verified with no probe orbit, the mirror as the exact swap image of
+    its twin (``twin`` in `verify_atlas`), so each word is solved once.
+    With ``jobs`` above 1, ``jobs`` processes march pairs, this one
     included: ``jobs - 1`` pool workers (never more than the unordered pairs
     minus one) take the pairs from the front of the grid, and this process
     takes them from the back, each one it can still cancel in the pool,

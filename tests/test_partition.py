@@ -30,7 +30,7 @@ from rotatlas import (
 )
 from rotatlas import partition, tail
 from rotatlas.constraints import cycle_bounds
-from rotatlas.partition import FULL_RANGE, _edge, _mirrored, _solves_to
+from rotatlas.partition import FULL_RANGE, PartitionAtlas, _edge, _mirrored, _solves_to
 from rotatlas.report import atlas_from_json, atlas_to_json
 from reference import contains, parse_interval, word_is_cycle_at
 from words import rotation_equal
@@ -284,19 +284,53 @@ def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_verify_rejects_the_corrupted_mirror_with_a_warm_cache(atlas, pair, name):
-    # The twin's verification fills the cache the mirror then reads from.
+    # The mirror is checked against its verified twin, which no corruption
+    # of the mirror passes either, with or without probes.
     twin = atlas(*pair)
     mirror = _mirrored(twin)
     bad = CORRUPTIONS[name](mirror)
     assert bad != mirror
     for probes in (0, 1, 2):
-        warm = {}
-        assert verify_atlas(twin, probes_per_interval=probes, solved=warm).ok
-        assert len(warm) == len(twin.body)
-        assert verify_atlas(mirror, probes_per_interval=probes, solved=dict(warm)).ok
-        report = verify_atlas(bad, probes_per_interval=probes, solved=dict(warm))
+        assert verify_atlas(twin, probes_per_interval=probes).ok
+        assert verify_atlas(mirror, probes_per_interval=probes, twin=twin).ok
+        report = verify_atlas(bad, probes_per_interval=probes, twin=twin)
         assert not report.ok and report.failure
-        assert report == verify_atlas(bad, probes_per_interval=probes)
+        assert not verify_atlas(bad, probes_per_interval=probes).ok
+
+
+def _flip_one_closure(at):
+    k = _proper_boundary(at.body)
+    ival, word = at.body[k]
+    return _edit(at, {k: (dataclasses.replace(ival, hi_closed=not ival.hi_closed), word)})
+
+
+TWIN_MISMATCHES = {
+    # (a twin, its mirror) -> (a twin, an atlas that is not its swap image)
+    "twin of another pair": lambda twin, mirror: (compute_atlas(twin.a0, twin.a1 + 1), mirror),
+    "mirror one entry short": lambda twin, mirror: (
+        twin, dataclasses.replace(mirror, body=mirror.body[:-1])
+    ),
+    "flipped closure of one interval": lambda twin, mirror: (twin, _flip_one_closure(mirror)),
+    "word rotated instead of reversed": lambda twin, mirror: (
+        twin,
+        _edit(mirror, {k: (ival, word[2:] + word[:2]) for k, (ival, word) in enumerate(twin.body)}),
+    ),
+    "mirror's tail not the twin's": lambda twin, mirror: (twin, _foreign_tail(mirror)),
+    "twin's tail not the mirror's": lambda twin, mirror: (_foreign_tail(twin), mirror),
+}
+
+
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+@pytest.mark.parametrize("name", sorted(TWIN_MISMATCHES))
+def test_verify_rejects_a_mirror_that_is_not_its_twins_swap(atlas, pair, name):
+    twin = atlas(*pair)
+    mirror = _mirrored(twin)
+    assert verify_atlas(mirror, twin=twin).ok
+    bad_twin, bad = TWIN_MISMATCHES[name](twin, mirror)
+    assert (bad_twin, bad) != (twin, mirror)
+    for probes in (0, 2):
+        report = verify_atlas(bad, probes_per_interval=probes, twin=bad_twin)
+        assert not report.ok and report.failure
 
 
 def test_verify_rejects_a_doubled_word_without_probes(atlas, probe_orbits):
@@ -408,6 +442,22 @@ def test_verdict_without_probes_matches_the_probed_one(atlas, pair, entry, other
     unprobed = verify_atlas(bad, probes_per_interval=0)
     probed = verify_atlas(bad, probes_per_interval=2)
     assert (unprobed.ok, unprobed.failure) == (probed.ok, probed.failure)
+
+
+@given(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_twin_verdict_matches_the_one_from_scratch(atlas, pair, entry, other, pick):
+    twin = atlas(*pair)
+    mirror = _mirrored(twin)
+    k = entry % len(mirror.body)
+    ival, word = mirror.body[k]
+    candidates = _mutations(word, mirror.body[other % len(mirror.body)][1])
+    bad = _edit(mirror, {k: (ival, candidates[pick % len(candidates)])})
+    assert verify_atlas(bad, twin=twin).ok == verify_atlas(bad).ok
 
 
 rationals = st.integers(1, 12).flatmap(
@@ -557,9 +607,8 @@ def test_march_checks_survive_optimized_python():
         "(i1, w1), (i2, w2) = mirror.body[0], mirror.body[-1]\n"
         "swapped = ((i1, w2),) + mirror.body[1:-1] + ((i2, w1),)\n"
         "bad = dataclasses.replace(mirror, body=swapped)\n"
-        "warm = {}\n"
-        "print(partition.verify_atlas(twin, probes_per_interval=0, solved=warm).ok)\n"
-        "print(partition.verify_atlas(bad, probes_per_interval=0, solved=warm).ok)\n"
+        "print(partition.verify_atlas(twin, probes_per_interval=0).ok)\n"
+        "print(partition.verify_atlas(bad, probes_per_interval=0, twin=twin).ok)\n"
     )
     src = os.path.dirname(os.path.dirname(rotatlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -851,12 +900,41 @@ def test_words_share_one_object_per_letter_value(atlas):
 
 
 def test_sweep_verifies_the_mirrored_pairs(monkeypatch):
-    # words left unreversed: only the mirrored pairs (a0 > a1) can go wrong
+    broken_mirrors = {
+        "_mirrored": lambda at: dataclasses.replace(at, a0=at.a1, a1=at.a0),  # words unreversed
+        "_mirror_word": lambda word: word[::-1],  # reversed, but not rotated to the pair
+    }
+    # only the mirrored pairs (a0 > a1) can go wrong
+    mirrored = {(a0, a1) for a0 in range(-2, 3) for a1 in range(-2, 3) if a0 > a1}
+    for name, broken in broken_mirrors.items():
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, name, broken)
+            failed = {(p.a0, p.a1) for p in sweep(2).failures()}
+        assert failed == mirrored, name
+
+
+def test_sweep_checks_a_mirror_from_scratch_when_its_twin_fails(monkeypatch):
+    compute = partition.compute_atlas
+    bad = _swap_words(compute(-1, 2))
+    mirror = _mirrored(bad)
     monkeypatch.setattr(
-        partition, "_mirrored", lambda at: dataclasses.replace(at, a0=at.a1, a1=at.a0)
+        partition, "compute_atlas", lambda a0, a1: bad if (a0, a1) == (-1, 2) else compute(a0, a1)
     )
-    failed = {(p.a0, p.a1) for p in sweep(2).failures()}
-    assert failed == {(a0, a1) for a0 in range(-2, 3) for a1 in range(-2, 3) if a0 > a1}
+    failures = {(p.a0, p.a1): p.failure for p in sweep(2).failures()}
+    # the mirror is the failed twin's exact swap image, so only its own
+    # certificate fails it, and the failure names the mirror's first fault
+    assert verify_atlas(mirror, twin=bad).ok
+    assert failures == {(-1, 2): verify_atlas(bad).failure, (2, -1): verify_atlas(mirror).failure}
+
+
+def test_mirror_summary_is_the_twins_with_the_pair_swapped(atlas):
+    verdict = partition.VerificationReport(True)
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            at = atlas(a0, a1)
+            twin = summarize_atlas(at, verdict)
+            swapped = dataclasses.replace(twin, a0=a1, a1=a0)
+            assert summarize_atlas(_mirrored(at), verdict) == swapped
 
 
 def test_sweep_files_reproduce_the_json_golden(tmp_path):
@@ -870,23 +948,33 @@ def test_sweep_files_reproduce_the_json_golden(tmp_path):
 
 
 def test_sweep_marches_each_unordered_pair_once(monkeypatch, probe_orbits):
-    marched, verified = [], []
+    marched, calls = [], []
     compute, verify = partition.compute_atlas, partition.verify_atlas
 
     def counted_compute(a0, a1, *args, **kwargs):
         marched.append((a0, a1))
         return compute(a0, a1, *args, **kwargs)
 
-    def counted_verify(at, *args, **kwargs):
-        verified.append((at.a0, at.a1))
-        return verify(at, *args, **kwargs)
+    def counted_verify(*args, **kwargs):
+        calls.append((args, kwargs))
+        return verify(*args, **kwargs)
 
     monkeypatch.setattr(partition, "compute_atlas", counted_compute)
     monkeypatch.setattr(partition, "verify_atlas", counted_verify)
     assert sweep(3).all_verified
     assert len(marched) == 28 and all(a0 <= a1 for a0, a1 in marched)
+    # one call per ordered pair, the atlas passed first and positionally
+    assert all(len(args) == 1 and isinstance(args[0], PartitionAtlas) for args, _ in calls)
+    verified = [(args[0].a0, args[0].a1) for args, _ in calls]
     grid = [(a0, a1) for a0 in range(-3, 4) for a1 in range(-3, 4)]
     assert len(verified) == 49 and sorted(verified) == grid
+    # exactly the mirrored pairs are checked against their marched twin
+    twins = {
+        (args[0].a0, args[0].a1): (kwargs["twin"].a0, kwargs["twin"].a1)
+        for args, kwargs in calls
+        if kwargs.get("twin") is not None
+    }
+    assert twins == {(a0, a1): (a1, a0) for a0, a1 in grid if a0 > a1}
     assert probe_orbits == []
 
 
@@ -906,10 +994,11 @@ def test_sweep_solves_each_marched_word_once(monkeypatch):
         for a1 in range(a0, 4)
         for _, word in compute_atlas(a0, a1).body
     ]
-    # the tail windows are solved too, once per verified pair
+    # the tail windows are solved too, once per marched pair: the mirror's
+    # windows are its twin's
     tails = []
     for a0 in range(-3, 4):
-        for a1 in range(-3, 4):
+        for a1 in range(a0, 4):
             t = tail.tail_of(a0, a1)
             k_max = (t.k_start or 0) + partition.TAIL_PIECES - 1
             tails += [word for _, word in t.pieces_through(k_max)]
