@@ -8,6 +8,7 @@ This package computes, verifies and renders those partitions with exact
 rational arithmetic end to end.
 """
 
+from .certificate import VerificationReport
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, OrbitResult, ParamSpec, detect_cycle
 from .intervals import Interval, make_interval, parse_rational
@@ -18,7 +19,6 @@ from .partition import (
     PointSummary,
     ShellStats,
     SweepReport,
-    VerificationReport,
     compute_atlas,
     summarize_atlas,
     sweep,

@@ -50,10 +50,6 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _default_out() -> str | None:
-    return os.environ.get("ROTATLAS_OUT")
-
-
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a0", type=int, required=True, help="first initial value")
     parser.add_argument("--a1", type=int, required=True, help="second initial value")
@@ -66,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "into intervals of constant cycle for an integer initial pair.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_out = os.environ.get("ROTATLAS_OUT")
 
     p = sub.add_parser("orbit", help="iterate one orbit to first return")
     _add_point_args(p)
@@ -90,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--table", dest="fmt", action="store_const", const="table")
     fmt.add_argument("--format", dest="fmt", choices=["json", "table"])
-    p.add_argument("--out", default=_default_out(), help="directory for the JSON atlas")
+    p.add_argument("--out", default=default_out, help="directory for the JSON atlas")
 
     p = sub.add_parser("sweep", help="compute and verify atlases over a grid")
     p.add_argument("--max-m", type=int, required=True,
                    help="verify all pairs with max(|a0|,|a1|) <= m")
-    p.add_argument("--out", default=_default_out(),
+    p.add_argument("--out", default=default_out,
                    help="directory for per-pair atlas JSON and the CSV summary")
     p.add_argument("--jobs", type=_jobs, default=1,
                    help="processes that march pairs, this one included")

@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 
 from .intervals import Interval, make_interval
 
+# A cycle word: the orbit values of one period, from the initial pair on.
+Word = tuple[int, ...]
 # (lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed): the bounds lo_n/lo_d and
 # hi_n/hi_d, denominators positive and not necessarily reduced.
 Bounds = tuple[int, int, bool, int, int, bool]
@@ -31,21 +33,15 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     constraint.  Each constraint depends only on the middle letter
     ``b_{i+1}`` and the outer sum ``b_i + b_{i+2}``, so the loop runs over
     those two, the sums made by one `map` in C, and tests the sign of the
-    middle letter, positive first: zero letters are the rarest.  Against
-    the plain triple loop (kept as the test oracle) this took 0.64 s
-    instead of 0.75 s over the words of the reverify benchmark's eight
-    atlases, and the same time over those of max(|a0|,|a1|) <= 7 (best of
-    7, CPython 3.11, 2-vCPU VM), with the same tuples as results.  The
-    strict bound is compared in place, ``a += 1`` and then ``<=``, with
-    ``<`` or the closure deciding a tie, rather than through a difference
-    temporary: over the 55,145 words of the 225 atlases with
-    max(|a0|,|a1|) <= 7, 1.34 s instead of 1.47 s (interleaved batches in
-    one process, mean of 5 rounds), with the same tuples as results.
-    Endpoint closure comes from the strictest binding
-    constraint: a point is closed only if every constraint admits equality
-    there.  None means infeasible (a zero letter whose neighbours do not sum to 0);
-    otherwise the bounds may still describe an empty set, which
-    `make_interval` turns into None.
+    middle letter, positive first: zero letters are the rarest.  The plain
+    triple loop is kept as the test oracle.  The strict bound is compared
+    in place, ``a += 1`` and then ``<=``, with ``<`` or the closure
+    deciding a tie, which saves a difference temporary per constraint.
+    Endpoint closure comes from the strictest binding constraint: a point
+    is closed only if every constraint admits equality there.  None means
+    infeasible (a zero letter whose neighbours do not sum to 0); otherwise
+    the bounds may still describe an empty set, which `make_interval`
+    turns into None.
     """
     word = tuple(word)
     if not word:
@@ -82,7 +78,7 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
     None means infeasible or empty.  `dynamics.orbit_bounds` folds the
-    same bounds once per distinct letter; `partition.verify_atlas` uses
+    same bounds once per distinct letter; `certificate.certify` uses
     `cycle_bounds` as its independent check.
     """
     bounds = cycle_bounds(word)

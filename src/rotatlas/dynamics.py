@@ -24,50 +24,36 @@ map (the only two the march visits) and returns the cycle word with its
 integer bounds; `partition.compute_atlas` builds the intervals.  Words that
 `orbit_bounds` returns, and that `report.atlas_from_json` reads, hold one
 shared ``int`` object per letter value (`_canonical`, one dict lookup per
-letter: a miss stores its key).  Letters below -5
-are not among CPython's cached small ints, so without the sharing every
-letter of an atlas is an object of its own: the atlas of (-19,-20),
-4,002,847 letters, takes 32 MiB instead of 107 MiB.  A mirrored word is a
+letter: a miss stores its key).  Letters below -5 are not among CPython's
+cached small ints, so without the sharing every letter of an atlas is an
+object of its own, about three times the memory.  A mirrored word is a
 slice of its twin, so it shares the objects too.  `detect_cycle` keeps
 plain ints: its words are transient.
 
 Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
 ``c(y) = -((p*y) // q)``.  Each of the two kernels runs one loop per side:
 the exact loop, that bare step with no tie test and no divergence test, is
-written once, in `_exact_orbit`, which both kernels call; the one-sided
-loops add 1 on the tie lines and, in `detect_cycle`, test the divergence
-certificate.  The loops the march and the probes run (`_exact_orbit` and
-the plus-side loop of `orbit_bounds`) take two steps per pass,
-``x = c(y) - x`` and then ``y = c(x) - y``, testing for the start after
-each: no tuple swap, and half the loop overhead.  The last pass may run
-past the cap, so the cap is tested on the word's length once the loop
-ends.  The tie rule is written once in `detect_cycle`'s one-sided loop,
-which keeps one step per pass (no workload runs it), and in `orbit_bounds`
-once per half-pass and once in the fold.  Probe orbits are exact, so
-verification's cross-check runs the bare loop.  Against one step
-per pass, on the 13,198 probe orbits of the reverify benchmark's four
-fixed pairs (4.3 M steps), `detect_cycle` took 0.70 s instead of 0.80 s;
-on the 29,318 march calls of the 120 unordered pairs with
-max(|a0|,|a1|) <= 7 (2.46 M steps), `orbit_bounds` took 1.01 s instead of
-1.11 s (batches of 200 calls interleaved in one process, mean of 5 rounds,
-CPython 3.11, 2-vCPU VM).  The loops call ``word.append`` rather than a
-bound-method local, which CPython 3.11 specialises: on the exact march
-orbits the loop alone took 0.19 s instead of 0.20 s.
+written once, in `_exact_orbit`, which both kernels call (so the exact
+probes run it too); the one-sided loops add 1 on the tie lines and, in
+`detect_cycle`, test the divergence certificate.  The loops the march and
+the probes run take two steps per pass, ``x = c(y) - x`` and then
+``y = c(x) - y``, testing for the start after each: no tuple swap, and
+half the loop overhead.  `detect_cycle`'s one-sided loop, which no
+workload runs, keeps one step per pass.  The loops call ``word.append``,
+which CPython 3.11 specialises, rather than a bound-method local.
 
 The one-sided step is written out in each of the two kernels,
 `detect_cycle` and `orbit_bounds`, and the word's bounds are solved a third
 time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
-- speed: marching every pair with max(|a0|,|a1|) <= 7 through
-  `detect_cycle` + `interval_for_cycle` instead of the fused kernel took
-  about 36% longer, and through `detect_cycle` + `cycle_bounds` about 21%
-  longer; with the once-per-letter fold, taking the word from
-  `detect_cycle` still made the march's calls about 10% slower (serial,
-  CPython 3.11, 2-vCPU VM);
-- independence: `partition.verify_atlas` re-checks the march with its own
-  solve, `constraints.cycle_bounds`, and runs no orbit for its certificate,
-  so a fault in the march kernel cannot certify itself; `detect_cycle`
-  serves verification only as the opt-in probe cross-check.
+- speed: the fused kernel folds the bounds once per distinct letter, where
+  marching through `detect_cycle` and a separate solve pays for a second
+  pass over the whole word;
+- independence: `certificate.certify` re-checks the march with its own
+  solve, `constraints.cycle_bounds`, runs no orbit and imports no orbit
+  code, so a fault in the march kernel cannot certify itself;
+  `detect_cycle` serves verification only as the opt-in probe cross-check
+  of `partition.verify_atlas`.
 """
 
 from __future__ import annotations
@@ -76,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .constraints import Bounds
+from .constraints import Bounds, Word
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -95,7 +81,6 @@ _LETTERS = _Letters()
 _KINDS = ("exact", "plus_zero", "minus_zero")
 
 LatticePoint = tuple[int, int]
-Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,10 @@ against the alternative, which would mean either a bug or a counterexample.
 Each raises `BudgetExceeded`, naming the pair, the budget and the unmarched
 residual; it and `MarchError` pickle, so they cross `sweep`'s process pool.
 
-`verify_atlas` re-checks a computed atlas from scratch with an exact
-certificate and runs no orbit for it: the entries tile the body, each stored
-interval is exactly its word's parameter set within the body, and each word
-starts at the initial pair and holds it nowhere else, so the word is the
-orbit on the whole interval; the first tail windows pass the same checks.
-Every command verifies this way.  Probe orbits (``probes_per_interval``) are
-a library-only cross-check of the solve against the dynamics.
+`verify_atlas` re-checks a computed atlas from scratch by the exact
+certificate of the `certificate` module, as every command does; probe
+orbits (``probes_per_interval``), a library-only cross-check against the
+dynamics, run on a certified atlas only.
 `sweep` runs compute + verify over a square grid of initial pairs and
 aggregates the statistics reported by `report`; it marches and certifies
 each unordered pair once, mirrors the atlas to the swapped pair, and checks
@@ -32,14 +29,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .constraints import Bounds, cycle_bounds
-from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, Word, detect_cycle, orbit_bounds
+from .certificate import TAIL_PIECES, VerificationReport, _fail, _pair_index, certify
+from .constraints import Bounds, Word
+from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
-# Tail windows `verify_atlas` checks explicitly, from the first one on.
-TAIL_PIECES = 4
 
 
 # The march's budgets, read once per `compute_atlas` call: `DEFAULT_ORBIT_CAP`
@@ -201,70 +197,6 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tail, tuple(body))
 
 
-def _edge(body: Interval) -> tuple[int, int, bool]:
-    """The lower edge of ``body`` as `_solves_to` takes it: numerator, denominator, closure."""
-    return body.lo.numerator, body.lo.denominator, body.lo_closed
-
-
-def _solves_to(
-    bounds: Optional[Bounds], edge_n: int, edge_d: int, edge_closed: bool, ival: Interval
-) -> bool:
-    """Whether a word's solved set, cut to a body, is exactly ``ival``, in integers.
-
-    ``bounds`` are the word's `cycle_bounds`, and the body runs from the
-    lower edge ``edge_n/edge_d`` (closed or not, see `_edge`) to the open
-    edge 2: the test is ``interval_for_cycle(word) ∩ body == ival``.  The
-    solved lower bound is raised to the body's lower edge, and both ends
-    are compared with ``ival``'s by cross-multiplication.  The solved upper
-    bound never passes the body's open upper edge 2, so it needs no clip.
-    A match with the non-empty ``ival`` also shows the intersection
-    non-empty.  `verify_atlas` passes the edge as integers, read once per
-    atlas rather than once per entry.
-    """
-    if bounds is None:
-        return False
-    lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
-    cmp = lo_n * edge_d - edge_n * lo_d
-    if cmp < 0 or (cmp == 0 and not edge_closed):
-        lo_n, lo_d, lo_closed = edge_n, edge_d, edge_closed
-    lo, hi = ival.lo, ival.hi
-    return (
-        lo_closed == ival.lo_closed
-        and hi_closed == ival.hi_closed
-        and lo_n * lo.denominator == lo.numerator * lo_d
-        and hi_n * hi.denominator == hi.numerator * hi_d
-    )
-
-
-def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
-    """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
-
-    ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
-    equal to ``a0`` cost a step in Python.
-    """
-    n = len(word)
-    while True:
-        try:
-            i = word.index(a0, i)
-        except ValueError:
-            return -1
-        if word[(i + 1) % n] == a1:
-            return i
-        i += 1
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Pass/fail of an atlas re-check, with the first counterexample if any."""
-
-    ok: bool
-    failure: Optional[str] = None
-
-
-def _fail(message: str) -> VerificationReport:
-    return VerificationReport(False, message)
-
-
 def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
     """Whether the orbit of ``start`` at ``lam`` is exactly ``word``.
 
@@ -297,119 +229,35 @@ def verify_atlas(
     probes_per_interval: int = 0,
     twin: Optional[PartitionAtlas] = None,
 ) -> VerificationReport:
-    """Re-check a computed atlas against the dynamics from scratch.
-
-    The certificate is a proof, not a sample, and it runs no orbit.  For
-    every entry ``(ival, word)`` of the body, it establishes two facts:
-
-    1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
-       bounds of `cycle_bounds`: every cyclic step inequality
-       ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
-       ``lam`` in ``ival`` (and nowhere else in the body);
-    2. ``word`` starts with ``(a0, a1)`` and holds that pair at no other
-       cyclic index.
-
-    The map is deterministic, so by (1) the orbit of ``(a0, a1)`` at any
-    ``lam`` in ``ival`` spells ``word`` cyclically, and by (2) it first
-    returns to the pair after ``len(word)`` steps: the orbit is ``word``,
-    with that minimal period, on the whole interval.  The tiling check shows
-    the entries cover the body exactly, so every orbit in the body is
-    periodic.  A cycle up to rotation has one rotation starting at the pair,
-    so distinct cycles are distinct tuples.
-
-    No entry needs a test against the earlier words.  Two entries with the
-    same word have the same solved set, so by (1) their intervals are equal;
-    but the tiling check, which runs first, admits no two equal intervals
-    (each entry's lower edge, with its closure, lies strictly above the
-    previous one's), so a repeated word already fails (1) at one of them.
-
-    The tail's first `TAIL_PIECES` windows (the one window of a constant
-    tail) pass the same checks, each against ``(-2, 2)`` and with the pair
-    held once anywhere in the cycle, so the orbit there is the cycle rotated
-    to start at the pair; the rest is the `tail` module's closed form.
-
-    ``twin``, an atlas of the swapped pair ``(a1, a0)`` that this function
-    has passed, replaces the solves: ``atlas`` is then certified as its
-    exact swap image.  The stored tail is the twin's and the pair's, the
-    body has the twin's entry count and intervals, and each word ``v``
-    satisfies ``v[::-1] == w[2:] + w[:2]`` for the twin's word ``w``: it is
-    ``w`` reversed and rotated to start at ``(a0, a1)``.  By the swap
-    theorem (see `_mirrored`) and the twin's certificate, ``v`` is then the
-    orbit of ``(a0, a1)`` on the whole interval, with the same minimal
-    period, since ``w`` holds ``(a1, a0)`` once.  The twin's tiling covers
-    this body and its tail windows were solved there, so each window's
-    cycle is only checked to hold ``(a0, a1)`` once.  The word test is
-    written apart from `_mirror_word`, so a fault in `_mirrored` cannot
-    certify itself.
+    """`certificate.certify(atlas, twin)`, then, if it passed, the probes.
 
     ``probes_per_interval`` is 0 by default, and no command sets it.  With
-    1 or more, `detect_cycle` also runs, capped at the word's length, at
-    each tail window's midpoint and at the closed endpoints and that many
-    interior points of every entry, and must return the expected word: a
-    cross-check of the solve against the dynamics that the certificate does
-    not need.
+    1 or more, `detect_cycle` runs, capped at the word's length, at each
+    checked tail window's midpoint and at the closed endpoints and that many
+    interior points of every entry, and must return the expected word.  A
+    probe can fail on a certified atlas only if the certificate is unsound,
+    so the probes change no verdict, and a rejected atlas runs none.
     """
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
+    verdict = certify(atlas, twin)
+    if not verdict.ok or not probes_per_interval:
+        return verdict
     a0, a1 = atlas.a0, atlas.a1
     start = (a0, a1)
-
-    if twin is not None and (twin.a0, twin.a1, len(twin.body)) != (a1, a0, len(atlas.body)):
-        return _fail(f"twin {twin.a0, twin.a1} with {len(twin.body)} entries is not its swap")
-    if twin is None:
-        # Tiling: the entries cover the body range exactly, in order, with
-        # complementary closures at shared endpoints (one shared Fraction in
-        # a marched atlas, so the identity test settles most of them).
-        body_range = atlas.body_range
-        if not atlas.body:
-            return _fail("empty body")
-        first, last = atlas.body[0][0], atlas.body[-1][0]
-        if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
-            return _fail(f"body starts at {first}, expected lower edge {body_range}")
-        if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
-            return _fail(f"body ends at {last}, expected upper edge {body_range}")
-        for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
-            if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
-                return _fail(f"coverage breaks between {cur} and {nxt}")
-        edge_n, edge_d, edge_closed = _edge(body_range)
-
-    # Tail: the stored tail is the pair's (and the twin's), and its first windows
-    # pass the certificate.  k_start >= 1 on a ramp tail; k == 0 is the constant one.
-    tail = tail_of(a0, a1)
-    if atlas.tail != tail or (twin is not None and twin.tail != tail):
-        return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail")
+    # the certified tail's checked windows, each cycle rotated to start at the pair
+    tail = atlas.tail
     k_start = tail.k_start or 0
     for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
-        name = f"tail cycle k={k}" if k else "constant tail cycle"
-        if twin is None and not _solves_to(cycle_bounds(cycle), *_edge(FULL_RANGE), window):
-            return _fail(f"{name} does not hold on the tail")
         i = _pair_index(cycle, a0, a1, 0)
-        if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
-            return _fail(f"initial pair not once in {name}")
-        if probes_per_interval and not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
+        if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
+            name = f"tail cycle k={k}" if k else "constant tail cycle"
             return _fail(f"{name} not re-detected")
-
-    # Body entries: the certificate above, or the twin's swap image, in integers.
-    for k, (ival, word) in enumerate(atlas.body):
-        if twin is None:
-            if not word:
-                return _fail(f"empty cycle on {ival}")
-            if not _solves_to(cycle_bounds(word), edge_n, edge_d, edge_closed, ival):
-                return _fail(f"stored interval {ival} is not the cycle's parameter set")
-            if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
-                return _fail(f"cycle on {ival} does not hold {start} at its start only")
-        else:
-            twin_ival, twin_word = twin.body[k]
-            if ival is not twin_ival and ival != twin_ival:
-                return _fail(f"stored interval {ival} is not its twin's {twin_ival}")
-            if word[::-1] != twin_word[2:] + twin_word[:2]:
-                return _fail(f"cycle on {ival} is not its twin's cycle reversed")
-        if probes_per_interval:
-            for lam in _probe_points(ival, probes_per_interval):
-                if not _probe(lam, start, word):
-                    return _fail(f"cycle on {ival} not re-detected at {lam}")
-
-    return VerificationReport(True)
+    for ival, word in atlas.body:
+        for lam in _probe_points(ival, probes_per_interval):
+            if not _probe(lam, start, word):
+                return _fail(f"cycle on {ival} not re-detected at {lam}")
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -531,12 +379,10 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     The step inequality ``0 <= z + lam*y + x < 1`` is symmetric in ``x`` and
     ``z``: ``(x, y) -> (y, z)`` exactly when ``(z, y) -> (y, x)``.  So at every
     parameter the orbit of ``(a1, a0)`` is the orbit of ``(a0, a1)`` run
-    backwards, with the same minimal period, and the body keeps its
-    intervals.  Each word ``(w0, w1, ..., w_{n-1})`` becomes its reversal
-    rotated to start at the swapped pair, ``(w1, w0, w_{n-1}, ..., w2)``.
-    The label, and so the tail, is swap-symmetric.  `sweep` verifies the
-    result all the same, as the swap image of its verified twin (see
-    ``twin`` in `verify_atlas`).
+    backwards, with the same minimal period: the body keeps its intervals,
+    and each word becomes its `_mirror_word`.  The label, and so the tail,
+    is swap-symmetric.  `sweep` verifies the result all the same, as the
+    swap image of its verified twin (``twin`` in `certificate.certify`).
     """
     body = tuple((ival, _mirror_word(word)) for ival, word in atlas.body)
     return PartitionAtlas(atlas.a1, atlas.a0, atlas.tail, body)
@@ -587,9 +433,8 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
     until it meets one a worker holds.  The first `BudgetExceeded` or
     `MarchError` in grid order propagates (with ``jobs`` above 1, once
     every pair has run), naming the marched pair of the two, with the same
-    text at any ``jobs``.  The result is deterministic
-    and independent of ``jobs``; with ``out_dir`` set, one JSON atlas per
-    pair is written as a side effect.
+    text at any ``jobs``.  The result is deterministic and independent of
+    ``jobs``; with ``out_dir`` set, one JSON atlas per pair is written.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")

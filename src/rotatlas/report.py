@@ -18,7 +18,8 @@ import os
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .dynamics import Word, _canonical
+from .constraints import Word
+from .dynamics import _canonical
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import Label, tail_of
@@ -28,13 +29,11 @@ class _LetterTexts(dict):
     """Letter value -> ``str(value)``, each text formatted once per process.
 
     Words are joined from these texts (`_LETTER_TEXT`) wherever they are
-    printed: the JSON writer, `render_atlas_table` and the command line's
+    printed: the JSON writer, `atlas_table_lines` and the command line's
     words.  A miss is filled by `__missing__`, as `dynamics._LETTERS` fills
     its letter objects.  Keys are letter values only, never words, so the
-    map stays as small as the set of letters seen: 1,722 entries after the
-    reverify benchmark's eight atlases.  With it, `atlas_to_json` of those
-    atlases (3.1 M letters) took 0.19 s instead of 0.55 s with `str` per
-    letter (best of 7, CPython 3.11, 2-vCPU VM).
+    map stays as small as the set of letters seen, and each letter is
+    formatted once rather than once per occurrence.
     """
 
     def __missing__(self, letter: int) -> str:
@@ -70,7 +69,7 @@ def render_endpoint_listing(atlas: PartitionAtlas) -> str:
 
 
 def atlas_table_lines(atlas: PartitionAtlas) -> Iterator[str]:
-    """`render_atlas_table`'s lines in order, without their newlines."""
+    """Human-oriented per-entry view of one atlas, line by line, without newlines."""
     label = atlas.tail.label
     yield (
         f"initial pair ({atlas.a0},{atlas.a1})  label s={label.s} d={label.d}"
@@ -84,11 +83,6 @@ def atlas_table_lines(atlas: PartitionAtlas) -> Iterator[str]:
     yield f"endpoints: {render_endpoint_listing(atlas)}"
     for ival, word in atlas.body:
         yield f"  {str(ival):>22}  len {len(word):>4}  ({word_text(word)})"
-
-
-def render_atlas_table(atlas: PartitionAtlas) -> str:
-    """Human-oriented per-entry view of one atlas."""
-    return "\n".join(atlas_table_lines(atlas))
 
 
 def _json_entry(ival: Interval, word: Word) -> str:

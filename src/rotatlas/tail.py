@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .dynamics import Word
+from .constraints import Word
 from .intervals import Interval
 
 

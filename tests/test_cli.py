@@ -249,4 +249,4 @@ def test_partition_streams_the_whole_text_forms(capsys, atlas, a0, a1):
     code, out, _ = run(capsys, "partition", *pair, "--json")
     assert code == 0 and out == report.atlas_to_json(at)
     code, out, _ = run(capsys, "partition", *pair)
-    assert code == 0 and out == report.render_atlas_table(at) + "\n"
+    assert code == 0 and out == "\n".join(report.atlas_table_lines(at)) + "\n"

@@ -35,3 +35,53 @@ def test_importing_the_cli_loads_no_process_pool():
     code = "import rotatlas.cli, sys; assert 'concurrent.futures' not in sys.modules"
     env = dict(os.environ, PYTHONPATH="src")
     subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent.parent, env=env, check=True)
+
+
+def _package_imports(module):
+    """The package modules that ``module`` imports anywhere outside ``if TYPE_CHECKING:``.
+
+    A name imported from the package itself (``from . import x`` where ``x``
+    is no module file, or ``import rotatlas``) counts as ``__init__``.
+    """
+    found = set()
+    todo = [ast.parse((PACKAGE / f"{module}.py").read_text(), module)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        todo += ast.iter_child_nodes(node)
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["rotatlas" if node.level else "", node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in dotted):
+            if parts[0] == "rotatlas":
+                name = parts[1] if len(parts) > 1 else "__init__"
+                found.add(name if (PACKAGE / f"{name}.py").exists() else "__init__")
+    return found
+
+
+def _reach(module):
+    """Every package module that ``module`` can load, transitively, itself included."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_package_imports(name))
+    return seen
+
+
+def test_the_certificate_reaches_no_orbit_code():
+    # A fault in the march kernel must not be able to certify itself, so the
+    # certificate runs on the solver alone.  `rotatlas/__init__.py` imports
+    # `dynamics` and `partition`, so `sys.modules` cannot show this; the
+    # imports are read from the source instead.
+    assert _reach("certificate") == {"certificate", "constraints", "intervals", "tail"}
+    assert "dynamics" not in _reach("tail")
+    # the walk does see imports: the march reaches the certificate and the orbit code
+    assert {"certificate", "dynamics"} <= _reach("partition")

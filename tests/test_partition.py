@@ -28,9 +28,10 @@ from rotatlas import (
     sweep,
     verify_atlas,
 )
-from rotatlas import partition, tail
+from rotatlas import certificate, partition, tail
+from rotatlas.certificate import _edge, _solves_to
 from rotatlas.constraints import cycle_bounds
-from rotatlas.partition import FULL_RANGE, PartitionAtlas, _edge, _mirrored, _solves_to
+from rotatlas.partition import FULL_RANGE, PartitionAtlas, _mirrored
 from rotatlas.report import atlas_from_json, atlas_to_json
 from reference import contains, parse_interval, word_is_cycle_at
 from words import rotation_equal
@@ -283,7 +284,20 @@ def test_verify_rejects_the_corruption_corpus(atlas, pair, name):
 
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_verify_rejects_the_corrupted_mirror_with_a_warm_cache(atlas, pair, name):
+def test_verify_runs_no_probe_on_a_rejected_atlas(atlas, probe_orbits, pair, name):
+    # The probes run only once the certificate has passed, so the failure is
+    # the certificate's own at any probe count, and no probe orbit runs.
+    bad = CORRUPTIONS[name](atlas(*pair))
+    failure = verify_atlas(bad).failure
+    assert failure
+    for probes in (1, 2):
+        assert verify_atlas(bad, probes_per_interval=probes).failure == failure
+        assert probe_orbits == []
+
+
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_verify_rejects_the_corrupted_mirror_against_its_twin(atlas, pair, name):
     # The mirror is checked against its verified twin, which no corruption
     # of the mirror passes either, with or without probes.
     twin = atlas(*pair)
@@ -379,7 +393,7 @@ def test_verify_probe_counts_are_pinned(atlas, probe_orbits, pair):
     [
         ((-1, -1), tail, "triangular_cycle", lambda good: lambda *args: good(*args) * 2,
          "initial pair not once in tail cycle k=1"),
-        ((1, 1), partition, "cycle_bounds", lambda good: lambda word: None,
+        ((1, 1), certificate, "cycle_bounds", lambda good: lambda word: None,
          "constant tail cycle does not hold on the tail"),
     ],
     ids=["doubled ramp cycle", "unsolved constant cycle"],
@@ -980,13 +994,13 @@ def test_sweep_marches_each_unordered_pair_once(monkeypatch, probe_orbits):
 
 def test_sweep_solves_each_marched_word_once(monkeypatch):
     solved = []
-    solve = partition.cycle_bounds
+    solve = certificate.cycle_bounds
 
     def counted_solve(word):
         solved.append(word)
         return solve(word)
 
-    monkeypatch.setattr(partition, "cycle_bounds", counted_solve)
+    monkeypatch.setattr(certificate, "cycle_bounds", counted_solve)
     assert sweep(3).all_verified
     marched = [
         word

@@ -14,8 +14,8 @@ from rotatlas import report, sweep
 from rotatlas.report import (
     atlas_from_json,
     atlas_to_json,
+    atlas_table_lines,
     emit_diagram,
-    render_atlas_table,
     render_endpoint_listing,
     render_tables,
     sweep_summary_csv,
@@ -335,7 +335,7 @@ def test_render_tables_text_and_csv():
 
 
 def test_render_atlas_table(atlas):
-    text = render_atlas_table(atlas(-1, -1))
+    text = "\n".join(atlas_table_lines(atlas(-1, -1)))
     assert "label s=0 d=1 K=1" in text
     assert "22 intervals, 11 singletons" in text
     assert "[8/5]" in text
