@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .constraints import Bounds, Word, cycle_bounds
+from .constraints import Bounds, _pair_index, cycle_bounds
 from .intervals import Interval
 from .tail import tail_of
 
@@ -55,23 +55,6 @@ def _solves_to(
     )
 
 
-def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
-    """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
-
-    ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
-    equal to ``a0`` cost a step in Python.
-    """
-    n = len(word)
-    while True:
-        try:
-            i = word.index(a0, i)
-        except ValueError:
-            return -1
-        if word[(i + 1) % n] == a1:
-            return i
-        i += 1
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Pass/fail of an atlas re-check, with the first counterexample if any."""
@@ -93,7 +76,12 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
        bounds of `cycle_bounds`: every cyclic step inequality
        ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
-       ``lam`` in ``ival`` (and nowhere else in the body);
+       ``lam`` in ``ival`` (and nowhere else in the body).  For a word
+       equal to its own reflection, `cycle_bounds` folds only the first
+       triple of each mirrored pair, in the word's order.  That is sound:
+       the reflection is verified letter by letter on the word itself, and
+       a triple and its mirror share the middle letter and the outer sum,
+       so they are one inequality, and folding the first folds both;
     2. ``word`` starts with ``(a0, a1)`` and holds that pair at no other
        cyclic index.
 

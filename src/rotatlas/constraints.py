@@ -25,6 +25,23 @@ Word = tuple[int, ...]
 Bounds = tuple[int, int, bool, int, int, bool]
 
 
+def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
+    """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
+
+    ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
+    equal to ``a0`` cost a step in Python.
+    """
+    n = len(word)
+    while True:
+        try:
+            i = word.index(a0, i)
+        except ValueError:
+            return -1
+        if word[(i + 1) % n] == a1:
+            return i
+        i += 1
+
+
 def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     """The integer bounds of a cycle word's parameter set within (-2,2).
 
@@ -42,15 +59,41 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     infeasible (a zero letter whose neighbours do not sum to 0); otherwise
     the bounds may still describe an empty set, which `make_interval`
     turns into None.
+
+    Most orbit words are their own mirror, and then half the pass is
+    enough.  With ``j`` the index of ``(b_1, b_0)`` and ``k = (j + 1) % n``,
+    the reflection ``u -> k - u (mod n)`` maps ``(b_0, b_1)`` onto it;
+    whether the word equals its reflection is decided letter by letter, by
+    one tuple comparison.  If it does, the triple at ``i`` is the triple at
+    ``k - 2 - i`` read backwards: the same middle letter and the same outer
+    sum, so the same constraint.  Folding a constraint a second time
+    changes no running bound (it is already at least that tight, with that
+    closure on a tie), so only the first triple of each mirrored pair, in
+    the original order, is folded, and the tuple returned is the full
+    pass's.  Any other word takes the full pass.
     """
     word = tuple(word)
-    if not word:
+    n = len(word)
+    if not n:
         raise ValueError("cycle words are non-empty")
+    # b_0 .. b_{n-1}, b_0, b_1: the triples' letters, cyclically
+    ext = word + word[:2] if n > 1 else word * 3
+    j = _pair_index(word, ext[1], word[0], 0)
+    k = (j + 1) % n
+    if j >= 0 and word[k::-1] + word[:k:-1] == word:
+        # triples 0..m/2, then m+1..(m+n)/2, with m = k - 2 (mod n)
+        m = (k - 2) % n
+        e, f = m // 2 + 1, (m + n) // 2 + 1
+        mids = ext[1 : e + 1] + ext[m + 2 : f + 1]
+        sums = map(add, ext[:e] + ext[m + 1 : f], ext[2 : e + 2] + ext[m + 3 : f + 2])
+    else:
+        mids = ext[1:-1]
+        sums = map(add, word, ext[2:])
     # Running lower bound as (num, den, strict), den > 0; likewise upper.
     lo_n, lo_d, lo_strict = -2, 1, True
     hi_n, hi_d, hi_strict = 2, 1, True
-    # (b_{i+1}, b_i + b_{i+2}) for every cyclic i, in order
-    for b1, a in zip(word[1:] + word[:1], map(add, word, word[2:] + word[:2])):
+    # (b_{i+1}, b_i + b_{i+2}) for the folded cyclic i, in order
+    for b1, a in zip(mids, sums):
         if b1 > 0:
             # x >= -a/b1 (weak), x < (1 - a)/b1 (strict)
             a = -a

@@ -32,19 +32,20 @@ plain ints: its words are transient.
 
 Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
 ``c(y) = -((p*y) // q)``.  Each of the two kernels runs one loop per side:
-the exact loop, that bare step with no tie test and no divergence test, is
-written once, in `_exact_orbit`, which both kernels call (so the exact
-probes run it too); the one-sided loops add 1 on the tie lines and, in
-`detect_cycle`, test the divergence certificate.  The loops the march and
-the probes run take two steps per pass, ``x = c(y) - x`` and then
-``y = c(x) - y``, testing for the start after each: no tuple swap, and
-half the loop overhead.  `detect_cycle`'s one-sided loop, which no
-workload runs, keeps one step per pass.  The loops call ``word.append``,
-which CPython 3.11 specialises, rather than a bound-method local.
+the exact loop is that bare step with no tie test and no divergence test;
+the one-sided loops add 1 on the tie lines and, in `detect_cycle`, test the
+divergence certificate.  `detect_cycle`'s exact loop, which the probes run,
+takes two steps per pass, ``x = c(y) - x`` and then ``y = c(x) - y``,
+testing for the start after each: no tuple swap, and half the loop
+overhead; its one-sided loop, which no workload runs, keeps one step per
+pass.  The march's loops, in `_arc`, take three steps per pass over three
+names, and also test each new letter against the two before it (see
+`orbit_bounds`).  The loops call ``word.append``, which CPython 3.11
+specialises, rather than a bound-method local.
 
 The one-sided step is written out in each of the two kernels,
-`detect_cycle` and `orbit_bounds`, and the word's bounds are solved a third
-time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
+`detect_cycle` and `orbit_bounds` (in `_arc`), and the word's bounds are
+solved a third time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
 - speed: the fused kernel folds the bounds once per distinct letter, where
   marching through `detect_cycle` and a separate solve pays for a second
@@ -141,27 +142,6 @@ class OrbitResult:
         return max(max(self.visited), -min(self.visited))
 
 
-def _exact_orbit(p: int, q: int, start: LatticePoint, cap: int) -> tuple[list[int], int, int]:
-    """The exact orbit of ``start`` at ``p/q``, two steps per pass: ``(word, x, y)``.
-
-    After ``cap // 2 + 1`` passes the word may be one value past the cap,
-    so callers test the cap on its length.  ``(x, y)`` is the state after
-    the word's last value, in order: ``start`` again if the orbit closed.
-    """
-    x0, y0 = x, y = start
-    word: list[int] = []
-    for _ in range(cap // 2 + 1):
-        word.append(x)
-        x = -((p * y) // q) - x
-        if y == x0 and x == y0:
-            return word, y, x
-        word.append(y)
-        y = -((p * x) // q) - y
-        if x == x0 and y == y0:
-            break
-    return word, x, y
-
-
 def detect_cycle(
     spec: ParamSpec, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
 ) -> OrbitResult:
@@ -178,13 +158,26 @@ def detect_cycle(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     p, q = spec.value.numerator, spec.value.denominator
+    x0, y0 = x, y = start
     if spec.kind == "exact":
-        word, x, y = _exact_orbit(p, q, start, cap)
+        # Two steps per pass; after ``cap // 2 + 1`` passes the word may be
+        # one value past the cap, so the cap is tested on its length.
+        # ``(x, y)`` ends as the state after the word's last value.
+        word: list[int] = []
+        for _ in range(cap // 2 + 1):
+            word.append(x)
+            x = -((p * y) // q) - x
+            if y == x0 and x == y0:
+                x, y = y, x
+                break
+            word.append(y)
+            y = -((p * x) // q) - y
+            if x == x0 and y == y0:
+                break
         if len(word) <= cap:
             # the word holds one period, from the start
             return OrbitResult("cycle", tuple(word), len(word), word)
     else:
-        x0, y0 = x, y = start
         word = []
         plus = spec.kind == "plus_zero"
         certify_divergence = plus and p == -2 * q
@@ -212,10 +205,72 @@ def _canonical(word) -> Word:
     return tuple(map(_LETTERS.__getitem__, word))
 
 
+def _arc(
+    p: int, q: int, plus: bool, x: int, y: int, limit: int
+) -> tuple[list[int], Optional[bool]]:
+    """The orbit ``w`` of ``(x, y)`` up to its return or its first axis.
+
+    The map is the one at ``p/q``, or just right of it if ``plus``.
+    Returns ``(letters, vertex)``.  On a return to ``(x, y)``, ``letters``
+    is one period and ``vertex`` None.  An axis is the first letter
+    ``w[k]``, ``k >= 2``, with ``w[k] == w[k-2]`` (a vertex: the orbit is
+    its own mirror about ``w[k-1]``) or ``w[k] == w[k-1]`` (an edge: about
+    the middle of the two); then ``letters`` is ``w[0..k-1]`` and
+    ``vertex`` tells which.  A return that is also an axis counts as the
+    return.  After ``limit // 3 + 1`` passes of three steps with neither,
+    ``letters`` has more than ``limit`` values and ``vertex`` is None.
+    """
+    x0, y0 = x, y
+    word = [x, y]
+    if plus:
+        for _ in range(limit // 3 + 1):
+            z = -((p * y) // q) - x
+            if y < 0 and y % q == 0:
+                z += 1
+            word.append(z)
+            if z == x or z == y or z == y0 and y == x0:
+                break
+            x = -((p * z) // q) - y
+            if z < 0 and z % q == 0:
+                x += 1
+            word.append(x)
+            if x == y or x == z or x == y0 and z == x0:
+                break
+            y = -((p * x) // q) - z
+            if x < 0 and x % q == 0:
+                y += 1
+            word.append(y)
+            if y == z or y == x or y == y0 and x == x0:
+                break
+        else:
+            return word, None
+    else:
+        for _ in range(limit // 3 + 1):
+            z = -((p * y) // q) - x
+            word.append(z)
+            if z == x or z == y or z == y0 and y == x0:
+                break
+            x = -((p * z) // q) - y
+            word.append(x)
+            if x == y or x == z or x == y0 and z == x0:
+                break
+            y = -((p * x) // q) - z
+            word.append(y)
+            if y == z or y == x or y == y0 and x == x0:
+                break
+        else:
+            return word, None
+    z = word.pop()
+    if z == y0 and word[-1] == x0:
+        word.pop()
+        return word, None
+    return word, z == word[-2]
+
+
 def orbit_bounds(
     lam: Fraction, plus: bool, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
 ) -> Optional[tuple[Word, Bounds, int]]:
-    """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass.
+    """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass, or half of one.
 
     The orbit runs at ``lam`` itself, or just right of it when ``plus`` is
     set, with no bound bookkeeping; once it closes, the bounds are folded,
@@ -224,30 +279,53 @@ def orbit_bounds(
     ``bounds`` in the form of `constraints.Bounds` and equal in value to
     ``cycle_bounds(word)``, or None when the orbit does not return to
     ``start`` within ``cap`` steps.  The word holds the shared letter
-    objects.
+    objects, and ``steps_used`` is its length.
+
+    The step inequality is symmetric in its outer letters, so the orbit run
+    backwards is the orbit of the swapped state: from ``(a1, a0)`` the map
+    spells ``a1, a0, w[-1], w[-2], ...``.  An orbit that reaches an axis
+    (see `_arc`) is therefore its own mirror about it, and about a second
+    axis half a period away.  So the orbit runs forward only to the first
+    axis ahead (or to its return, when it has none), and, from ``(a1,
+    a0)``, back to the first axis behind, unless ``a0 == a1`` is that axis
+    itself; the arc between the two axes is half the word, and the rest is
+    its reversal.  The backward run starts after an axis was found, so the
+    period is twice the distance between the axes, and ``cap // 2 + 2``
+    letters bound it.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     p, q = lam.numerator, lam.denominator
-    if plus:
-        x0, y0 = x, y = start
-        word: list[int] = []
-        # Two steps per pass, as in `_exact_orbit`; the word may outgrow the cap.
-        for _ in range(cap // 2 + 1):
-            word.append(x)
-            x = -((p * y) // q) - x
-            if y < 0 and y % q == 0:
-                x += 1
-            if y == x0 and x == y0:
-                break
-            word.append(y)
-            y = -((p * x) // q) - y
-            if x < 0 and x % q == 0:
-                y += 1
-            if x == x0 and y == y0:
-                break
+    a0, a1 = start
+    arc, vertex = _arc(p, q, plus, a0, a1, cap)
+    if vertex is None:
+        if len(arc) > cap:
+            return None
+        word = _canonical(arc)
     else:
-        word = _exact_orbit(p, q, start, cap)[0]
+        if a0 == a1:
+            # an edge axis between w[0] and w[1]: w[u] == w[1 - u]
+            behind, lead = 0, 2
+        else:
+            back, back_vertex = _arc(p, q, plus, a1, a0, cap // 2 + 2)
+            if back_vertex is None:
+                # no axis within half the cap behind: the period exceeds the cap
+                return None
+            # ``back`` spells a1, a0, w[-1], ..., w[-behind]
+            back.reverse()
+            del back[-2:]
+            behind, lead = len(back), back_vertex
+            back += arc
+            arc = back
+        # ``arc`` runs from the axis behind to the one ahead, w[-behind..];
+        # the word is w[0..], then ``arc`` reversed without the letters on
+        # an axis (a vertex ahead; a vertex, or w[0] and w[1], behind), then
+        # w[-behind..-1].  Built in a list, so it makes one tuple.
+        arc = list(map(_LETTERS.__getitem__, arc))
+        word = arc[behind:]
+        word += arc[-1 - vertex : lead - 1 - len(arc) : -1]
+        word += arc[:behind]
+        word = tuple(word)
     steps = len(word)
     if steps > cap:
         return None
@@ -255,7 +333,7 @@ def orbit_bounds(
     # open ambient interval (-2, 2).
     lo_n, lo_d, lo_strict = -2, 1, True
     hi_n, hi_d, hi_strict = 2, 1, True
-    for y in set(word):
+    for y in set(arc):
         # every step with middle letter y has x + z == s; y == 0 gives no bound
         s = -((p * y) // q)
         if y > 0:
@@ -276,4 +354,4 @@ def orbit_bounds(
             s -= 1
             if s * lo_d >= lo_n * d and (s * lo_d > lo_n * d or not lo_strict):
                 lo_n, lo_d, lo_strict = s, d, True
-    return _canonical(word), (lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict), steps
+    return word, (lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict), steps

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .certificate import TAIL_PIECES, VerificationReport, _fail, _pair_index, certify
-from .constraints import Bounds, Word
+from .certificate import TAIL_PIECES, VerificationReport, _fail, certify
+from .constraints import Bounds, Word, _pair_index
 from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of

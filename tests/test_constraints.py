@@ -1,12 +1,14 @@
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as F
+from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotatlas import ParamSpec, detect_cycle, interval_for_cycle
+from rotatlas import ParamSpec, constraints, detect_cycle, interval_for_cycle
 from rotatlas.constraints import cycle_bounds
 from rotatlas.intervals import make_interval
 from rotatlas.partition import _mirror_word
@@ -166,18 +168,67 @@ def test_interval_for_cycle_is_make_interval_of_cycle_bounds(word):
     assert interval_for_cycle(word) == fold_constraints(word)
 
 
+@contextmanager
+def _folded_triples():
+    """The number of triples each `cycle_bounds` call folds: one outer sum each."""
+    counts = []
+
+    def counting_add(a, b):
+        counts[-1] += 1
+        return add(a, b)
+
+    def count(word):
+        counts.append(0)
+        bounds = cycle_bounds(word)
+        return bounds, counts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constraints, "add", counting_add)
+        yield count
+
+
+def _expected_folds(word):
+    """How many triples the solve folds: half of a self-mirror word's, else all.
+
+    The mirror is taken about the first index ``j`` of ``(w1, w0)``:
+    ``u -> j + 1 - u (mod n)``.  If the word equals it, triple ``i`` and
+    triple ``j - 1 - i`` are one inequality, and one of each pair is folded.
+    """
+    n = len(word)
+    j = next((j for j in range(n) if (word[j], word[(j + 1) % n]) == (word[1 % n], word[0])), -1)
+    if j < 0 or any(word[u] != word[(j + 1 - u) % n] for u in range(n)):
+        return n
+    return sum(1 for i in range(n) if i <= (j - 1 - i) % n)
+
+
+def _self_mirror(half, shape):
+    """A word equal to its reflection, from the arc ``half`` between its two axes.
+
+    vertex/vertex and edge/edge words have even length, vertex/edge odd.
+    """
+    if shape == "vertex/vertex":
+        return half + half[-2:0:-1]
+    if shape == "edge/edge":
+        return half + half[::-1]
+    return half + half[-2::-1]
+
+
+MIRROR_SHAPES = ("vertex/vertex", "edge/edge", "vertex/edge")
+
 # Words where zero letters are common: feasible ones (b_{i+2} == -b_i
 # around each zero) are rare otherwise.
-words_with_zeros = st.lists(
-    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**4, 10**4)),
-    min_size=1,
-    max_size=12,
-)
+letters = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**4, 10**4))
+words_with_zeros = st.lists(letters, min_size=1, max_size=12)
 
 
 @given(words_with_zeros)
 def test_cycle_bounds_is_the_triple_loop(word):
-    assert cycle_bounds(word) == triple_loop_bounds(word)
+    # mostly words that are not their own mirror: the full pass
+    with _folded_triples() as count:
+        bounds, folded = count(word)
+    assert bounds == triple_loop_bounds(word)
+    if bounds is not None:
+        assert folded == _expected_folds(word)
 
 
 @given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6))
@@ -195,6 +246,54 @@ def test_cycle_bounds_is_the_triple_loop_on_every_m4_word(atlas):
             pieces = at.tail.pieces_through((at.tail.k_start or 0) + 3)
             for _, word in at.body + tuple(pieces):
                 assert cycle_bounds(word) == triple_loop_bounds(word), (a0, a1, word)
+
+
+@given(
+    st.lists(letters, min_size=1, max_size=7).map(tuple),
+    st.sampled_from(MIRROR_SHAPES),
+    st.booleans(),
+)
+def test_cycle_bounds_is_the_triple_loop_on_self_mirror_words(half, shape, doubled):
+    # Every rotation, so (w1, w0) sits at every index, n - 1 included, and
+    # the axes fall on every pair of positions.
+    word = _self_mirror(half, shape)
+    if doubled:
+        word += word
+    n = len(word)
+    with _folded_triples() as count:
+        for r in range(n):
+            rotated = word[r:] + word[:r]
+            bounds, folded = count(rotated)
+            assert bounds == triple_loop_bounds(rotated), rotated
+            if bounds is not None:
+                assert folded == _expected_folds(rotated), rotated
+                if len(set(zip(rotated, rotated[1:] + rotated[:1]))) == n:
+                    # distinct states, as in an orbit: (w1, w0) is the mirror's
+                    assert folded <= n // 2 + 1, rotated
+
+
+def test_cycle_bounds_takes_both_paths():
+    with _folded_triples() as count:
+        # each axis shape at every rotation: half of the triples, plus the
+        # ones that are their own mirror
+        for half in ((3, -1, 4, 1, -5), (2, 0, -2, 7)):
+            for shape in MIRROR_SHAPES:
+                word = _self_mirror(half, shape)
+                for r in range(len(word)):
+                    rotated = word[r:] + word[:r]
+                    bounds, folded = count(rotated)
+                    assert bounds == triple_loop_bounds(rotated)
+                    assert folded == _expected_folds(rotated) <= len(word) // 2 + 1
+        # (w1, w0) at index n - 1: the mirror is u -> -u, not about n
+        assert count((5, 2, -3, 2)) == (triple_loop_bounds((5, 2, -3, 2)), 3)
+        # n = 1, 2, 3 and a zero letter
+        assert count((4,)) == (triple_loop_bounds((4,)), 1)
+        assert count((4, -1)) == (triple_loop_bounds((4, -1)), 2)
+        assert count((2, 2, -1)) == (triple_loop_bounds((2, 2, -1)), 2)
+        assert count((1, 0, -1, 0)) == (triple_loop_bounds((1, 0, -1, 0)), 3)
+        # no mirror, or not about the first (w1, w0): the full pass
+        for word in ((1, 0, -1), (1, 2, 4, 3), (3, 1, 4, 1, 5, 9, 2, 6), (1, 1, -1, 1)):
+            assert count(word) == (triple_loop_bounds(word), len(word))
 
 
 def _bound_values(bounds):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotatlas import OrbitResult, ParamSpec, detect_cycle, make_interval
+from rotatlas import OrbitResult, ParamSpec, compute_atlas, detect_cycle, dynamics, make_interval
+from rotatlas import partition
 from rotatlas.constraints import cycle_bounds
 from rotatlas.dynamics import orbit_bounds
 from reference import step, step_inverse, word_is_cycle_at
@@ -348,6 +349,58 @@ def test_orbit_bounds_examples():
     assert orbit_bounds(F(0), False, (5, 7), cap=3) is None
     with pytest.raises(ValueError):
         orbit_bounds(F(0), False, (5, 7), cap=0)
+
+
+def test_march_runs_half_of_each_self_mirror_orbit(monkeypatch):
+    # Every march call of the pairs with m <= 3.  The letters are counted
+    # from `_arc`'s return, the start pair included in each run.
+    calls = []
+    real_arc, real_kernel = dynamics._arc, partition.orbit_bounds
+
+    def arc(*args):
+        letters, vertex = real_arc(*args)
+        calls[-1][1].append((len(letters), vertex))
+        return letters, vertex
+
+    def kernel(lam, plus, start, cap):
+        calls.append(((lam, plus, start), []))
+        return real_kernel(lam, plus, start, cap)
+
+    monkeypatch.setattr(dynamics, "_arc", arc)
+    monkeypatch.setattr(partition, "orbit_bounds", kernel)
+    for a0 in range(-3, 4):
+        for a1 in range(a0, 4):
+            compute_atlas(a0, a1)
+    monkeypatch.undo()
+    mirrors, shapes = 0, set()
+    for (lam, plus, start), runs in calls:
+        word, _, steps = orbit_bounds(lam, plus, start)
+        spec = ParamSpec("plus_zero" if plus else "exact", lam)
+        assert (word, steps) == (detect_cycle(spec, start).cycle, len(word))
+        produced = sum(length for length, _ in runs)
+        if is_cyclic_palindrome(word):
+            mirrors += 1
+            assert produced <= len(word) // 2 + 4, (lam, plus, start)
+            shapes.add(tuple(vertex for _, vertex in runs))
+        else:
+            assert produced == len(word) and len(runs) == 1, (lam, plus, start)
+    assert (len(calls), mirrors) == (1509, 1413)
+    # vertex and edge axes ahead, behind, and at the start pair (one run)
+    assert {(True, True), (False, False), (True, False), (False, True)} <= shapes
+    assert {(True,), (False,)} <= shapes
+
+
+@pytest.mark.parametrize(
+    "lam, plus, start", [(F(17, 9), False, (-3, 0)), (F(7, 5), True, (-3, -1))]
+)
+def test_orbit_bounds_on_asymmetric_march_calls(lam, plus, start):
+    # Two march calls of the pairs with m <= 7 whose cycle is not its own
+    # mirror, so no axis stops the run: the kernel runs the whole orbit.
+    word, bounds, steps = orbit_bounds(lam, plus, start)
+    reference = detect_cycle(ParamSpec("plus_zero" if plus else "exact", lam), start)
+    assert not is_cyclic_palindrome(word)
+    assert (word, steps) == (reference.cycle, reference.steps_used)
+    assert _values(bounds) == _values(cycle_bounds(reference.cycle))
 
 
 # Denominators 1..10 for plus-side ties; -199/100 fixes (m, m) for 1 <= m <= 4.
