@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 on verified success, 1 on verification failure or exhausted
-budget, 2 on usage errors.  The ROTATLAS_OUT environment variable supplies a
-default output directory for commands that write files.  Output is
-deterministic; there is no randomness anywhere in the package.
+Exit codes: 0 on verified success, 1 on verification failure, an exhausted
+budget or a failed march check (`MarchError`), 2 on usage errors.  The
+ROTATLAS_OUT environment variable supplies a default output directory for
+commands that write files.  Output is deterministic; there is no randomness
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import report
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle
 from .intervals import parse_rational
-from .partition import BudgetExceeded, compute_atlas, sweep, verify_atlas
+from .partition import BudgetExceeded, MarchError, compute_atlas, sweep, verify_atlas
 from .tail import tail_of
 
 _SIDES = {"exact": "exact", "plus": "plus_zero", "minus": "minus_zero"}
@@ -201,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 1
+    except MarchError as exc:
+        print(f"march error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,9 +120,10 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
     """The parameter interval of a cycle word within the ambient (-2,2).
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
-    None means infeasible or empty.  `dynamics.orbit_bounds` folds the
-    same bounds once per distinct letter; `certificate.certify` uses
-    `cycle_bounds` as its independent check.
+    None means infeasible or empty.  `dynamics.orbit_bounds` finds the
+    same bounds by another algorithm, a walk along the Farey sequence over
+    the word's letter set; `certificate.certify` uses `cycle_bounds` as its
+    independent check.
     """
     bounds = cycle_bounds(word)
     if bounds is None:

@@ -16,8 +16,12 @@ orbit, which yields the divergence certificate used by `detect_cycle`.
 Every step ``(x, y) -> (y, z)`` has ``x + z = ceil(-lam*y)`` (one more on
 the tie lines of the one-sided maps): the sum depends on the middle letter
 ``y`` alone.  So the step inequalities of a cycle word give one constraint
-per distinct letter, and `orbit_bounds` folds the word's bounds once per
-letter of ``set(word)`` after the orbit closes, not once per step.
+per distinct letter: at ``r = p/q`` the letter ``y`` confines the parameter
+between the fractions of denominator ``|y|`` nearest ``r``.  After the orbit
+closes, `orbit_bounds` finds the word's bounds from its letter set by a
+walk along the Farey sequence out from ``r`` (`_farey_bounds`), which stops
+at the first fraction whose denominator divides a letter, not once per
+letter or per step.
 
 `orbit_bounds` is the march kernel: it runs the exact map or the plus-side
 map (the only two the march visits) and returns the cycle word with its
@@ -47,9 +51,9 @@ The one-sided step is written out in each of the two kernels,
 `detect_cycle` and `orbit_bounds` (in `_arc`), and the word's bounds are
 solved a third time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
-- speed: the fused kernel folds the bounds once per distinct letter, where
-  marching through `detect_cycle` and a separate solve pays for a second
-  pass over the whole word;
+- speed: the fused kernel finds the bounds by a Farey walk of a few terms
+  from its letter set, where marching through `detect_cycle` and a
+  separate solve pays for a second pass over the whole word;
 - independence: `certificate.certify` re-checks the march with its own
   solve, `constraints.cycle_bounds`, runs no orbit and imports no orbit
   code, so a fault in the march kernel cannot certify itself;
@@ -267,19 +271,136 @@ def _arc(
     return word, z == word[-2]
 
 
+def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Bounds:
+    """The bounds of a cycle at ``r = p/q`` (just right of ``r`` if ``plus``) from its letters.
+
+    Equal in value and closure to ``cycle_bounds(word)`` for a cycle word
+    at ``r`` whose letter set is ``letters``, found by walking the Farey
+    sequence ``F_n``, ``n = max |y|``, from ``r`` out to each side.  ``r``
+    lies in (-2, 2), or is -2 on the plus side.
+
+    A step with middle letter ``y > 0`` confines the parameter to the cell
+    ``[k/y, (k+1)/y)``, ``k = floor(r*y)``, closed below; with ``y = -d <
+    0``, to ``((s-1)/d, s/d]``, ``s = ceil(r*d)``, closed above, where the
+    plus side takes ``s + 1`` when ``q | d``, so the cell lies right of
+    ``r``.  ``y = 0`` confines nothing.  The bounds are the largest lower
+    and the smallest upper cell end over the letters, cut to the open
+    (-2, 2); an end is closed only if every letter admits equality there.
+
+    Away from ``r``.  A cell end of ``y`` is a multiple of ``1/|y|``, so in
+    lowest terms its denominator ``b`` divides ``|y| <= n``: it is a term
+    of ``F_n``.  Conversely a term of ``F_n`` above ``r`` whose ``b``
+    divides some ``|y|`` is a multiple of ``1/|y|``, so the upper end of
+    ``y``'s cell is that term or nearer ``r``.  So the smallest upper end
+    above ``r`` is the first term of ``F_n`` above ``r`` whose
+    denominator divides a letter, and the largest lower end below ``r``
+    the first such term below it.  The letters ending their cells there
+    are exactly the multiples of ``b``; an upper end is open for a
+    positive letter and closed for a negative one, so the upper bound is
+    closed iff no positive letter is a multiple of ``b``, the lower iff no
+    negative one is.  At ±2, a term of denominator 1, the walk always
+    stops, and the bound is open.
+
+    At ``r``.  Only a letter divisible by ``q`` has a cell end at ``r``
+    itself.  On the exact side a positive one puts the lower bound at
+    ``r``, closed, and a negative one the upper bound, closed.  On the
+    plus side a positive one's cell starts at ``r`` closed and a negative
+    one's ``(r, r + 1/d]`` open, so either puts the lower bound at ``r``,
+    open iff a negative one does, and the upper bound is always walked.
+
+    The walk.  If ``q <= n``, ``r`` is a term, and its neighbour below,
+    ``a/b``, has ``p*b - q*a = 1`` and ``n - q < b <= n``, so ``b`` is the
+    largest ``b <= n`` congruent to ``p^-1`` mod ``q``; otherwise ``r``
+    lies between two consecutive terms, the last convergent and
+    semiconvergent within ``n``, from the continued-fraction loop of
+    `Fraction.limit_denominator`.  From consecutive terms ``e/f, g/h``
+    the next one on, in either direction, is ``(k*g - e)/(k*h - f)`` with
+    ``k = (n + f) // h``.  A term costs one membership test of ``±m`` per
+    multiple ``m <= n`` of its denominator: one when ``h > n/2``, as for
+    most terms near ``r``.  A sparse letter set can walk O(n) terms.
+    """
+    top, bottom = max(letters), min(letters)
+    n = top if top > -bottom else -bottom
+    if not n:
+        return -2, 1, False, 2, 1, False
+    lo = hi = None
+    if q <= n:
+        # r's neighbours in F_n: a/b below it, then c/d, the term after r
+        inv = pow(p, -1, q)
+        b = n - (n - inv) % q
+        a = (p * b - 1) // q
+        k = (n + b) // q
+        c, d = k * p - a, k * q - b
+        # each walk: (the term before, the first term)
+        down, up = (p, q, a, b), (p, q, c, d)
+        # the letters divisible by q, by sign
+        above = below = False
+        for m in range(q, n + 1, q):
+            if m in letters:
+                above = True
+            if -m in letters:
+                below = True
+        if plus:
+            if above or below:
+                lo = p, q, not below and p > -2 * q
+        else:
+            if above:
+                lo = p, q, True
+            if below:
+                hi = p, q, True
+    else:
+        # convergents e/f, g/h of r while g's denominator stays within n;
+        # r lies between g/h and the semiconvergent a/b
+        e, f, g, h = 0, 1, 1, 0
+        num, den = p, q
+        while True:
+            k = num // den
+            t = f + k * h
+            if t > n:
+                break
+            e, f, g, h = g, h, e + k * g, t
+            num, den = den, num - k * den
+        k = (n - f) // h
+        a, b, c, d = e + k * g, f + k * h, g, h
+        if c * q < p * d:
+            a, b, c, d = c, d, a, b
+        down, up = (c, d, a, b), (a, b, c, d)
+    bounds = ()
+    # Letters of ``sign`` open the bound they end on, the others close it:
+    # ``hit`` is 2 if a multiple of h is a letter of that sign, 1 if only
+    # of the other.
+    for end, (e, f, g, h), sign in ((lo, down, -1), (hi, up, 1)):
+        if end is None:
+            while True:
+                hit = 0
+                for m in range(h, n + 1, h):
+                    if sign * m in letters:
+                        hit = 2
+                        break
+                    if -sign * m in letters:
+                        hit = 1
+                if hit:
+                    break
+                k = (n + f) // h
+                e, f, g, h = g, h, k * g - e, k * h - f
+            end = g, h, hit == 1 and -2 * h < g < 2 * h
+        bounds += end
+    return bounds
+
+
 def orbit_bounds(
     lam: Fraction, plus: bool, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
 ) -> Optional[tuple[Word, Bounds, int]]:
     """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass, or half of one.
 
     The orbit runs at ``lam`` itself, or just right of it when ``plus`` is
-    set, with no bound bookkeeping; once it closes, the bounds are folded,
-    by integer cross-multiplication, once per distinct letter (see the
-    module docstring).  Returns ``(word, bounds, steps_used)``, with
-    ``bounds`` in the form of `constraints.Bounds` and equal in value to
-    ``cycle_bounds(word)``, or None when the orbit does not return to
-    ``start`` within ``cap`` steps.  The word holds the shared letter
-    objects, and ``steps_used`` is its length.
+    set, with no bound bookkeeping; once it closes, `_farey_bounds` finds
+    the bounds from the set of its letters.  Returns ``(word, bounds,
+    steps_used)``, with ``bounds`` in the form of `constraints.Bounds`, in
+    lowest terms, and equal in value and closure to ``cycle_bounds(word)``,
+    or None when the orbit does not return to ``start`` within ``cap``
+    steps.  The word holds the shared letter objects, and ``steps_used``
+    is its length.
 
     The step inequality is symmetric in its outer letters, so the orbit run
     backwards is the orbit of the swapped state: from ``(a1, a0)`` the map
@@ -329,29 +450,4 @@ def orbit_bounds(
     steps = len(word)
     if steps > cap:
         return None
-    # Running bounds as (num, den, strict) with den > 0, starting from the
-    # open ambient interval (-2, 2).
-    lo_n, lo_d, lo_strict = -2, 1, True
-    hi_n, hi_d, hi_strict = 2, 1, True
-    for y in set(arc):
-        # every step with middle letter y has x + z == s; y == 0 gives no bound
-        s = -((p * y) // q)
-        if y > 0:
-            # lam >= -s/y (weak), lam < (1 - s)/y (strict)
-            a = -s
-            if a * lo_d > lo_n * y:
-                lo_n, lo_d, lo_strict = a, y, False
-            a += 1
-            if a * hi_d <= hi_n * y and (a * hi_d < hi_n * y or not hi_strict):
-                hi_n, hi_d, hi_strict = a, y, True
-        elif y < 0:
-            if plus and y % q == 0:
-                s += 1
-            # lam <= s/-y (weak), lam > (s - 1)/-y (strict)
-            d = -y
-            if s * hi_d < hi_n * d:
-                hi_n, hi_d, hi_strict = s, d, False
-            s -= 1
-            if s * lo_d >= lo_n * d and (s * lo_d > lo_n * d or not lo_strict):
-                lo_n, lo_d, lo_strict = s, d, True
-    return word, (lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict), steps
+    return word, _farey_bounds(p, q, plus, set(arc)), steps

@@ -3,8 +3,8 @@
 The package's orbit loops inline the step map and its verifier solves whole
 words in integers; these are the plain, one-step-at-a-time definitions, plus
 the textual interval parser and membership test that tests use to state
-expected intervals, the triple-loop word solve and the SVG coordinate on
-exact Fractions.
+expected intervals, the triple-loop word solve, the per-letter fold of a
+word's bounds and the SVG coordinate on exact Fractions.
 """
 
 from fractions import Fraction
@@ -110,6 +110,39 @@ def cycle_bounds(word):
             cmp = (a_n - 1) * lo_d - lo_n * d
             if cmp > 0 or (cmp == 0 and not lo_strict):
                 lo_n, lo_d, lo_strict = a_n - 1, d, True
+    return lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict
+
+
+def letter_bounds(p, q, plus, letters):
+    """The bounds `rotatlas.dynamics._farey_bounds` is checked against: one fold per letter.
+
+    Every step with middle letter ``y`` has outer sum ``s = -((p*y) // q)``
+    at ``p/q`` (one more for ``y < 0`` with ``q | y`` just right of it), so
+    each distinct letter gives one constraint, folded into the running
+    bounds as in `cycle_bounds`; ``y == 0`` gives none.
+    """
+    lo_n, lo_d, lo_strict = -2, 1, True
+    hi_n, hi_d, hi_strict = 2, 1, True
+    for y in letters:
+        s = -((p * y) // q)
+        if y > 0:
+            # lam >= -s/y (weak), lam < (1 - s)/y (strict)
+            a = -s
+            if a * lo_d > lo_n * y:
+                lo_n, lo_d, lo_strict = a, y, False
+            a += 1
+            if a * hi_d <= hi_n * y and (a * hi_d < hi_n * y or not hi_strict):
+                hi_n, hi_d, hi_strict = a, y, True
+        elif y < 0:
+            if plus and y % q == 0:
+                s += 1
+            # lam <= s/-y (weak), lam > (s - 1)/-y (strict)
+            d = -y
+            if s * hi_d < hi_n * d:
+                hi_n, hi_d, hi_strict = s, d, False
+            s -= 1
+            if s * lo_d >= lo_n * d and (s * lo_d > lo_n * d or not lo_strict):
+                lo_n, lo_d, lo_strict = s, d, True
     return lo_n, lo_d, not lo_strict, hi_n, hi_d, not hi_strict
 
 

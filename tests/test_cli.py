@@ -224,6 +224,45 @@ def test_exhausted_budget_exits_one_without_a_traceback(capfd, monkeypatch, argv
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--a0", "1", "--a1", "2"),
+        ("diagram", "--a0", "1", "--a1", "2"),
+        ("sweep", "--max-m", "2", "--jobs", "1"),
+        pytest.param(
+            ("sweep", "--max-m", "2", "--jobs", "2"),
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="pool workers must inherit the patched kernel",
+            ),
+        ),
+    ],
+    ids=["partition", "diagram", "sweep-jobs-1", "sweep-jobs-2"],
+)
+def test_march_error_exits_one_without_a_traceback(capfd, monkeypatch, argv):
+    # a broken kernel: every solved interval starts with the wrong closure
+    good = partition.orbit_bounds
+
+    def broken(lam, plus, start, cap):
+        word, (lo_n, lo_d, lo_closed, *hi), steps = good(lam, plus, start, cap)
+        return word, (lo_n, lo_d, not lo_closed, *hi), steps
+
+    monkeypatch.setattr(partition, "orbit_bounds", broken)
+    with pytest.raises(partition.MarchError) as exc:
+        partition.compute_atlas(1, 2)
+    code, out, err = run(capfd, *argv)
+    assert code == 1 and out == ""
+    if argv[0] != "sweep":
+        assert err == f"march error: {exc.value}\n"
+    assert re.fullmatch(
+        r"march error: march for \(-?\d+, -?\d+\) at -?\d+(/\d+)? \((exact|plus_zero)\) "
+        r"solved bounds \(.*\), which do not start (closed|open) there\n",
+        err,
+    )
+    assert "Traceback" not in err
+
+
 def test_out_of_range_parameter_exits_two(capsys):
     # side/value combinations rejected by the parameter model
     code = main(["orbit", "--a0", "0", "--a1", "1", "--lambda", "2", "--side", "plus"])

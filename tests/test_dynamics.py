@@ -3,14 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotatlas import OrbitResult, ParamSpec, compute_atlas, detect_cycle, dynamics, make_interval
 from rotatlas import partition
 from rotatlas.constraints import cycle_bounds
 from rotatlas.dynamics import orbit_bounds
-from reference import step, step_inverse, word_is_cycle_at
+from reference import letter_bounds, step, step_inverse, word_is_cycle_at
 from words import is_cyclic_palindrome, rotation_equal
 
 # one-sided boundary specializations: always-periodic at 2-0, blow-up at -2+0
@@ -328,6 +328,56 @@ def test_orbit_bounds_is_one_pass_of_detect_cycle_and_cycle_bounds(spec, start):
     assert point == start
 
 
+@st.composite
+def farey_cases(draw):
+    """``(p, q, plus, letters)``: a point of (-2, 2), or -2 if ``plus``, and a letter set.
+
+    ``q`` is 1, small or large, so it lies at, below and above ``n = max
+    |y|``; the letter sets run from one letter to dense, with 0 among the
+    values, and often hold multiples of ``q`` of either sign.
+    """
+    q = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(13, 400)))
+    plus = draw(st.booleans())
+    r = F(draw(st.integers(-2 * q if plus else -2 * q + 1, 2 * q - 1)), q)
+    n = draw(st.sampled_from((1, 2, 3, 7, 30, 150)))
+    size = draw(st.sampled_from((1, 2, 3, 8, 40)))
+    letters = draw(st.sets(st.integers(-n, n), min_size=1, max_size=size))
+    letters |= draw(st.sets(st.integers(-3, 3).map(lambda k: k * r.denominator), max_size=2))
+    return r.numerator, r.denominator, plus, letters
+
+
+@settings(max_examples=400, deadline=None)
+@given(farey_cases())
+# all letters 0; walks that reach 2 and -2; -2 itself on the plus side;
+# a sparse set with q > n; q | y with both signs at r, on each side
+@example((1, 3, False, {0}))
+@example((3, 2, False, {1, -1}))
+@example((-3, 2, True, {0, -1}))
+@example((-2, 1, True, {2, 3}))
+@example((7, 400, True, {150}))
+@example((1, 3, False, {3, -6, 5}))
+@example((1, 3, True, {3, -6, 5}))
+def test_farey_bounds_equal_the_per_letter_fold(case):
+    p, q, plus, letters = case
+    assert _values(dynamics._farey_bounds(p, q, plus, letters)) == _values(
+        letter_bounds(p, q, plus, letters)
+    )
+
+
+def test_farey_bounds_examples():
+    r = F(3, 2)
+    # the letter 1 alone: the walks stop at the integers next to r, and at
+    # 2 or -2 the bound is open whatever the letter's sign
+    assert _values(dynamics._farey_bounds(3, 2, False, {1})) == (F(1), True, F(2), False)
+    assert _values(dynamics._farey_bounds(-3, 2, True, {-1})) == (F(-2), False, F(-1), True)
+    # q | y at r: exact, a positive letter closes below and a negative above
+    assert _values(dynamics._farey_bounds(3, 2, False, {2, -4})) == (r, True, r, True)
+    # plus side: a negative one opens the bound at r, a positive one alone closes it
+    assert _values(dynamics._farey_bounds(3, 2, True, {2, -4}))[:2] == (r, False)
+    assert _values(dynamics._farey_bounds(3, 2, True, {2, 5}))[:2] == (r, True)
+    assert dynamics._farey_bounds(3, 2, True, {0}) == (-2, 1, False, 2, 1, False)
+
+
 @settings(deadline=None)
 @given(march_specs, pairs, st.integers(1, 40))
 def test_orbit_bounds_cap_agrees_with_detect_cycle(spec, start, cap):
@@ -422,9 +472,10 @@ def _walk(spec, start, steps):
     return values, period
 
 
-def test_two_step_loops_at_every_cap_edge():
-    # Both orbit kernels advance two steps per pass; caps just below, at and
-    # just above the period put the return on either half of a pass.
+def test_orbit_loops_at_every_cap_edge():
+    # `detect_cycle`'s exact loop takes two steps per pass and the march's
+    # `_arc` three; caps just below, at and just above the period put the
+    # return at different points of a pass.
     periods = set()
     for lam in EDGE_LAMBDAS:
         for start in itertools.product(range(-4, 5), repeat=2):
