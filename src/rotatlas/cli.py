@@ -127,11 +127,16 @@ def _cmd_cycle_interval(args) -> int:
 def _cmd_tail(args) -> int:
     tail = tail_of(args.a0, args.a1)
     label = tail.label
-    print(f"label: s={label.s} d={label.d}" + (f" K={label.K}" if label.K is not None else ""))
-    print(f"tail interval: {tail.interval}")
     k_max = 0
     if label.d > 0:
         k_max = args.k_max if args.k_max is not None else tail.k_start + 4
+        if k_max < tail.k_start:
+            raise ValueError(
+                f"--k-max {k_max} is below the first window index {tail.k_start} "
+                f"of ({args.a0},{args.a1})"
+            )
+    print(f"label: s={label.s} d={label.d}" + (f" K={label.K}" if label.K is not None else ""))
+    print(f"tail interval: {tail.interval}")
     for window, word in tail.pieces_through(k_max):
         print(f"  {str(window):>22} -> {_word_text(word)}")
     return 0

@@ -3,8 +3,8 @@
 Endpoints are `fractions.Fraction` throughout; nothing in this module (or in
 the rest of the package) ever rounds.  Closure is tracked separately for each
 endpoint because the parameter partitions we manipulate mix open, closed,
-half-open and singleton intervals, and intersection at a boundary point has
-to be decided exactly.
+half-open and singleton intervals, and which interval owns a boundary point
+has to be decided exactly.
 
 The canonical textual form every emitter in the package writes: rationals
 render as ``p/q`` (plain ``n`` for integers), intervals as ``[lo,hi]`` /
@@ -26,17 +26,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-def _lo_key(value: Fraction, closed: bool) -> tuple[Fraction, int]:
-    # Position of an interval's infimum on the (value, side) scale:
-    # (v, 0) includes v itself, (v, 1) starts just after it.
-    return (value, 0 if closed else 1)
-
-
-def _hi_key(value: Fraction, closed: bool) -> tuple[Fraction, int]:
-    # Position of the supremum: (v, 0) includes v, (v, -1) ends just before it.
-    return (value, 0 if closed else -1)
 
 
 @dataclass(frozen=True)
@@ -78,12 +67,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         """The arithmetic mean of the endpoints (the point itself for a singleton)."""
         return (self.lo + self.hi) / 2
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """Set intersection with exact endpoint closure; None if empty."""
-        lo_k = max(_lo_key(self.lo, self.lo_closed), _lo_key(other.lo, other.lo_closed))
-        hi_k = min(_hi_key(self.hi, self.hi_closed), _hi_key(other.hi, other.hi_closed))
-        return make_interval(lo_k[0], lo_k[1] == 0, hi_k[0], hi_k[1] == 0)
 
     def __str__(self) -> str:
         if self.is_singleton:

@@ -119,18 +119,6 @@ class PartitionAtlas:
         lo = -2 + Fraction(1, label.s + label.K * label.d)
         return Interval(lo, Fraction(2), True, False)
 
-    def table_body(self) -> tuple[tuple[Interval, Word], ...]:
-        """Body entries clipped to `table_range`; identical to body for most pairs."""
-        rng = self.table_range
-        if rng == self.body_range:
-            return self.body
-        out = []
-        for ival, word in self.body:
-            clipped = ival.intersect(rng)
-            if clipped is not None:
-                out.append((clipped, word))
-        return tuple(out)
-
     @property
     def interval_count(self) -> int:
         return len(self.body)
@@ -347,8 +335,25 @@ class SweepReport:
 
 
 def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> PointSummary:
-    """Statistics over the table body (the range the reference tables count)."""
-    entries = atlas.table_body()
+    """Statistics over the table body (the range the reference tables count).
+
+    That is the body cut at `table_range`'s closed lower edge ``c``, which
+    lies right of the body's when the occurrence index exceeds K.  The
+    body tiles its range in order, so one pass cuts it: entries that end
+    below ``c``, or open at it, are dropped; the first kept entry, if it
+    starts below ``c``, is clipped to start there, closed (one that ends
+    closed at ``c`` becomes the singleton ``[c]``); the rest count as
+    they are, an entry starting open at ``c`` included.
+    """
+    entries = atlas.body
+    cut = atlas.table_range.lo
+    if cut > entries[0][0].lo:
+        for i, (first, word) in enumerate(entries):
+            if first.hi > cut or (first.hi_closed and first.hi == cut):
+                break
+        if first.lo < cut:
+            first = Interval(cut, first.hi, True, first.hi_closed)
+        entries = ((first, word),) + entries[i + 1 :]
     longest_interval, longest_word = max(entries, key=lambda entry: len(entry[1]))
     return PointSummary(
         a0=atlas.a0,

@@ -2,14 +2,14 @@
 
 The package's orbit loops inline the step map and its verifier solves whole
 words in integers; these are the plain, one-step-at-a-time definitions, plus
-the textual interval parser and membership test that tests use to state
-expected intervals, the triple-loop word solve, the per-letter fold of a
-word's bounds and the SVG coordinate on exact Fractions.
+the textual interval parser, membership test and set intersection that
+tests use to state expected intervals, the triple-loop word solve, the
+per-letter fold of a word's bounds and the SVG coordinate on exact Fractions.
 """
 
 from fractions import Fraction
 
-from rotatlas import Interval, ParamSpec, parse_rational
+from rotatlas import Interval, ParamSpec, make_interval, parse_rational
 
 
 def step(spec: ParamSpec, point):
@@ -59,6 +59,18 @@ def contains(ival: Interval, r) -> bool:
     above = ival.lo < r or (ival.lo_closed and ival.lo == r)
     below = r < ival.hi or (ival.hi_closed and r == ival.hi)
     return above and below
+
+
+def intersect(a: Interval, b: Interval):
+    """The set intersection of ``a`` and ``b`` with exact closure, or None if empty.
+
+    Each end is placed on a (value, side) scale: a lower end at ``(v, 0)``
+    includes ``v``, at ``(v, 1)`` starts just after it; an upper end at
+    ``(v, 0)`` includes ``v``, at ``(v, -1)`` ends just before it.
+    """
+    lo = max((a.lo, 0 if a.lo_closed else 1), (b.lo, 0 if b.lo_closed else 1))
+    hi = min((a.hi, 0 if a.hi_closed else -1), (b.hi, 0 if b.hi_closed else -1))
+    return make_interval(lo[0], lo[1] == 0, hi[0], hi[1] == 0)
 
 
 def parse_interval(text: str) -> Interval:

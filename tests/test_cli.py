@@ -66,6 +66,17 @@ def test_tail_command(capsys):
 def test_tail_constant_case(capsys):
     code, out, _ = run(capsys, "tail", "--a0", "1", "--a1", "1")
     assert code == 0 and "(-2,-1) -> (1)" in out
+    # a constant tail has no window index for --k-max to bound
+    assert run(capsys, "tail", "--a0", "1", "--a1", "1", "--k-max", "-3") == (code, out, "")
+
+
+@pytest.mark.parametrize("k_max", ["1", "4", "-3"])
+def test_tail_k_max_below_the_first_window_exits_two(capsys, k_max):
+    code, out, err = run(capsys, "tail", "--a0", "3", "--a1", "-5", "--k-max", k_max)
+    assert code == 2 and out == ""
+    assert err == f"error: --k-max {k_max} is below the first window index 5 of (3,-5)\n"
+    code, out, _ = run(capsys, "tail", "--a0", "3", "--a1", "-5", "--k-max", "5")
+    assert code == 0 and "label: s=3 d=8 K=5" in out and len(out.splitlines()) == 3
 
 
 def test_partition_table(capsys):

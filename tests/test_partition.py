@@ -29,11 +29,11 @@ from rotatlas import (
     verify_atlas,
 )
 from rotatlas import certificate, partition, tail
-from rotatlas.certificate import _edge, _solves_to
+from rotatlas.certificate import VerificationReport, _edge, _solves_to
 from rotatlas.constraints import cycle_bounds
 from rotatlas.partition import FULL_RANGE, PartitionAtlas, _mirrored
 from rotatlas.report import atlas_from_json, atlas_to_json
-from reference import contains, parse_interval, word_is_cycle_at
+from reference import contains, intersect, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -121,8 +121,7 @@ def test_deferred_occurrence_pair_has_wider_body(atlas):
     at = atlas(2, 3)
     assert at.body_range == parse_interval("[-3/2,2)")
     assert at.table_range == parse_interval("[-1,2)")
-    table = at.table_body()
-    assert len(table) < at.interval_count
+    assert summarize_atlas(at, verify_atlas(at)).intervals < at.interval_count
     assert entry_map(at)["[-4/3,-1)"] == (2, 3, 2, 0, -2, -2, 0)
     assert verify_atlas(at, probes_per_interval=2).ok
 
@@ -523,7 +522,7 @@ def _near(data, ival):
 def test_integer_certificate_matches_the_interval_check(word, data):
     exact = interval_for_cycle(word)
     body = _body(data, exact)
-    solved = exact.intersect(body) if exact is not None else None
+    solved = intersect(exact, body) if exact is not None else None
     lo, hi = data.draw(rationals), data.draw(rationals)
     candidates = [make_interval(lo, data.draw(st.booleans()), hi, data.draw(st.booleans()))]
     if solved is not None:
@@ -872,6 +871,56 @@ def test_summary_statistics(atlas):
     assert summary.avg_len == F(summary.total_len, 22)
 
 
+def _oracle_table(at):
+    """The table statistics of ``at`` from its body intersected with `table_range`."""
+    entries = [(intersect(ival, at.table_range), word) for ival, word in at.body]
+    entries = [(ival, word) for ival, word in entries if ival is not None]
+    longest, _ = max(entries, key=lambda entry: len(entry[1]))
+    singletons = sum(1 for ival, _ in entries if ival.is_singleton)
+    return len(entries), singletons, str(longest), sum(len(word) for _, word in entries)
+
+
+def _table(summary):
+    return summary.intervals, summary.singletons, summary.max_len_interval, summary.total_len
+
+
+def test_summary_cuts_every_deferred_pair_as_the_intersection_does(atlas):
+    grid = [(a0, a1) for a0 in range(-8, 9) for a1 in range(-8, 9)]
+    ranges = {pair: PartitionAtlas(*pair, tail.tail_of(*pair), ()) for pair in grid}
+    cut = [pair for pair, at in ranges.items() if at.table_range != at.body_range]
+    assert len(cut) == 16
+    verdict = VerificationReport(True)
+    for pair in cut:
+        at = atlas(*pair)
+        assert _table(summarize_atlas(at, verdict)) == _oracle_table(at)
+    summary = summarize_atlas(atlas(5, 7), verdict)
+    assert (summary.intervals, summary.singletons) == (524, 208)
+
+
+# bodies over [-3/2,2), which the tail of (2, 3) cuts at -1; "*" marks the longest word
+@pytest.mark.parametrize(
+    "body, table",
+    [
+        # dropped whole, dropped open at the cut, kept from the cut
+        (["[-3/2,-4/3)", "[-4/3,-1)", "[-1,2)*"], (1, 0, "[-1,2)")),
+        # closed at the cut: clipped to the singleton
+        (["[-3/2,-4/3)", "[-4/3,-1]*", "(-1,2)"], (2, 1, "[-1]")),
+        # starting open at the cut: kept as it is
+        (["[-3/2,-4/3)", "[-4/3,-1]", "(-1,2)*"], (2, 1, "(-1,2)")),
+        # straddling the cut: clipped to start there, closed
+        (["[-3/2,-4/3]", "(-4/3,0)*", "[0,2)"], (2, 0, "[-1,0)")),
+        (["[-3/2,-4/3]", "(-4/3,2)*"], (1, 0, "[-1,2)")),
+    ],
+)
+def test_summary_cuts_each_kind_of_entry_as_the_intersection_does(atlas, body, table):
+    words = [(1,) * (3 if text.endswith("*") else 2) for text in body]
+    entries = tuple((parse_interval(text.rstrip("*")), word) for text, word in zip(body, words))
+    at = dataclasses.replace(atlas(2, 3), body=entries)
+    summary = summarize_atlas(at, VerificationReport(True))
+    assert _table(summary) == _oracle_table(at)
+    assert _table(summary)[:3] == table
+
+
 def test_sweep_shell_aggregates():
     rep = sweep(1)
     assert rep.all_verified
@@ -901,6 +950,16 @@ def test_mirror_is_the_marched_swapped_pair(atlas):
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             assert _mirrored(atlas(a0, a1)) == atlas(a1, a0)
+
+
+def test_march_and_mirror_share_their_interval_objects(atlas):
+    # the certificate's tiling and twin checks take their `is` path on these
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            body = atlas(a0, a1).body
+            assert all(cur.hi is nxt.lo for (cur, _), (nxt, _) in zip(body, body[1:]))
+            mirror = _mirrored(atlas(a0, a1)).body
+            assert all(ival is twin for (ival, _), (twin, _) in zip(mirror, body, strict=True))
 
 
 def test_words_share_one_object_per_letter_value(atlas):
