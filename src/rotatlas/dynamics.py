@@ -2,10 +2,15 @@
 
 The exact map with rotation parameter ``lam = p/q`` sends ``(x, y)`` to
 ``(y, z)`` where ``z`` is the unique integer with ``0 <= z + lam*y + x < 1``,
-i.e. ``z = ceil(-lam*y - x)``.  The one-sided variants realize the pointwise
-limits ``lam -> p/q + 0`` and ``lam -> p/q - 0``: they add 1 to the ceiling
-exactly on the lattice lines where the tie would flip, namely ``q | y`` with
-``y < 0`` (plus side) or ``y > 0`` (minus side).
+i.e. ``z = ceil(-lam*y - x)``.  Because ``x`` is an integer, that is
+``c(y) - x`` with ``c(y) = -((p*y) // q)``.  The one-sided variants realize
+the pointwise limits ``lam -> p/q + 0`` and ``lam -> p/q - 0``.  Just right
+of ``p/q``, a letter ``y < 0`` lifts ``-lam*y`` by an infinitesimal, and
+``ceil(v + 0) = floor(v) + 1`` for every ``v``: so the plus step is
+``floor(-p*y/q) + 1 - x`` for ``y < 0``, and the exact step otherwise.  The
+minus step is the same for ``y > 0``.  Both differ from the exact step only
+on the tie lines ``q | y``, yet no loop tests divisibility: the closed form
+holds on every line.
 
 The boundary specializations are the interesting extremes: ``minus_zero`` at
 2 is the always-periodic map whose cycles are cyclic palindromes, and
@@ -34,22 +39,18 @@ object of its own, about three times the memory.  A mirrored word is a
 slice of its twin, so it shares the objects too.  `detect_cycle` keeps
 plain ints: its words are transient.
 
-Because ``x`` is an integer, ``ceil(-lam*y - x) = c(y) - x`` with
-``c(y) = -((p*y) // q)``.  Each of the two kernels runs one loop per side:
-the exact loop is that bare step with no tie test and no divergence test;
-the one-sided loops add 1 on the tie lines and, in `detect_cycle`, test the
-divergence certificate.  `detect_cycle`'s exact loop, which the probes run,
-takes two steps per pass, ``x = c(y) - x`` and then ``y = c(x) - y``,
-testing for the start after each: no tuple swap, and half the loop
-overhead; its one-sided loop, which no workload runs, keeps one step per
-pass.  The march's loops, in `_arc`, take three steps per pass over three
-names, and also test each new letter against the two before it (see
-`orbit_bounds`).  The loops call ``word.append``, which CPython 3.11
-specialises, rather than a bound-method local.
+`detect_cycle`'s exact loop, which the probes run, takes two steps per
+pass, ``x = c(y) - x`` and then ``y = c(x) - y``, testing for the start
+after each; its one-sided loop takes one step per pass and also tests the
+divergence certificate.  The march's one loop, in `_arc`, serves both of
+its maps: three steps per pass over three names, each new letter tested
+against the two before it (see `orbit_bounds`).  The loops call
+``word.append``, which CPython 3.11 specialises, rather than a
+bound-method local.
 
-The one-sided step is written out in each of the two kernels,
-`detect_cycle` and `orbit_bounds` (in `_arc`), and the word's bounds are
-solved a third time by `constraints.cycle_bounds`.  The three are kept apart on purpose:
+The step is written out in each of the two kernels, `detect_cycle` and
+`orbit_bounds` (in `_arc`), and the word's bounds are solved a third time
+by `constraints.cycle_bounds`.  The three are kept apart on purpose:
 
 - speed: the fused kernel finds the bounds by a Farey walk of a few terms
   from its letter set, where marching through `detect_cycle` and a
@@ -185,14 +186,16 @@ def detect_cycle(
         word = []
         plus = spec.kind == "plus_zero"
         certify_divergence = plus and p == -2 * q
+        m = -p
         for steps in range(cap):
             if certify_divergence and x - y < 0:
                 word += (x, y)
                 return OrbitResult("diverged", None, steps, word)
             word.append(x)
-            z = -((p * y) // q) - x
-            if y % q == 0 and (y < 0 if plus else y > 0):
-                z += 1
+            if y < 0 if plus else y > 0:
+                z = (m * y) // q + 1 - x
+            else:
+                z = -((p * y) // q) - x
             x, y = y, z
             if x == x0 and y == y0:
                 return OrbitResult("cycle", tuple(word), steps + 1, word)
@@ -214,7 +217,12 @@ def _arc(
 ) -> tuple[list[int], Optional[bool]]:
     """The orbit ``w`` of ``(x, y)`` up to its return or its first axis.
 
-    The map is the one at ``p/q``, or just right of it if ``plus``.
+    The map is the one at ``p/q``, or just right of it if ``plus``: the
+    step is ``c(y) - x`` with ``c(y) = -((p*y) // q)``, except that the
+    plus side steps by ``(-p*y) // q + 1 - x`` for ``y < 0`` (see the
+    module docstring).  ``-p`` is bound once, so the exact side pays one
+    test of a local bool per step.
+
     Returns ``(letters, vertex)``.  On a return to ``(x, y)``, ``letters``
     is one period and ``vertex`` None.  An axis is the first letter
     ``w[k]``, ``k >= 2``, with ``w[k] == w[k-2]`` (a vertex: the orbit is
@@ -225,45 +233,23 @@ def _arc(
     ``letters`` has more than ``limit`` values and ``vertex`` is None.
     """
     x0, y0 = x, y
+    m = -p
     word = [x, y]
-    if plus:
-        for _ in range(limit // 3 + 1):
-            z = -((p * y) // q) - x
-            if y < 0 and y % q == 0:
-                z += 1
-            word.append(z)
-            if z == x or z == y or z == y0 and y == x0:
-                break
-            x = -((p * z) // q) - y
-            if z < 0 and z % q == 0:
-                x += 1
-            word.append(x)
-            if x == y or x == z or x == y0 and z == x0:
-                break
-            y = -((p * x) // q) - z
-            if x < 0 and x % q == 0:
-                y += 1
-            word.append(y)
-            if y == z or y == x or y == y0 and x == x0:
-                break
-        else:
-            return word, None
+    for _ in range(limit // 3 + 1):
+        z = (m * y) // q + 1 - x if plus and y < 0 else -((p * y) // q) - x
+        word.append(z)
+        if z == x or z == y or z == y0 and y == x0:
+            break
+        x = (m * z) // q + 1 - y if plus and z < 0 else -((p * z) // q) - y
+        word.append(x)
+        if x == y or x == z or x == y0 and z == x0:
+            break
+        y = (m * x) // q + 1 - z if plus and x < 0 else -((p * x) // q) - z
+        word.append(y)
+        if y == z or y == x or y == y0 and x == x0:
+            break
     else:
-        for _ in range(limit // 3 + 1):
-            z = -((p * y) // q) - x
-            word.append(z)
-            if z == x or z == y or z == y0 and y == x0:
-                break
-            x = -((p * z) // q) - y
-            word.append(x)
-            if x == y or x == z or x == y0 and z == x0:
-                break
-            y = -((p * x) // q) - z
-            word.append(y)
-            if y == z or y == x or y == y0 and x == x0:
-                break
-        else:
-            return word, None
+        return word, None
     z = word.pop()
     if z == y0 and word[-1] == x0:
         word.pop()

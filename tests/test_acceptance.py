@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 All arithmetic is exact, so comparisons are equalities unless a tolerance is
-stated.  The two long sweeps (first-table rows for m = 6..10 and the full
-re-verification up to m = 10) form the extended suite; enable them with
-ROTATLAS_EXTENDED=1.  Run with -s to see the per-criterion lines.
+stated.  The long checks (first-table rows for m = 6..10, the full
+re-verification up to m = 10 and the per-pair atlas digests up to m = 10)
+form the extended suite; enable them with ROTATLAS_EXTENDED=1.  Run with -s to see the per-criterion lines.
 """
 
+import hashlib
 import os
 import random
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ import pytest
 
 from rotatlas import (
     ParamSpec,
+    compute_atlas,
     detect_cycle,
     interval_for_cycle,
     sweep,
@@ -22,7 +24,7 @@ from rotatlas import (
     triangular_cycle,
     z_interval,
 )
-from rotatlas.report import render_endpoint_listing
+from rotatlas.report import atlas_to_json, render_endpoint_listing
 from reference import contains, step, step_inverse
 from words import is_cyclic_palindrome, rotation_equal
 
@@ -126,6 +128,21 @@ def test_criterion_4_small_theorem_reverification(sweep10):
         assert sweep10.max_m == 10
         for p in sweep10.points:
             assert p.verified, (p.a0, p.a1, p.failure)
+
+
+@extended
+def test_criterion_4_atlas_digests_m10():
+    # Table rows cannot see an inner boundary that moves, so every atlas
+    # with m <= 10 is pinned by the digest of its JSON form.
+    path = os.path.join(os.path.dirname(__file__), "goldens", "atlas_digests_m10.txt")
+    with open(path) as fh:
+        golden = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    with criterion("per-pair atlas JSON digests up to m = 10 (extended)"):
+        assert len(golden) == 21 * 21
+        for a0, a1, expected in golden:
+            a0, a1 = int(a0), int(a1)
+            found = hashlib.sha256(atlas_to_json(compute_atlas(a0, a1)).encode()).hexdigest()
+            assert found == expected, f"first differing atlas: ({a0}, {a1})"
 
 
 def test_criterion_5_window_oracle_equivalence():

@@ -30,6 +30,19 @@ def test_every_module_level_import_is_used(module):
     assert sorted(set(_imported(tree)) - used) == []
 
 
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_check_vanishes_under_python_O(module):
+    # `python -O` strips every `assert` and folds `__debug__` to False, so a
+    # check written either way would silently stop running.
+    tree = ast.parse((PACKAGE / module).read_text(), module)
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert found == []
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only `sweep --jobs N` with N > 1 imports it, when it starts the pool
     code = "import rotatlas.cli, sys; assert 'concurrent.futures' not in sys.modules"
