@@ -144,8 +144,8 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
 
 # JSON's name for each Python type `atlas_from_json` accepts
 _JSON_TYPES = {
-    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean",
-    type(None): "null",
+    dict: "an object", list: "an array", tuple: "an array", str: "a string", int: "an integer",
+    bool: "a boolean", type(None): "null",
 }
 
 
@@ -179,6 +179,19 @@ class _SharedInts(dict):
         return letter
 
 
+def _freeze_cycle(record: dict) -> dict:
+    """An ``object_hook``: an entry's ``cycle`` list becomes its word as the object closes.
+
+    Converting after the whole parse would keep every list alive at once
+    and put the words among their freed arrays, where the process's peak
+    memory varied by over 10 MB between runs of the same work.
+    """
+    cycle = record.get("cycle")
+    if type(cycle) is list:
+        record["cycle"] = tuple(cycle)
+    return record
+
+
 def atlas_from_json(text: str) -> PartitionAtlas:
     """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
 
@@ -188,14 +201,14 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
     integers (JSON booleans and floats are not), its closure flags must be
     booleans, and its redundant ``interval`` and ``length`` fields must
-    agree with its endpoints and its cycle.  Body entries are
-    dropped from the parse tree as they are converted, and the words hold
-    the shared letter objects of `dynamics`.  An entry whose ``lo`` text is
-    the previous entry's ``hi`` text reuses that Fraction, so, as in a
-    marched atlas, each inner boundary is one object shared by the two
-    intervals that meet there.
+    agree with its endpoints and its cycle.  Each word is built as its entry
+    is parsed (`_freeze_cycle`), entries leave the parse tree as they are
+    converted, and words hold the shared letter objects of `dynamics`.  An
+    entry whose ``lo`` text is the previous entry's ``hi`` text reuses that
+    Fraction, so, as in a marched atlas, each inner boundary is one object
+    shared by the two intervals that meet there.
     """
-    data = json.loads(text, parse_int=_SharedInts().__getitem__)
+    data = json.loads(text, parse_int=_SharedInts().__getitem__, object_hook=_freeze_cycle)
     if type(data) is not dict:
         raise ValueError(f"atlas JSON is not an object: {type(data).__name__}")
     a0, a1 = data.get("a0"), data.get("a1")
@@ -232,12 +245,11 @@ def atlas_from_json(text: str) -> PartitionAtlas:
             _field(entry, "lo_closed", bool, where),
             _field(entry, "hi_closed", bool, where),
         )
-        cycle = _field(entry, "cycle", list, where)
+        word = _field(entry, "cycle", tuple, where)
         # exactly int, so JSON booleans and floats are out (the parser
         # shares only the objects of JSON integers)
-        if set(map(type, cycle)) - {int}:
+        if set(map(type, word)) - {int}:
             raise ValueError(f"{where} has a non-integer cycle letter")
-        word = tuple(cycle)
         if str(ival) != interval or len(word) != _field(entry, "length", int, where):
             raise ValueError(
                 f"{where} disagrees with its endpoints {ival} or its cycle length {len(word)}"

@@ -71,6 +71,23 @@ def test_json_round_trip(atlas):
         assert atlas_from_json(atlas_to_json(at)) == at
 
 
+def test_reader_makes_each_word_a_tuple_as_its_entry_is_parsed(atlas, monkeypatch):
+    # the parse tree never holds the cycle lists of the whole file at once
+    seen = []
+    freeze = report._freeze_cycle
+
+    def spy(record):
+        seen.append(type(record.get("cycle")))
+        return freeze(record)
+
+    monkeypatch.setattr(report, "_freeze_cycle", spy)
+    at = atlas(-2, -2)
+    parsed = atlas_from_json(atlas_to_json(at))
+    assert parsed == at
+    assert seen.count(list) == len(at.body) and seen.count(type(None)) == 2
+    assert all(type(word) is tuple for _, word in parsed.body)
+
+
 def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
     parses = []
     parse = report.parse_rational
