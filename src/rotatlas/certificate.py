@@ -2,23 +2,35 @@
 
 It imports only `constraints`, `intervals` and `tail`, so it reaches no
 orbit code, and a fault in the march kernel cannot certify itself.
-`partition.verify_atlas` runs `certify`, then the opt-in probes.
+`partition.verify_atlas` runs `certify`, then the opt-in probes, which
+check the same tail windows (`checked_windows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .constraints import Bounds, _pair_index, cycle_bounds
+from .constraints import Bounds, Word, _pair_index, cycle_bounds
 from .intervals import Interval
-from .tail import tail_of
+from .tail import TailDescription, tail_of
 
 if TYPE_CHECKING:
     from .partition import PartitionAtlas
 
 # Tail windows `certify` checks explicitly, from the first one on.
 TAIL_PIECES = 4
+
+
+def checked_windows(tail: TailDescription) -> Iterator[tuple[str, Interval, Word]]:
+    """``(name, window, cycle)`` of each tail window `certify` checks, in order.
+
+    That is the first `TAIL_PIECES` windows, or the one window of a
+    constant tail (``k`` is 0 there, and ``k_start`` on a ramp tail).
+    """
+    k_start = tail.k_start or 0
+    for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
+        yield (f"tail cycle k={k}" if k else "constant tail cycle"), window, cycle
 
 
 def _edge(body: Interval) -> tuple[int, int, bool]:
@@ -138,13 +150,11 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         edge_n, edge_d, edge_closed = _edge(body_range)
 
     # Tail: the stored tail is the pair's (and the twin's), and its first windows
-    # pass the certificate.  k_start >= 1 on a ramp tail; k == 0 is the constant one.
+    # pass the certificate.
     tail = tail_of(a0, a1)
     if atlas.tail != tail or (twin is not None and twin.tail != tail):
         return _fail(f"stored tail {atlas.tail.interval} is not the pair's tail")
-    k_start = tail.k_start or 0
-    for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
-        name = f"tail cycle k={k}" if k else "constant tail cycle"
+    for name, window, cycle in checked_windows(tail):
         # solved within the ambient (-2, 2): lower edge -2/1, open
         if twin is None and not _solves_to(cycle_bounds(cycle), -2, 1, False, window):
             return _fail(f"{name} does not hold on the tail")

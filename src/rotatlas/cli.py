@@ -32,10 +32,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d[\d/,\-]*$")
 
 
-def _word_text(word) -> str:
-    return f"({report.word_text(word)})"
-
-
 def _parse_word(text: str) -> tuple[int, ...]:
     cleaned = text.strip().strip("()")
     try:
@@ -111,7 +107,7 @@ def _cmd_orbit(args) -> int:
     result = detect_cycle(spec, (args.a0, args.a1), args.cap)
     print(f"outcome: {result.outcome}")
     if result.outcome == "cycle":
-        print(f"period {len(result.cycle)}: {_word_text(result.cycle)}")
+        print(f"period {len(result.cycle)}: ({report.word_text(result.cycle)})")
     print(f"steps used: {result.steps_used}")
     print(f"largest |a_n|: {result.max_abs}")
     # cycle and diverged are definitive verdicts; only a cap is inconclusive
@@ -138,7 +134,7 @@ def _cmd_tail(args) -> int:
     print(f"label: s={label.s} d={label.d}" + (f" K={label.K}" if label.K is not None else ""))
     print(f"tail interval: {tail.interval}")
     for window, word in tail.pieces_through(k_max):
-        print(f"  {str(window):>22} -> {_word_text(word)}")
+        print(f"  {str(window):>22} -> ({report.word_text(word)})")
     return 0
 
 

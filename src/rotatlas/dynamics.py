@@ -32,7 +32,7 @@ letter or per step.
 map (the only two the march visits) and returns the cycle word with its
 integer bounds; `partition.compute_atlas` builds the intervals.  Words that
 `orbit_bounds` returns, and that `report.atlas_from_json` reads, hold one
-shared ``int`` object per letter value (`_canonical`, one dict lookup per
+shared ``int`` object per letter value (`_LETTERS`, one dict lookup per
 letter: a miss stores its key).  Letters below -5 are not among CPython's
 cached small ints, so without the sharing every letter of an atlas is an
 object of its own, about three times the memory.  A mirrored word is a
@@ -73,16 +73,20 @@ from .constraints import Bounds, Word
 DEFAULT_ORBIT_CAP = 10**7
 
 
-class _Letters(dict):
-    """Letter value -> the one int object of that value; a miss stores its key."""
+class Memo(dict):
+    """A dict that makes a missing value once, as ``make(key)``, and keeps it."""
 
-    def __missing__(self, letter: int) -> int:
-        self[letter] = letter
-        return letter
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
-# One int object per letter value, shared by every word `_canonical` returns.
-_LETTERS = _Letters()
+# One int object per letter value, shared by every word `orbit_bounds` returns.
+_LETTERS = Memo(lambda letter: letter)
 
 _KINDS = ("exact", "plus_zero", "minus_zero")
 
@@ -205,11 +209,6 @@ def detect_cycle(
     word += (x, y)
     del word[cap + 2 :]
     return OrbitResult("cap_exceeded", None, cap, word)
-
-
-def _canonical(word) -> Word:
-    """``word`` as a tuple of the shared letter objects (see the module docstring)."""
-    return tuple(map(_LETTERS.__getitem__, word))
 
 
 def _arc(
@@ -408,7 +407,7 @@ def orbit_bounds(
     if vertex is None:
         if len(arc) > cap:
             return None
-        word = _canonical(arc)
+        word = tuple(map(_LETTERS.__getitem__, arc))
     else:
         if a0 == a1:
             # an edge axis between w[0] and w[1]: w[u] == w[1 - u]

@@ -2,16 +2,17 @@
 
 Given an integer initial pair, the tail module covers a left neighbourhood of
 -2 with explicit cycles; the rest of the parameter interval (the "body") is
-marched from its closed lower edge to the open edge 2.  At each point ``r``
-one orbit pass (`dynamics.orbit_bounds`) finds the cycle at ``r``, or just
-right of ``r`` when ``r`` already belongs to the previous interval, with
-the integer bounds of the exact interval on which that cycle occurs; the
-march builds that interval and continues from its right end.  The cycles
-partition the body, so the march emits the partition in order.  It is
-expected to stop after finitely many intervals; fixed budgets guard
-against the alternative, which would mean either a bug or a counterexample.
-Each raises `BudgetExceeded`, naming the pair, the budget and the unmarched
-residual; it and `MarchError` pickle, so they cross `sweep`'s process pool.
+marched from its lower edge (closed, but open at -2 for (0, 0)) to the open
+edge 2.  At each point ``r`` one orbit pass (`dynamics.orbit_bounds`) finds
+the cycle at ``r``, or just right of ``r`` when ``r`` already belongs to
+the previous interval, with the integer bounds of the exact interval on
+which that cycle occurs; the march builds that interval and continues from
+its right end.  The cycles partition the body, so the march emits the
+partition in order.  It is expected to stop after finitely many intervals;
+fixed budgets guard against the alternative, which would mean either a bug
+or a counterexample.  Each raises `BudgetExceeded`, naming the pair, the
+budget and the unmarched residual; it and `MarchError` pickle, so they
+cross `sweep`'s process pool.
 
 `verify_atlas` re-checks a computed atlas from scratch by the exact
 certificate of the `certificate` module, as every command does; probe
@@ -29,13 +30,25 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .certificate import TAIL_PIECES, VerificationReport, _fail, certify
+from .certificate import VerificationReport, certify, checked_windows
 from .constraints import Bounds, Word, _pair_index
 from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
 
 FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
+
+
+def _body_range(tail: TailDescription) -> Interval:
+    """The marched range: from the tail's right edge, closed, to the open edge 2.
+
+    For the pair (0, 0), whose constant tail window is all of (-2, 2), it
+    is that whole range, open at -2.
+    """
+    label = tail.label
+    if label.d == 0 and label.s == 0:
+        return FULL_RANGE
+    return Interval(tail.interval.hi, Fraction(2), True, False)
 
 
 # The march's budgets, read once per `compute_atlas` call: `DEFAULT_ORBIT_CAP`
@@ -100,10 +113,7 @@ class PartitionAtlas:
 
     @property
     def body_range(self) -> Interval:
-        label = self.tail.label
-        if label.d == 0 and label.s == 0:
-            return FULL_RANGE
-        return Interval(self.tail.interval.hi, Fraction(2), True, False)
+        return _body_range(self.tail)
 
     @property
     def table_range(self) -> Interval:
@@ -135,13 +145,14 @@ class PartitionAtlas:
 def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     """March the body of one initial pair from left to right.
 
-    The pair (0, 0) short-circuits: its single cycle (0) covers everything.
-    Otherwise the body starts closed at the right edge of the tail and ends
-    open at 2.  From a point ``r`` that the previous interval left open, the
-    orbit runs at ``r`` itself; from one it closed, it runs just right of
-    ``r`` (the plus-side map).  Either way the kernel's solved bounds must
-    start at ``r`` with the opposite closure and be non-empty, or
-    `MarchError` is raised; the first interval, which reaches into the
+    The body is `_body_range`: it starts closed at the right edge of the
+    tail, or open at -2 for the pair (0, 0), and ends open at 2.  From a
+    point ``r`` that the previous interval left open, the orbit runs at
+    ``r`` itself; from one it closed, it runs just right of ``r`` (the
+    plus-side map).  So (0, 0) runs one orbit, just right of -2, whose
+    word (0) holds on the whole body.  Either way the kernel's solved
+    bounds must start at ``r`` with the opposite closure and be non-empty,
+    or `MarchError` is raised; the first interval, which reaches into the
     tail, is clipped to the body first.  Edges are compared in integers,
     and the interval is built here with ``r`` itself as its lower edge, so
     each inner boundary is one Fraction shared by the two intervals that
@@ -149,14 +160,12 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     `BudgetExceeded` with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
     """
     tail = tail_of(a0, a1)
-    if (a0, a1) == (0, 0):
-        return PartitionAtlas(a0, a1, tail, ((FULL_RANGE, (0,)),))
-
     start = (a0, a1)
     cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
-    r, closed = tail.interval.hi, True
+    body_range = _body_range(tail)
+    r, closed = body_range.lo, body_range.lo_closed
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
         if len(body) == max_rounds:
             reason = f"interval budget {max_rounds}"
@@ -174,7 +183,7 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
         num, den = r.numerator, r.denominator
         below = num * lo_d - lo_n * den  # r minus the solved lower edge
         if below > 0 and not body:
-            below, lo_closed = 0, True  # clipped to the body's closed lower edge
+            below, lo_closed = 0, closed  # clipped to the body's lower edge
         above = hi_n * den - num * hi_d  # the solved upper edge minus r
         empty = above < 0 or (above == 0 and not (closed and hi_closed))
         if below or lo_closed != closed or empty:
@@ -234,17 +243,14 @@ def verify_atlas(
     a0, a1 = atlas.a0, atlas.a1
     start = (a0, a1)
     # the certified tail's checked windows, each cycle rotated to start at the pair
-    tail = atlas.tail
-    k_start = tail.k_start or 0
-    for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
+    for name, window, cycle in checked_windows(atlas.tail):
         i = _pair_index(cycle, a0, a1, 0)
         if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
-            name = f"tail cycle k={k}" if k else "constant tail cycle"
-            return _fail(f"{name} not re-detected")
+            return VerificationReport(False, f"{name} not re-detected")
     for ival, word in atlas.body:
         for lam in _probe_points(ival, probes_per_interval):
             if not _probe(lam, start, word):
-                return _fail(f"cycle on {ival} not re-detected at {lam}")
+                return VerificationReport(False, f"cycle on {ival} not re-detected at {lam}")
     return verdict
 
 

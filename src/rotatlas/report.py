@@ -19,29 +19,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .constraints import Word
-from .dynamics import _canonical
+from .dynamics import _LETTERS, Memo
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import Label, tail_of
 
 
-class _LetterTexts(dict):
-    """Letter value -> ``str(value)``, each text formatted once per process.
-
-    Words are joined from these texts (`_LETTER_TEXT`) wherever they are
-    printed: the JSON writer, `atlas_table_lines` and the command line's
-    words.  A miss is filled by `__missing__`, as `dynamics._LETTERS` fills
-    its letter objects.  Keys are letter values only, never words, so the
-    map stays as small as the set of letters seen, and each letter is
-    formatted once rather than once per occurrence.
-    """
-
-    def __missing__(self, letter: int) -> str:
-        self[letter] = text = str(letter)
-        return text
-
-
-_LETTER_TEXT = _LetterTexts()
+# Letter value -> its decimal text, formatted once per process rather than
+# once per occurrence.  Words are joined from these texts wherever they are
+# printed: the JSON writer, `atlas_table_lines` and the command line's words.
+_LETTER_TEXT = Memo(str)
 
 
 def word_text(word: Word, separator: str = ", ") -> str:
@@ -165,20 +152,6 @@ def _expect(record: dict, key: str, expected, where: str) -> None:
         raise ValueError(f"{where} field {key!r} is not the pair's {expected!r}")
 
 
-class _SharedInts(dict):
-    """JSON integer text -> the shared letter object of its value.
-
-    A ``parse_int`` hook for `json.loads`: the parser then builds no int of
-    its own, so the letters need no second pass through
-    `dynamics._canonical`, and the parse tree shrinks (that of (-14,-15)
-    from 37 MiB to 14 MiB).
-    """
-
-    def __missing__(self, text: str) -> int:
-        self[text] = letter = _canonical([int(text)])[0]
-        return letter
-
-
 def _freeze_cycle(record: dict) -> dict:
     """An ``object_hook``: an entry's ``cycle`` list becomes its word as the object closes.
 
@@ -201,14 +174,19 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
     integers (JSON booleans and floats are not), its closure flags must be
     booleans, and its redundant ``interval`` and ``length`` fields must
-    agree with its endpoints and its cycle.  Each word is built as its entry
-    is parsed (`_freeze_cycle`), entries leave the parse tree as they are
-    converted, and words hold the shared letter objects of `dynamics`.  An
-    entry whose ``lo`` text is the previous entry's ``hi`` text reuses that
-    Fraction, so, as in a marched atlas, each inner boundary is one object
-    shared by the two intervals that meet there.
+    agree with its endpoints and its cycle.
+
+    The parser reads each integer from a table made for this parse, a
+    `Memo` from JSON integer text to the shared letter object of
+    `dynamics`, so it builds no int of its own and the parse tree shrinks
+    (that of (-14,-15) from 37 MiB to 14 MiB).  Each word is built as its
+    entry is parsed (`_freeze_cycle`), and entries leave the parse tree as
+    they are converted.  An entry whose ``lo`` text is the previous entry's
+    ``hi`` text reuses that Fraction, so, as in a marched atlas, each inner
+    boundary is one object shared by the two intervals that meet there.
     """
-    data = json.loads(text, parse_int=_SharedInts().__getitem__, object_hook=_freeze_cycle)
+    letters = Memo(lambda digits: _LETTERS[int(digits)])
+    data = json.loads(text, parse_int=letters.__getitem__, object_hook=_freeze_cycle)
     if type(data) is not dict:
         raise ValueError(f"atlas JSON is not an object: {type(data).__name__}")
     a0, a1 = data.get("a0"), data.get("a1")
@@ -295,14 +273,12 @@ def _format_avg(value: Fraction) -> str:
 
 def sweep_summary_csv(report: SweepReport) -> str:
     """Per-point sweep summary: m, a0, a1, intervals, singletons, max_len, avg_len."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "a0", "a1", "intervals", "singletons", "max_len", "avg_len"])
-    for p in report.points:
-        writer.writerow(
-            [p.shell, p.a0, p.a1, p.intervals, p.singletons, p.max_len, _format_avg(p.avg_len)]
-        )
-    return buf.getvalue()
+    rows = [["m", "a0", "a1", "intervals", "singletons", "max_len", "avg_len"]]
+    rows += (
+        [p.shell, p.a0, p.a1, p.intervals, p.singletons, p.max_len, _format_avg(p.avg_len)]
+        for p in report.points
+    )
+    return _csv_text(rows)
 
 
 def write_sweep_csv(report: SweepReport, out_dir: str) -> str:
@@ -350,7 +326,7 @@ def _align(rows: list[list[str]]) -> str:
     )
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _csv_text(rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -300,3 +302,26 @@ def test_partition_streams_the_whole_text_forms(capsys, atlas, a0, a1):
     assert code == 0 and out == report.atlas_to_json(at)
     code, out, _ = run(capsys, "partition", *pair)
     assert code == 0 and out == "\n".join(report.atlas_table_lines(at)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--max-m", "4"], ["partition", "--a0", "-3", "--a1", "-4", "--json"]],
+    ids=" ".join,
+)
+def test_optimized_run_prints_the_same_bytes(argv):
+    # every check in `src/` is an explicit test, so `python -O` drops none
+    src = os.path.dirname(os.path.dirname(report.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("ROTATLAS_OUT", "PYTHONOPTIMIZE")}
+    env["PYTHONPATH"] = src
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "rotatlas.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
+    assert plain[0] == 0 and plain[1] and optimized == plain

@@ -434,7 +434,7 @@ def test_march_runs_half_of_each_self_mirror_orbit(monkeypatch):
             shapes.add(tuple(vertex for _, vertex in runs))
         else:
             assert produced == len(word) and len(runs) == 1, (lam, plus, start)
-    assert (len(calls), mirrors) == (1509, 1413)
+    assert (len(calls), mirrors) == (1510, 1414)
     # vertex and edge axes ahead, behind, and at the start pair (one run)
     assert {(True, True), (False, False), (True, False), (False, True)} <= shapes
     assert {(True,), (False,)} <= shapes

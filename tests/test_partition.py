@@ -411,12 +411,29 @@ def test_probe_orbits_are_capped_by_their_word(atlas, probe_orbits, pair):
     at = atlas(*pair)
     t = at.tail
     # body entries and the checked tail windows, with the words they carry
-    entries = list(at.body) + t.pieces_through((t.k_start or 0) + partition.TAIL_PIECES - 1)
+    entries = list(at.body) + t.pieces_through((t.k_start or 0) + certificate.TAIL_PIECES - 1)
     for probes in (1, 2):
         probe_orbits.clear()
         assert verify_atlas(at, probes_per_interval=probes).ok and probe_orbits
         for lam, cap in probe_orbits:
             assert {len(word) for ival, word in entries if contains(ival, lam)} == {cap}
+
+
+@pytest.mark.parametrize("pair", [(-3, -4), (2, 5), (1, 1)], ids=str)
+def test_probes_check_the_tail_windows_that_certify_checks(atlas, monkeypatch, probe_orbits, pair):
+    at = atlas(*pair)
+    t = at.tail
+    monkeypatch.setattr(certificate, "TAIL_PIECES", 2)
+    solved = []
+    solve = certificate.cycle_bounds
+    monkeypatch.setattr(certificate, "cycle_bounds", lambda word: solved.append(word) or solve(word))
+    windows = t.pieces_through((t.k_start or 0) + 1)
+    assert verify_atlas(at, probes_per_interval=1).ok
+    # `certify` solves the tail's checked cycles, then the body's words
+    assert solved == [cycle for _, cycle in windows] + [word for _, word in at.body]
+    tail_probes = [lam for lam, _ in probe_orbits if lam < t.interval.hi]
+    assert tail_probes == [window.midpoint() for window, _ in windows]
+    assert len(windows) == (1 if t.k_start is None else 2)
 
 
 def test_probes_scan_no_orbit_for_its_largest_value(atlas, monkeypatch, probe_orbits):
@@ -1073,6 +1090,6 @@ def test_sweep_solves_each_marched_word_once(monkeypatch):
     for a0 in range(-3, 4):
         for a1 in range(a0, 4):
             t = tail.tail_of(a0, a1)
-            k_max = (t.k_start or 0) + partition.TAIL_PIECES - 1
+            k_max = (t.k_start or 0) + certificate.TAIL_PIECES - 1
             tails += [word for _, word in t.pieces_through(k_max)]
     assert sorted(solved) == sorted(marched + tails)
