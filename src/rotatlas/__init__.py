@@ -11,7 +11,7 @@ rational arithmetic end to end.
 from .certificate import VerificationReport
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, OrbitResult, ParamSpec, detect_cycle
-from .intervals import Interval, make_interval, parse_rational
+from .intervals import Interval, parse_rational
 from .partition import (
     BudgetExceeded,
     MarchError,
@@ -55,7 +55,6 @@ __all__ = [
     "detect_cycle",
     "interval_for_cycle",
     "label_of",
-    "make_interval",
     "occurrence_index",
     "parse_rational",
     "summarize_atlas",

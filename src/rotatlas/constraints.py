@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence
 
-from .intervals import Interval, make_interval
+from .intervals import Interval
 
 # A cycle word: the orbit values of one period, from the initial pair on.
 Word = tuple[int, ...]
@@ -57,8 +57,7 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     Endpoint closure comes from the strictest binding constraint: a point
     is closed only if every constraint admits equality there.  None means
     infeasible (a zero letter whose neighbours do not sum to 0); otherwise
-    the bounds may still describe an empty set, which `make_interval`
-    turns into None.
+    the bounds may still describe an empty set, which `Interval` rejects.
 
     Most orbit words are their own mirror, and then half the pass is
     enough.  With ``j`` the index of ``(b_1, b_0)`` and ``k = (j + 1) % n``,
@@ -120,13 +119,16 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
     """The parameter interval of a cycle word within the ambient (-2,2).
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
-    None means infeasible or empty.  `dynamics.orbit_bounds` finds the
-    same bounds by another algorithm, a walk along the Farey sequence over
-    the word's letter set; `certificate.certify` uses `cycle_bounds` as its
-    independent check.
+    None means infeasible, or empty, which `Interval` rejects.
+    `dynamics.orbit_bounds` finds the same bounds by another algorithm, a
+    walk along the Farey sequence over the word's letter set;
+    `certificate.certify` uses `cycle_bounds` as its independent check.
     """
     bounds = cycle_bounds(word)
     if bounds is None:
         return None
     lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
-    return make_interval(Fraction(lo_n, lo_d), lo_closed, Fraction(hi_n, hi_d), hi_closed)
+    try:
+        return Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), lo_closed, hi_closed)
+    except ValueError:
+        return None

@@ -375,17 +375,17 @@ def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Bounds:
 
 def orbit_bounds(
     lam: Fraction, plus: bool, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
-) -> Optional[tuple[Word, Bounds, int]]:
+) -> Optional[tuple[Word, Bounds]]:
     """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass, or half of one.
 
     The orbit runs at ``lam`` itself, or just right of it when ``plus`` is
     set, with no bound bookkeeping; once it closes, `_farey_bounds` finds
-    the bounds from the set of its letters.  Returns ``(word, bounds,
-    steps_used)``, with ``bounds`` in the form of `constraints.Bounds`, in
-    lowest terms, and equal in value and closure to ``cycle_bounds(word)``,
-    or None when the orbit does not return to ``start`` within ``cap``
-    steps.  The word holds the shared letter objects, and ``steps_used``
-    is its length.
+    the bounds from the set of its letters.  Returns ``(word, bounds)``,
+    with ``bounds`` in the form of `constraints.Bounds`, in lowest terms,
+    and equal in value and closure to ``cycle_bounds(word)``, or None when
+    the orbit does not return to ``start`` within ``cap`` steps.  The word
+    holds the shared letter objects, and its length is the steps the orbit
+    took.
 
     The step inequality is symmetric in its outer letters, so the orbit run
     backwards is the orbit of the swapped state: from ``(a1, a0)`` the map
@@ -405,8 +405,6 @@ def orbit_bounds(
     a0, a1 = start
     arc, vertex = _arc(p, q, plus, a0, a1, cap)
     if vertex is None:
-        if len(arc) > cap:
-            return None
         word = tuple(map(_LETTERS.__getitem__, arc))
     else:
         if a0 == a1:
@@ -432,7 +430,6 @@ def orbit_bounds(
         word += arc[-1 - vertex : lead - 1 - len(arc) : -1]
         word += arc[:behind]
         word = tuple(word)
-    steps = len(word)
-    if steps > cap:
+    if len(word) > cap:
         return None
-    return word, _farey_bounds(p, q, plus, set(arc)), steps
+    return word, _farey_bounds(p, q, plus, set(arc))

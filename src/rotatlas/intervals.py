@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 
 def parse_rational(text: str) -> Fraction:
@@ -74,11 +73,3 @@ class Interval:
         lo_br = "[" if self.lo_closed else "("
         hi_br = "]" if self.hi_closed else ")"
         return f"{lo_br}{self.lo},{self.hi}{hi_br}"
-
-
-def make_interval(lo, lo_closed: bool, hi, hi_closed: bool) -> Optional[Interval]:
-    """Interval from raw endpoint data, or None if the set would be empty."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)

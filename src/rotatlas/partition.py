@@ -3,11 +3,13 @@
 Given an integer initial pair, the tail module covers a left neighbourhood of
 -2 with explicit cycles; the rest of the parameter interval (the "body") is
 marched from its lower edge (closed, but open at -2 for (0, 0)) to the open
-edge 2.  At each point ``r`` one orbit pass (`dynamics.orbit_bounds`) finds
-the cycle at ``r``, or just right of ``r`` when ``r`` already belongs to
-the previous interval, with the integer bounds of the exact interval on
-which that cycle occurs; the march builds that interval and continues from
-its right end.  The cycles partition the body, so the march emits the
+edge 2.  An atlas stores the pair and its body only: its tail, and with it
+the body range and the range the tables count, are derived from the pair.
+At each point ``r`` one orbit pass (`dynamics.orbit_bounds`) finds the
+cycle at ``r``, or just right of ``r`` when ``r`` already belongs to the
+previous interval, with the integer bounds of the exact interval on which
+that cycle occurs; the march builds that interval and continues from its
+right end.  The cycles partition the body, so the march emits the
 partition in order.  It is expected to stop after finitely many intervals;
 fixed budgets guard against the alternative, which would mean either a bug
 or a counterexample.  Each raises `BudgetExceeded`, naming the pair, the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .certificate import VerificationReport, certify, checked_windows
@@ -36,19 +39,17 @@ from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
 
-FULL_RANGE = Interval.open(Fraction(-2), Fraction(2))
-
 
 def _body_range(tail: TailDescription) -> Interval:
     """The marched range: from the tail's right edge, closed, to the open edge 2.
 
-    For the pair (0, 0), whose constant tail window is all of (-2, 2), it
-    is that whole range, open at -2.
+    Only the full tail of (0, 0), all of (-2, 2), reaches 2: it is its own
+    body range, open at -2.
     """
-    label = tail.label
-    if label.d == 0 and label.s == 0:
-        return FULL_RANGE
-    return Interval(tail.interval.hi, Fraction(2), True, False)
+    ival = tail.interval
+    if ival.hi == 2:
+        return ival
+    return Interval(ival.hi, Fraction(2), True, False)
 
 
 # The march's budgets, read once per `compute_atlas` call: `DEFAULT_ORBIT_CAP`
@@ -104,12 +105,19 @@ class MarchError(Exception):
 
 @dataclass(frozen=True)
 class PartitionAtlas:
-    """The complete partition of the parameter interval for one initial pair."""
+    """The complete partition of the parameter interval for one initial pair.
+
+    The pair alone fixes the tail, `tail_of(a0, a1)`, computed on first
+    read and kept; the body is what the march found.
+    """
 
     a0: int
     a1: int
-    tail: TailDescription
     body: tuple[tuple[Interval, Word], ...]
+
+    @cached_property
+    def tail(self) -> TailDescription:
+        return tail_of(self.a0, self.a1)
 
     @property
     def body_range(self) -> Interval:
@@ -159,12 +167,11 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     meet there.  Exhausting a budget (see `TOTAL_STEP_BUDGET`) raises
     `BudgetExceeded` with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
     """
-    tail = tail_of(a0, a1)
     start = (a0, a1)
     cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
     body: list[tuple[Interval, Word]] = []
     total_steps = 0
-    body_range = _body_range(tail)
+    body_range = _body_range(tail_of(a0, a1))
     r, closed = body_range.lo, body_range.lo_closed
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
         if len(body) == max_rounds:
@@ -174,8 +181,8 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
         if found is None:
             reason = f"orbit step cap {cap} at {r}"
             raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
-        word, bounds, steps = found
-        total_steps += steps
+        word, bounds = found
+        total_steps += len(word)
         if total_steps > max_steps:
             reason = f"total step budget {max_steps}"
             raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
@@ -191,7 +198,7 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
         ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
         body.append((ival, word))
         r, closed = ival.hi, not hi_closed
-    return PartitionAtlas(a0, a1, tail, tuple(body))
+    return PartitionAtlas(a0, a1, tuple(body))
 
 
 def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
@@ -391,12 +398,13 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     ``z``: ``(x, y) -> (y, z)`` exactly when ``(z, y) -> (y, x)``.  So at every
     parameter the orbit of ``(a1, a0)`` is the orbit of ``(a0, a1)`` run
     backwards, with the same minimal period: the body keeps its intervals,
-    and each word becomes its `_mirror_word`.  The label, and so the tail,
-    is swap-symmetric.  `sweep` verifies the result all the same, as the
-    swap image of its verified twin (``twin`` in `certificate.certify`).
+    and each word becomes its `_mirror_word`.  The label, and so the tail
+    each atlas derives from its pair, is swap-symmetric.  `sweep` verifies
+    the result all the same, as the swap image of its verified twin
+    (``twin`` in `certificate.certify`).
     """
     body = tuple((ival, _mirror_word(word)) for ival, word in atlas.body)
-    return PartitionAtlas(atlas.a1, atlas.a0, atlas.tail, body)
+    return PartitionAtlas(atlas.a1, atlas.a0, body)
 
 
 def _sweep_pair(args: tuple) -> list[PointSummary]:

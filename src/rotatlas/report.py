@@ -166,7 +166,7 @@ def _freeze_cycle(record: dict) -> dict:
 
 
 def atlas_from_json(text: str) -> PartitionAtlas:
-    """Rebuild an atlas from its JSON form (tail is reconstructed from the pair).
+    """Rebuild an atlas from its JSON form (the tail is derived from the pair).
 
     The reader is strict: a missing field, or one of the wrong JSON type, is
     a ValueError naming the field.  The label fields ``s``, ``d`` and ``K``
@@ -233,7 +233,7 @@ def atlas_from_json(text: str) -> PartitionAtlas:
                 f"{where} disagrees with its endpoints {ival} or its cycle length {len(word)}"
             )
         body.append((ival, word))
-    return PartitionAtlas(a0, a1, tail, tuple(body))
+    return PartitionAtlas(a0, a1, tuple(body))
 
 
 def _write_atomically(path: str, chunks: Iterable[str]) -> str:

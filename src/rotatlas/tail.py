@@ -34,23 +34,26 @@ def triangular(n: int) -> int:
 
 @dataclass(frozen=True)
 class Label:
-    """The (s, d) class of an initial pair, with the least admissible index K.
+    """The (s, d) class of an initial pair.
 
-    For d > 0 the invariant 0 <= s < d holds and K = ceil((T_d - s)/d); for
-    d = 0 (constant diagonal pairs) K is undefined and stored as None.
+    For d > 0 the invariant 0 <= s < d holds; d = 0 marks the constant
+    diagonal pairs.
     """
 
     s: int
     d: int
-    K: Optional[int]
 
     def __post_init__(self) -> None:
         if self.d < 0 or self.s < 0:
             raise ValueError(f"label components must be non-negative: {self}")
         if self.d > 0 and not 0 <= self.s < self.d:
             raise ValueError(f"label needs 0 <= s < d when d > 0: {self}")
-        if (self.K is None) != (self.d == 0):
-            raise ValueError(f"K must be present exactly when d > 0: {self}")
+
+    @property
+    def K(self) -> Optional[int]:
+        """The least admissible index ceil((T_d - s)/d), or None when d = 0."""
+        s, d = self.s, self.d
+        return -((s - triangular(d)) // d) if d > 0 else None
 
 
 def _ramp_index_closed_form(t: int, m: int) -> int:
@@ -84,8 +87,7 @@ def label_of(a0: int, a1: int) -> Label:
         r = _ramp_index_closed_form(t, m)
         s = m + r * t + triangular(r)
         d = t + r
-    K = -((s - triangular(d)) // d) if d > 0 else None
-    return Label(s, d, K)
+    return Label(s, d)
 
 
 def occurrence_index(a0: int, a1: int) -> int:

@@ -2,14 +2,15 @@
 
 The package's orbit loops inline the step map and its verifier solves whole
 words in integers; these are the plain, one-step-at-a-time definitions, plus
-the textual interval parser, membership test and set intersection that
-tests use to state expected intervals, the triple-loop word solve, the
-per-letter fold of a word's bounds and the SVG coordinate on exact Fractions.
+the textual interval parser, membership test, set intersection and
+empty-or-interval constructor that tests use to state expected intervals,
+the triple-loop word solve, the per-letter fold of a word's bounds and the
+SVG coordinate on exact Fractions.
 """
 
 from fractions import Fraction
 
-from rotatlas import Interval, ParamSpec, make_interval, parse_rational
+from rotatlas import Interval, ParamSpec, parse_rational
 
 
 def step(spec: ParamSpec, point):
@@ -59,6 +60,14 @@ def contains(ival: Interval, r) -> bool:
     above = ival.lo < r or (ival.lo_closed and ival.lo == r)
     below = r < ival.hi or (ival.hi_closed and r == ival.hi)
     return above and below
+
+
+def make_interval(lo, lo_closed: bool, hi, hi_closed: bool):
+    """Interval from raw endpoint data, or None if the set would be empty."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def intersect(a: Interval, b: Interval):

@@ -258,8 +258,8 @@ def test_march_error_exits_one_without_a_traceback(capfd, monkeypatch, argv):
     good = partition.orbit_bounds
 
     def broken(lam, plus, start, cap):
-        word, (lo_n, lo_d, lo_closed, *hi), steps = good(lam, plus, start, cap)
-        return word, (lo_n, lo_d, not lo_closed, *hi), steps
+        word, (lo_n, lo_d, lo_closed, *hi) = good(lam, plus, start, cap)
+        return word, (lo_n, lo_d, not lo_closed, *hi)
 
     monkeypatch.setattr(partition, "orbit_bounds", broken)
     with pytest.raises(partition.MarchError) as exc:

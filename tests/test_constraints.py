@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rotatlas import ParamSpec, constraints, detect_cycle, interval_for_cycle
 from rotatlas.constraints import cycle_bounds
-from rotatlas.intervals import make_interval
 from rotatlas.partition import _mirror_word
-from reference import contains, parse_interval
+from reference import contains, make_interval, parse_interval
 from reference import cycle_bounds as triple_loop_bounds
 
 

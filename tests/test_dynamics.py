@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotatlas import OrbitResult, ParamSpec, compute_atlas, detect_cycle, dynamics, make_interval
+from rotatlas import OrbitResult, ParamSpec, compute_atlas, detect_cycle, dynamics
 from rotatlas import partition
 from rotatlas.constraints import cycle_bounds
 from rotatlas.dynamics import orbit_bounds
-from reference import letter_bounds, step, step_inverse, word_is_cycle_at
+from reference import letter_bounds, make_interval, step, step_inverse, word_is_cycle_at
 from words import is_cyclic_palindrome, rotation_equal
 
 # one-sided boundary specializations: always-periodic at 2-0, blow-up at -2+0
@@ -316,9 +316,9 @@ def _values(bounds):
 def test_orbit_bounds_is_one_pass_of_detect_cycle_and_cycle_bounds(spec, start):
     reference = detect_cycle(spec, start)
     assert reference.outcome == "cycle"
-    word, bounds, steps = _kernel(spec, start)
+    word, bounds = _kernel(spec, start)
     assert word == reference.cycle
-    assert steps == reference.steps_used
+    assert len(word) == reference.steps_used
     assert _values(bounds) == _values(cycle_bounds(word))
     # both loop kernels inline `step`; the word must be its orbit
     point = start
@@ -385,12 +385,12 @@ def test_orbit_bounds_cap_agrees_with_detect_cycle(spec, start, cap):
     reference = detect_cycle(spec, start, cap)
     assert (found is None) == (reference.outcome == "cap_exceeded")
     if found is not None:
-        assert (found[0], found[2]) == (reference.cycle, reference.steps_used)
+        assert (found[0], len(found[0])) == (reference.cycle, reference.steps_used)
 
 
 def test_orbit_bounds_examples():
-    word, bounds, steps = orbit_bounds(F(0), False, (1, 0))
-    assert (word, str(make_interval(*_values(bounds))), steps) == ((1, 0, -1, 0), "[0]", 4)
+    word, bounds = orbit_bounds(F(0), False, (1, 0))
+    assert (word, str(make_interval(*_values(bounds)))) == ((1, 0, -1, 0), "[0]")
     # just right of 8/5 the 38-cycle at [8/5] gives way to another cycle
     exact = orbit_bounds(F(8, 5), False, (-1, -1))
     plus = orbit_bounds(F(8, 5), True, (-1, -1))
@@ -424,9 +424,9 @@ def test_march_runs_half_of_each_self_mirror_orbit(monkeypatch):
     monkeypatch.undo()
     mirrors, shapes = 0, set()
     for (lam, plus, start), runs in calls:
-        word, _, steps = orbit_bounds(lam, plus, start)
+        word, _ = orbit_bounds(lam, plus, start)
         spec = ParamSpec("plus_zero" if plus else "exact", lam)
-        assert (word, steps) == (detect_cycle(spec, start).cycle, len(word))
+        assert word == detect_cycle(spec, start).cycle
         produced = sum(length for length, _ in runs)
         if is_cyclic_palindrome(word):
             mirrors += 1
@@ -446,10 +446,10 @@ def test_march_runs_half_of_each_self_mirror_orbit(monkeypatch):
 def test_orbit_bounds_on_asymmetric_march_calls(lam, plus, start):
     # Two march calls of the pairs with m <= 7 whose cycle is not its own
     # mirror, so no axis stops the run: the kernel runs the whole orbit.
-    word, bounds, steps = orbit_bounds(lam, plus, start)
+    word, bounds = orbit_bounds(lam, plus, start)
     reference = detect_cycle(ParamSpec("plus_zero" if plus else "exact", lam), start)
     assert not is_cyclic_palindrome(word)
-    assert (word, steps) == (reference.cycle, reference.steps_used)
+    assert (word, len(word)) == (reference.cycle, reference.steps_used)
     assert _values(bounds) == _values(cycle_bounds(reference.cycle))
 
 
@@ -490,7 +490,7 @@ def test_orbit_loops_at_every_cap_edge():
                     if period > cap:
                         assert found is None, (spec, start, cap)
                     else:
-                        assert (found[0], found[2]) == (word, period), (spec, start, cap)
+                        assert (found[0], len(found[0])) == (word, period), (spec, start, cap)
                     if spec.kind != "exact":
                         continue
                     r = detect_cycle(spec, start, cap)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotatlas import Interval, make_interval, parse_rational
-from reference import contains, intersect, parse_interval, point
+from rotatlas import Interval, parse_rational
+from reference import contains, intersect, make_interval, parse_interval, point
 
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
 

@@ -23,7 +23,6 @@ from rotatlas import (
     compute_atlas,
     detect_cycle,
     interval_for_cycle,
-    make_interval,
     summarize_atlas,
     sweep,
     verify_atlas,
@@ -31,9 +30,9 @@ from rotatlas import (
 from rotatlas import certificate, partition, tail
 from rotatlas.certificate import VerificationReport, _edge, _solves_to
 from rotatlas.constraints import cycle_bounds
-from rotatlas.partition import FULL_RANGE, PartitionAtlas, _mirrored
+from rotatlas.partition import PartitionAtlas, _mirrored
 from rotatlas.report import atlas_from_json, atlas_to_json
-from reference import contains, intersect, parse_interval, word_is_cycle_at
+from reference import contains, intersect, make_interval, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -156,13 +155,6 @@ def test_verify_rejects_duplicate_cycle(atlas):
     assert report.failure == f"stored interval {body[1][0]} is not the cycle's parameter set"
 
 
-def test_verify_rejects_foreign_tail(atlas):
-    at = atlas(-1, -1)
-    bad = dataclasses.replace(at, tail=dataclasses.replace(at.tail, k_start=2))
-    report = verify_atlas(bad, probes_per_interval=2)
-    assert not report.ok and "tail" in report.failure
-
-
 def _edit(at, entries):
     """The atlas with the body entries at the given indices replaced."""
     body = list(at.body)
@@ -240,13 +232,6 @@ def _duplicate_word(at):
     return _edit(at, {-1: (at.body[-1][0], at.body[0][1])})
 
 
-def _foreign_tail(at):
-    k_start = at.tail.k_start
-    if k_start is None:
-        return dataclasses.replace(at, tail=rotatlas.tail_of(at.a0 + 1, at.a1 + 1))
-    return dataclasses.replace(at, tail=dataclasses.replace(at.tail, k_start=k_start + 1))
-
-
 CORRUPTIONS = {
     "shifted endpoint": _shift_endpoint,
     "flipped closure": _flip_closure,
@@ -258,7 +243,6 @@ CORRUPTIONS = {
     "merged entries": _merge_entries,
     "duplicate word": _duplicate_word,
     "empty word": _empty_word,
-    "foreign tail": _foreign_tail,
 }
 # Each pair has a boundary between two proper entries for the endpoint and
 # closure mutants; (-1, -1) has none, its singletons alternate.
@@ -311,6 +295,21 @@ def test_verify_rejects_the_corrupted_mirror_against_its_twin(atlas, pair, name)
         assert not verify_atlas(bad, probes_per_interval=probes).ok
 
 
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+@pytest.mark.parametrize("key", ["lo", "hi"])
+def test_reader_rejects_another_pairs_tail_edge(atlas, pair, key):
+    # the atlas derives its tail from the pair, so a foreign tail can only
+    # come from a file; every tail starts at -2, so a foreign lower edge is
+    # another pair's upper one, under a label that stays the pair's
+    other = CORPUS_PAIRS[(CORPUS_PAIRS.index(pair) + 1) % len(CORPUS_PAIRS)]
+    foreign = str(tail.tail_of(*other).interval.hi)
+    data = json.loads(atlas_to_json(atlas(*pair)))
+    assert data["tail"][key] != foreign
+    data["tail"][key] = foreign
+    with pytest.raises(ValueError, match=rf"tail of \({pair[0]},{pair[1]}\) field '{key}'"):
+        atlas_from_json(json.dumps(data))
+
+
 def _flip_one_closure(at):
     k = _proper_boundary(at.body)
     ival, word = at.body[k]
@@ -328,8 +327,6 @@ TWIN_MISMATCHES = {
         twin,
         _edit(mirror, {k: (ival, word[2:] + word[:2]) for k, (ival, word) in enumerate(twin.body)}),
     ),
-    "mirror's tail not the twin's": lambda twin, mirror: (twin, _foreign_tail(mirror)),
-    "twin's tail not the mirror's": lambda twin, mirror: (_foreign_tail(twin), mirror),
 }
 
 
@@ -505,7 +502,7 @@ def _body(data, exact):
     if exact is not None:
         edges += [exact.lo, exact.hi, exact.midpoint()]
     edge = data.draw(st.sampled_from([e for e in edges if -2 < e < 2] + [None]))
-    return FULL_RANGE if edge is None else Interval(edge, F(2), True, False)
+    return Interval.open(F(-2), F(2)) if edge is None else Interval(edge, F(2), True, False)
 
 
 def _detected(lam, start):
@@ -567,8 +564,8 @@ def _flip_lower_closure(orbit_bounds):
     """A broken kernel: every solved interval starts with the wrong closure."""
 
     def broken(lam, plus, start, cap):
-        word, bounds, steps = orbit_bounds(lam, plus, start, cap)
-        return word, bounds[:2] + (not bounds[2],) + bounds[3:], steps
+        word, bounds = orbit_bounds(lam, plus, start, cap)
+        return word, bounds[:2] + (not bounds[2],) + bounds[3:]
 
     return broken
 
@@ -600,8 +597,8 @@ def test_march_rejects_an_empty_or_moved_interval(monkeypatch, edit):
     good = partition.orbit_bounds
 
     def broken(lam, plus, start, cap):
-        word, bounds, steps = good(lam, plus, start, cap)
-        return word, edit(bounds, lam, plus), steps
+        word, bounds = good(lam, plus, start, cap)
+        return word, edit(bounds, lam, plus)
 
     monkeypatch.setattr(partition, "orbit_bounds", broken)
     with pytest.raises(MarchError) as exc:
@@ -617,8 +614,8 @@ def test_march_checks_survive_optimized_python():
         "print(__debug__, len(partition.compute_atlas(-1, -1).body))\n"
         "good = partition.orbit_bounds\n"
         "def broken(lam, plus, start, cap):\n"
-        "    word, (lo_n, lo_d, *rest), steps = good(lam, plus, start, cap)\n"
-        "    return word, (lo_n - lo_d, lo_d, *rest), steps\n"
+        "    word, (lo_n, lo_d, *rest) = good(lam, plus, start, cap)\n"
+        "    return word, (lo_n - lo_d, lo_d, *rest)\n"
         "partition.orbit_bounds = broken\n"
         "try:\n"
         "    partition.compute_atlas(-1, -1)\n"
@@ -903,7 +900,7 @@ def _table(summary):
 
 def test_summary_cuts_every_deferred_pair_as_the_intersection_does(atlas):
     grid = [(a0, a1) for a0 in range(-8, 9) for a1 in range(-8, 9)]
-    ranges = {pair: PartitionAtlas(*pair, tail.tail_of(*pair), ()) for pair in grid}
+    ranges = {pair: PartitionAtlas(*pair, ()) for pair in grid}
     cut = [pair for pair, at in ranges.items() if at.table_range != at.body_range]
     assert len(cut) == 16
     verdict = VerificationReport(True)
@@ -967,6 +964,39 @@ def test_mirror_is_the_marched_swapped_pair(atlas):
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             assert _mirrored(atlas(a0, a1)) == atlas(a1, a0)
+
+
+def test_an_atlas_stores_its_pair_and_body_only():
+    assert [f.name for f in dataclasses.fields(PartitionAtlas)] == ["a0", "a1", "body"]
+
+
+def test_every_atlas_derives_its_pairs_tail(atlas):
+    for a0 in range(-4, 5):
+        for a1 in range(-4, 5):
+            marched = atlas(a0, a1)
+            read = atlas_from_json(atlas_to_json(marched))
+            for at in (marched, _mirrored(atlas(a1, a0)), read):
+                assert (at.a0, at.a1, at.tail) == (a0, a1, tail.tail_of(a0, a1))
+
+
+def test_an_atlas_derives_its_tail_once(atlas, monkeypatch):
+    calls = []
+    derive = partition.tail_of
+    monkeypatch.setattr(partition, "tail_of", lambda *pair: calls.append(pair) or derive(*pair))
+    # (2, 3) has a table range narrower than its body range
+    for pair in ((2, 3), (0, 0), (1, 1)):
+        at = PartitionAtlas(*pair, atlas(*pair).body)
+        mirror = _mirrored(at)
+        for _ in range(3):
+            for each in (at, mirror):
+                assert each.tail and each.body_range and each.table_range
+        assert calls == [pair, pair[::-1]]
+        calls.clear()
+    # a sweep derives each tail as often as with a stored one: the march and
+    # the marched atlas once each, the mirror once
+    sweep(2)
+    expected = {(a0, a1): 2 if a0 <= a1 else 1 for a0 in range(-2, 3) for a1 in range(-2, 3)}
+    assert {pair: calls.count(pair) for pair in set(calls)} == expected
 
 
 def test_march_and_mirror_share_their_interval_objects(atlas):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -36,13 +37,23 @@ def test_triangular():
 
 
 def test_label_examples():
-    assert label_of(0, 1) == Label(0, 1, 1)
-    assert label_of(-1, -1) == Label(0, 1, 1)
-    assert label_of(-2, -2) == Label(1, 2, 1)
-    assert label_of(2, 0) == Label(0, 2, 2)
-    assert label_of(3, 3) == Label(3, 0, None)
-    assert label_of(-1, 1) == Label(1, 2, 1)
-    assert label_of(1, -2) == Label(1, 3, 2)
+    cases = {
+        (0, 1): (0, 1, 1),
+        (-1, -1): (0, 1, 1),
+        (-2, -2): (1, 2, 1),
+        (2, 0): (0, 2, 2),
+        (3, 3): (3, 0, None),
+        (-1, 1): (1, 2, 1),
+        (1, -2): (1, 3, 2),
+    }
+    for pair, (s, d, K) in cases.items():
+        label = label_of(*pair)
+        assert (label, label.K) == (Label(s, d), K), pair
+
+
+def test_label_is_its_class_alone():
+    # K is derived from (s, d), so a label cannot disagree with it
+    assert [f.name for f in dataclasses.fields(Label)] == ["s", "d"]
 
 
 def test_label_range_property():
@@ -165,11 +176,9 @@ def test_tail_of_window_cases():
 
 def test_label_validation():
     with pytest.raises(ValueError):
-        Label(2, 2, 1)
+        Label(2, 2)
     with pytest.raises(ValueError):
-        Label(0, 1, None)
-    with pytest.raises(ValueError):
-        Label(0, 0, 1)
+        Label(-1, 0)
 
 
 def test_tail_is_swap_symmetric():
