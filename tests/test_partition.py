@@ -232,6 +232,27 @@ def _duplicate_word(at):
     return _edit(at, {-1: (at.body[-1][0], at.body[0][1])})
 
 
+def _foreign_tail(at):
+    # The atlas derives its tail from its pair, so a foreign tail can show
+    # only in the body: here the body starts at the edge of a tail one window
+    # shorter (at -2, open, for a constant tail) and runs over the first one.
+    t = at.tail
+    if t.k_start is None:
+        lo, closed = t.interval.lo, False
+    else:
+        lo, closed = tail.z_interval(t.label.s, t.label.d, t.k_start).lo, True
+    ival, word = at.body[0]
+    return _edit(at, {0: (dataclasses.replace(ival, lo=lo, lo_closed=closed), word)})
+
+
+def test_verify_rejects_foreign_tail(atlas):
+    at = atlas(-1, -1)
+    bad = _foreign_tail(at)
+    report = verify_atlas(bad, probes_per_interval=2)
+    assert not report.ok
+    assert report.failure == f"body starts at {bad.body[0][0]}, expected lower edge {at.body_range}"
+
+
 CORRUPTIONS = {
     "shifted endpoint": _shift_endpoint,
     "flipped closure": _flip_closure,
@@ -243,6 +264,7 @@ CORRUPTIONS = {
     "merged entries": _merge_entries,
     "duplicate word": _duplicate_word,
     "empty word": _empty_word,
+    "foreign tail": _foreign_tail,
 }
 # Each pair has a boundary between two proper entries for the endpoint and
 # closure mutants; (-1, -1) has none, its singletons alternate.
@@ -327,6 +349,8 @@ TWIN_MISMATCHES = {
         twin,
         _edit(mirror, {k: (ival, word[2:] + word[:2]) for k, (ival, word) in enumerate(twin.body)}),
     ),
+    "mirror's tail not the twin's": lambda twin, mirror: (twin, _foreign_tail(mirror)),
+    "twin's tail not the mirror's": lambda twin, mirror: (_foreign_tail(twin), mirror),
 }
 
 
