@@ -69,14 +69,17 @@ def _solves_to(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Pass/fail of an atlas re-check, with the first counterexample if any."""
+    """An atlas re-check's verdict: its first counterexample, or None when ``ok``."""
 
-    ok: bool
     failure: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def _fail(message: str) -> VerificationReport:
-    return VerificationReport(False, message)
+    return VerificationReport(message)
 
 
 def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> VerificationReport:
@@ -176,4 +179,4 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
             if word[::-1] != twin_word[2:] + twin_word[:2]:
                 return _fail(f"cycle on {ival} is not its twin's cycle reversed")
 
-    return VerificationReport(True)
+    return VerificationReport()

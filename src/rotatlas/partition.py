@@ -43,8 +43,7 @@ from .tail import TailDescription, tail_of
 def _body_range(tail: TailDescription) -> Interval:
     """The marched range: from the tail's right edge, closed, to the open edge 2.
 
-    Only the full tail of (0, 0), all of (-2, 2), reaches 2: it is its own
-    body range, open at -2.
+    Only the full tail (-2, 2) of (0, 0) reaches 2; it is its own body range.
     """
     ival = tail.interval
     if ival.hi == 2:
@@ -125,17 +124,15 @@ class PartitionAtlas:
 
     @property
     def table_range(self) -> Interval:
-        """The range the summary tables count: right of the K-window edge.
+        """The range the summary tables count: from window K's edge, closed, to 2.
 
-        The verified body can extend further left than this when the pair's
-        occurrence index exceeds K; the overhang windows are excluded from
-        the tabulated statistics, which are defined over this range.
+        The verified body reaches further left when the pair's occurrence
+        index exceeds K; the tables leave those windows out.
         """
         label = self.tail.label
         if label.d == 0:
             return self.body_range
-        lo = -2 + Fraction(1, label.s + label.K * label.d)
-        return Interval(lo, Fraction(2), True, False)
+        return Interval(label.edge(label.K), Fraction(2), True, False)
 
     @property
     def interval_count(self) -> int:
@@ -253,28 +250,34 @@ def verify_atlas(
     for name, window, cycle in checked_windows(atlas.tail):
         i = _pair_index(cycle, a0, a1, 0)
         if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
-            return VerificationReport(False, f"{name} not re-detected")
+            return VerificationReport(f"{name} not re-detected")
     for ival, word in atlas.body:
         for lam in _probe_points(ival, probes_per_interval):
             if not _probe(lam, start, word):
-                return VerificationReport(False, f"cycle on {ival} not re-detected at {lam}")
+                return VerificationReport(f"cycle on {ival} not re-detected at {lam}")
     return verdict
 
 
 @dataclass(frozen=True)
 class PointSummary:
-    """Per-initial-pair statistics retained by a sweep."""
+    """One pair's sweep statistics; the pair fixes its shell, the failure its verdict."""
 
     a0: int
     a1: int
-    shell: int
     intervals: int
     singletons: int
     max_len: int
     max_len_interval: str
     total_len: int
-    verified: bool
     failure: Optional[str] = None
+
+    @property
+    def shell(self) -> int:
+        return max(abs(self.a0), abs(self.a1))
+
+    @property
+    def verified(self) -> bool:
+        return self.failure is None
 
     @property
     def avg_len(self) -> Fraction:
@@ -371,13 +374,11 @@ def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> Point
     return PointSummary(
         a0=atlas.a0,
         a1=atlas.a1,
-        shell=max(abs(atlas.a0), abs(atlas.a1)),
         intervals=len(entries),
         singletons=sum(1 for ival, _ in entries if ival.is_singleton),
         max_len=len(longest_word),
         max_len_interval=str(longest_interval),
         total_len=sum(len(word) for _, word in entries),
-        verified=verdict.ok,
         failure=verdict.failure,
     )
 
@@ -420,8 +421,7 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     if a0 != a1:
         atlases.append(_mirrored(atlas))
         mirrored = verify_atlas(atlases[1], twin=atlas if verdict.ok else None)
-        swapped = dict(a0=a1, a1=a0, verified=mirrored.ok, failure=mirrored.failure)
-        summaries.append(replace(summaries[0], **swapped))
+        summaries.append(replace(summaries[0], a0=a1, a1=a0, failure=mirrored.failure))
     if out_dir is not None:
         from . import report
 

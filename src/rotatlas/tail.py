@@ -10,14 +10,16 @@ realized exactly on
 and these windows tile a whole left neighbourhood ``(-2, -2 + 1/(s + Kd))``
 of the parameter interval, where ``K`` is the least admissible index.  For
 ``d = 0`` the tail is a single window with a constant cycle.  This module
-computes labels, the cycles, their windows, and the assembled tail; the
-finite remainder of the parameter interval is the partitioner's job.
+computes labels, the cycles, their windows (each edge is `Label.edge`), and
+the tail, which is fixed by its label and first window index; the finite
+remainder of the parameter interval is the partitioner's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -44,16 +46,18 @@ class Label:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 0 or self.s < 0:
-            raise ValueError(f"label components must be non-negative: {self}")
-        if self.d > 0 and not 0 <= self.s < self.d:
-            raise ValueError(f"label needs 0 <= s < d when d > 0: {self}")
+        if self.s < 0 or self.d < 0 or 0 < self.d <= self.s:
+            raise ValueError(f"label needs s, d >= 0, and s < d when d > 0: {self}")
 
     @property
     def K(self) -> Optional[int]:
         """The least admissible index ceil((T_d - s)/d), or None when d = 0."""
         s, d = self.s, self.d
         return -((s - triangular(d)) // d) if d > 0 else None
+
+    def edge(self, k: int) -> Fraction:
+        """-2 + 1/(s + kd): window k is [edge(k+1), edge(k)); -2 + 1/s at d = 0."""
+        return -2 + Fraction(1, self.s + k * self.d)
 
 
 def _ramp_index_closed_form(t: int, m: int) -> int:
@@ -90,21 +94,22 @@ def label_of(a0: int, a1: int) -> Label:
     return Label(s, d)
 
 
+def _rung(a0: int, a1: int, d: int) -> int:
+    return max(1, min(a0, a1) // d)  # `occurrence_index`, for d > 0; a negative value floors below 1
+
+
 def occurrence_index(a0: int, a1: int) -> int:
     """The least window index whose ramp cycle contains the pair adjacently.
 
     The arithmetic ramp of the k-th cycle only reaches up to s + (k+1)d, so a
-    pair of non-negative unequal values sits on it only once k reaches the
-    pair's own rung, floor(min(a0,a1)/d); in every other labelled case the
-    pair sits on the descending ramp or at a junction, which exist for all
-    k >= 1.  Only defined for labels with d > 0.
+    pair of non-negative values sits on it only from its own rung
+    floor(min(a0,a1)/d) on; any other pair sits on the descending ramp or at
+    a junction, which exist for all k >= 1.  Only defined for d > 0.
     """
-    label = label_of(a0, a1)
-    if label.d == 0:
+    d = label_of(a0, a1).d
+    if d == 0:
         raise ValueError(f"pair ({a0},{a1}) has a constant tail; no window index")
-    if 0 <= a0 < a1 or 0 <= a1 < a0:
-        return max(1, min(a0, a1) // label.d)
-    return 1
+    return _rung(a0, a1, d)
 
 
 def triangular_cycle(s: int, d: int, k: int) -> Word:
@@ -116,10 +121,8 @@ def triangular_cycle(s: int, d: int, k: int) -> Word:
     C = (s - (T_d - T_{d-1}), ..., s - (T_d - T_0));
     its length is 2(k+1) + 4d.
     """
-    if d <= 0 or not 0 <= s < d:
-        raise ValueError(f"need 0 <= s < d with d > 0, got s={s} d={d}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    if Label(s, d).d == 0 or k < 1:  # the label itself needs 0 <= s < d
+        raise ValueError(f"need d > 0 and k >= 1, got s={s} d={d} k={k}")
     t_d = triangular(d)
     a = [s + i * d for i in range(k + 1)]
     b = [s + k * d + (t_d - triangular(d - j)) for j in range(1, d + 1)]
@@ -129,40 +132,40 @@ def triangular_cycle(s: int, d: int, k: int) -> Word:
 
 def z_interval(s: int, d: int, k: int) -> Interval:
     """The parameter window realizing the k-th ramp cycle: closed left, open right."""
-    if d <= 0 or not 0 <= s < d:
-        raise ValueError(f"need 0 <= s < d with d > 0, got s={s} d={d}")
-    if k * d < triangular(d) - s:
-        raise ValueError(f"need k >= (T_d - s)/d, got s={s} d={d} k={k}")
-    lo = -2 + Fraction(1, s + (k + 1) * d)
-    hi = -2 + Fraction(1, s + k * d)
-    return Interval(lo, hi, True, False)
+    edge = Label(s, d).edge  # the label itself needs 0 <= s < d
+    if d == 0 or k * d < triangular(d) - s:
+        raise ValueError(f"need d > 0 and k >= (T_d - s)/d, got s={s} d={d} k={k}")
+    return Interval(edge(k + 1), edge(k), True, False)
 
 
 @dataclass(frozen=True)
 class TailDescription:
-    """The infinite left part of one initial pair's partition.
+    """The infinite left part of a pair's partition, fixed by its label and ``k_start``.
 
-    ``interval`` is the full parameter range the tail covers.  For d > 0 it
-    is the disjoint union of the per-k windows for k >= ``k_start``, listed
-    up to a given index by `pieces_through`; for d = 0 the tail is a single
-    window with a constant cycle and ``k_start`` is None.
-
-    ``k_start`` is max(K, occurrence index): K alone makes every window's
-    cycle occupy exactly that window, but the pair itself only rides the
-    cycles from its occurrence index on, and the windows below that belong
-    to the marched body.
+    For d > 0 its ``interval`` is the disjoint union of the per-k windows
+    for k >= ``k_start``, listed up to a given index by `pieces_through`;
+    for d = 0 it is one window with a constant cycle, and ``k_start`` is
+    None.  ``k_start`` is max(K, occurrence index): K alone makes every
+    window's cycle occupy exactly that window, but the pair itself only
+    rides the cycles from its occurrence index on, and the windows below
+    that belong to the marched body.
     """
 
     label: Label
-    interval: Interval
     k_start: Optional[int]
+
+    @cached_property
+    def interval(self) -> Interval:
+        """All the tail covers: from -2 to window ``k_start``'s edge (to 2 for (0, 0)), open."""
+        label = self.label
+        hi = label.edge(self.k_start or 0) if label.s or label.d else Fraction(2)
+        return Interval.open(Fraction(-2), hi)
 
     def pieces_through(self, k_max: int) -> list[tuple[Interval, Word]]:
         """(window, cycle word) pairs for k = k_start, ..., ``k_max``.
 
-        For d > 0 the windows march down toward the left end of the parameter
-        interval as k grows; for d = 0 the single constant window is returned
-        whatever ``k_max`` is.
+        For d > 0 the windows march down toward -2 as k grows; for d = 0 the
+        single constant window is returned whatever ``k_max`` is.
         """
         s, d = self.label.s, self.label.d
         if d == 0:
@@ -174,15 +177,8 @@ class TailDescription:
 
 
 def tail_of(a0: int, a1: int) -> TailDescription:
-    """Assemble the tail description of an initial pair from its label."""
+    """The tail description of an initial pair, from its label (classified once)."""
     label = label_of(a0, a1)
-    s, d = label.s, label.d
-    if d == 0:
-        if s == 0:
-            interval = Interval.open(Fraction(-2), Fraction(2))
-        else:
-            interval = Interval.open(Fraction(-2), -2 + Fraction(1, s))
-        return TailDescription(label, interval, None)
-    k_start = max(label.K, occurrence_index(a0, a1))
-    interval = Interval.open(Fraction(-2), -2 + Fraction(1, s + k_start * d))
-    return TailDescription(label, interval, k_start)
+    if label.d == 0:
+        return TailDescription(label, None)
+    return TailDescription(label, max(label.K, _rung(a0, a1, label.d)))

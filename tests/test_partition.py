@@ -317,6 +317,26 @@ def test_verify_rejects_the_corrupted_mirror_against_its_twin(atlas, pair, name)
         assert not verify_atlas(bad, probes_per_interval=probes).ok
 
 
+def test_corruption_corpus_failures_are_the_golden_texts(atlas):
+    # each failure names the same first fault as before the verdict was
+    # reduced to its failure text
+    with open(os.path.join(GOLDENS, "corruption_failures.txt")) as fh:
+        golden = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    texts = []
+    for pair in CORPUS_PAIRS:
+        at = atlas(*pair)
+        for name in sorted(CORRUPTIONS):
+            report = verify_atlas(CORRUPTIONS[name](at))
+            assert not report.ok
+            texts.append(f"{pair[0]} {pair[1]} {name}: {report.failure}")
+        mirror = _mirrored(at)
+        for name in sorted(CORRUPTIONS):
+            report = verify_atlas(CORRUPTIONS[name](mirror), twin=at)
+            assert not report.ok
+            texts.append(f"{pair[1]} {pair[0]} {name} twin: {report.failure}")
+    assert texts == golden
+
+
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
 @pytest.mark.parametrize("key", ["lo", "hi"])
 def test_reader_rejects_another_pairs_tail_edge(atlas, pair, key):
@@ -927,7 +947,7 @@ def test_summary_cuts_every_deferred_pair_as_the_intersection_does(atlas):
     ranges = {pair: PartitionAtlas(*pair, ()) for pair in grid}
     cut = [pair for pair, at in ranges.items() if at.table_range != at.body_range]
     assert len(cut) == 16
-    verdict = VerificationReport(True)
+    verdict = VerificationReport()
     for pair in cut:
         at = atlas(*pair)
         assert _table(summarize_atlas(at, verdict)) == _oracle_table(at)
@@ -954,7 +974,7 @@ def test_summary_cuts_each_kind_of_entry_as_the_intersection_does(atlas, body, t
     words = [(1,) * (3 if text.endswith("*") else 2) for text in body]
     entries = tuple((parse_interval(text.rstrip("*")), word) for text, word in zip(body, words))
     at = dataclasses.replace(atlas(2, 3), body=entries)
-    summary = summarize_atlas(at, VerificationReport(True))
+    summary = summarize_atlas(at, VerificationReport())
     assert _table(summary) == _oracle_table(at)
     assert _table(summary)[:3] == table
 
@@ -1057,6 +1077,33 @@ def test_sweep_verifies_the_mirrored_pairs(monkeypatch):
         assert failed == mirrored, name
 
 
+def test_verdicts_and_summaries_store_no_derived_field():
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == ["failure"]
+    assert VerificationReport().ok and not VerificationReport("a fault").ok
+    fields = [f.name for f in dataclasses.fields(partition.PointSummary)]
+    assert fields == [
+        "a0", "a1", "intervals", "singletons", "max_len", "max_len_interval", "total_len",
+        "failure",
+    ]
+
+
+# max(|a0|, |a1|) over the grid of sweep(2), a0 down the rows, a1 across
+SHELLS_M2 = """
+2 2 2 2 2
+2 1 1 1 2
+2 1 0 1 2
+2 1 1 1 2
+2 2 2 2 2
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_summaries_derive_their_shell_and_verdict(jobs):
+    points = sweep(2, jobs=jobs).points
+    assert [p.shell for p in points] == [int(m) for m in SHELLS_M2.split()]
+    assert all(p.verified and p.failure is None for p in points)
+
+
 def test_sweep_checks_a_mirror_from_scratch_when_its_twin_fails(monkeypatch):
     compute = partition.compute_atlas
     bad = _swap_words(compute(-1, 2))
@@ -1072,7 +1119,7 @@ def test_sweep_checks_a_mirror_from_scratch_when_its_twin_fails(monkeypatch):
 
 
 def test_mirror_summary_is_the_twins_with_the_pair_swapped(atlas):
-    verdict = partition.VerificationReport(True)
+    verdict = partition.VerificationReport()
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             at = atlas(a0, a1)

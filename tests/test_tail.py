@@ -6,6 +6,7 @@ import pytest
 from rotatlas import (
     Interval,
     Label,
+    TailDescription,
     interval_for_cycle,
     label_of,
     occurrence_index,
@@ -14,6 +15,8 @@ from rotatlas import (
     triangular_cycle,
     z_interval,
 )
+from rotatlas import tail
+from rotatlas.partition import PartitionAtlas
 from rotatlas.tail import _ramp_index_closed_form
 
 
@@ -54,6 +57,11 @@ def test_label_examples():
 def test_label_is_its_class_alone():
     # K is derived from (s, d), so a label cannot disagree with it
     assert [f.name for f in dataclasses.fields(Label)] == ["s", "d"]
+
+
+def test_tail_stores_its_label_and_first_window_alone():
+    # the interval is derived from them, so a tail cannot disagree with it
+    assert [f.name for f in dataclasses.fields(TailDescription)] == ["label", "k_start"]
 
 
 def test_label_range_property():
@@ -137,6 +145,52 @@ def test_occurrence_index():
     assert occurrence_index(-3, -4) == 1
     with pytest.raises(ValueError):
         occurrence_index(2, 2)
+
+
+def test_tail_classifies_its_pair_once(monkeypatch):
+    calls = []
+    classify = tail.label_of
+
+    def counted(a0, a1):
+        calls.append((a0, a1))
+        return classify(a0, a1)
+
+    monkeypatch.setattr(tail, "label_of", counted)
+    for a0 in range(-6, 7):
+        for a1 in range(-6, 7):
+            calls.clear()
+            tail_of(a0, a1)
+            assert calls == [(a0, a1)]
+
+
+def _reached_tails(m):
+    """Every pair with max(|a0|, |a1|) <= m, with its tail."""
+    return {(a0, a1): tail_of(a0, a1) for a0 in range(-m, m + 1) for a1 in range(-m, m + 1)}
+
+
+def test_window_edges_are_the_closed_form_over_fifty_windows():
+    for t in set(_reached_tails(10).values()):
+        label = t.label
+        s, d = label.s, label.d
+        if d == 0:
+            continue
+        for k in range(t.k_start, t.k_start + 51):
+            assert label.edge(k) == F(-2) + F(1, s + k * d)
+            expected = Interval(label.edge(k + 1), label.edge(k), True, False)
+            assert z_interval(s, d, k) == expected, (label, k)
+
+
+def test_every_tail_and_table_range_starts_at_its_edge():
+    for pair, t in _reached_tails(10).items():
+        label = t.label
+        s, d = label.s, label.d
+        if d > 0:
+            assert t.interval == Interval.open(F(-2), label.edge(t.k_start)), pair
+            assert PartitionAtlas(*pair, ()).table_range.lo == label.edge(label.K), pair
+        elif s > 0:
+            assert t.interval == Interval.open(F(-2), F(-2) + F(1, s)), pair
+        else:
+            assert t.interval == Interval.open(F(-2), F(2)), pair
 
 
 def test_pair_occurs_from_its_start_index_on():
