@@ -28,7 +28,6 @@ from .tail import (
     Label,
     TailDescription,
     label_of,
-    occurrence_index,
     tail_of,
     triangular,
     triangular_cycle,
@@ -55,7 +54,6 @@ __all__ = [
     "detect_cycle",
     "interval_for_cycle",
     "label_of",
-    "occurrence_index",
     "parse_rational",
     "summarize_atlas",
     "sweep",

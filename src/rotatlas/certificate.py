@@ -78,10 +78,6 @@ class VerificationReport:
         return self.failure is None
 
 
-def _fail(message: str) -> VerificationReport:
-    return VerificationReport(message)
-
-
 def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> VerificationReport:
     """Prove that ``atlas`` is its pair's partition, or name the first fault.
 
@@ -136,47 +132,53 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     """
     a0, a1 = atlas.a0, atlas.a1
     if twin is not None and (twin.a0, twin.a1, len(twin.body)) != (a1, a0, len(atlas.body)):
-        return _fail(f"twin {twin.a0, twin.a1} with {len(twin.body)} entries is not its swap")
+        return VerificationReport(
+            f"twin {twin.a0, twin.a1} with {len(twin.body)} entries is not its swap"
+        )
     if twin is None:
         # Tiling: the entries cover the body range exactly, in order, with
         # complementary closures at shared endpoints (one shared Fraction in
         # a marched atlas, so the identity test settles most of them).
         body_range = atlas.body_range
         if not atlas.body:
-            return _fail("empty body")
+            return VerificationReport("empty body")
         first, last = atlas.body[0][0], atlas.body[-1][0]
         if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
-            return _fail(f"body starts at {first}, expected lower edge {body_range}")
+            return VerificationReport(f"body starts at {first}, expected lower edge {body_range}")
         if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
-            return _fail(f"body ends at {last}, expected upper edge {body_range}")
+            return VerificationReport(f"body ends at {last}, expected upper edge {body_range}")
         for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
             if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
-                return _fail(f"coverage breaks between {cur} and {nxt}")
+                return VerificationReport(f"coverage breaks between {cur} and {nxt}")
         edge_n, edge_d, edge_closed = _edge(body_range)
 
     # Tail: the pair's first windows pass the certificate.
     for name, window, cycle in checked_windows(atlas.tail):
         # solved within the ambient (-2, 2): lower edge -2/1, open
         if twin is None and not _solves_to(cycle_bounds(cycle), -2, 1, False, window):
-            return _fail(f"{name} does not hold on the tail")
+            return VerificationReport(f"{name} does not hold on the tail")
         i = _pair_index(cycle, a0, a1, 0)
         if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
-            return _fail(f"initial pair not once in {name}")
+            return VerificationReport(f"initial pair not once in {name}")
 
     # Body entries: the certificate above, or the twin's swap image, in integers.
     for k, (ival, word) in enumerate(atlas.body):
         if twin is None:
             if not word:
-                return _fail(f"empty cycle on {ival}")
+                return VerificationReport(f"empty cycle on {ival}")
             if not _solves_to(cycle_bounds(word), edge_n, edge_d, edge_closed, ival):
-                return _fail(f"stored interval {ival} is not the cycle's parameter set")
+                return VerificationReport(
+                    f"stored interval {ival} is not the cycle's parameter set"
+                )
             if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
-                return _fail(f"cycle on {ival} does not hold {a0, a1} at its start only")
+                return VerificationReport(
+                    f"cycle on {ival} does not hold {a0, a1} at its start only"
+                )
         else:
             twin_ival, twin_word = twin.body[k]
             if ival is not twin_ival and ival != twin_ival:
-                return _fail(f"stored interval {ival} is not its twin's {twin_ival}")
+                return VerificationReport(f"stored interval {ival} is not its twin's {twin_ival}")
             if word[::-1] != twin_word[2:] + twin_word[:2]:
-                return _fail(f"cycle on {ival} is not its twin's cycle reversed")
+                return VerificationReport(f"cycle on {ival} is not its twin's cycle reversed")
 
     return VerificationReport()

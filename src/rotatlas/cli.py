@@ -131,7 +131,7 @@ def _cmd_tail(args) -> int:
                 f"--k-max {k_max} is below the first window index {tail.k_start} "
                 f"of ({args.a0},{args.a1})"
             )
-    print(f"label: s={label.s} d={label.d}" + (f" K={label.K}" if label.K is not None else ""))
+    print(f"label: {label}")
     print(f"tail interval: {tail.interval}")
     for window, word in tail.pieces_through(k_max):
         print(f"  {str(window):>22} -> ({report.word_text(word)})")

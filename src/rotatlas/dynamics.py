@@ -1,4 +1,4 @@
-"""Rotation parameters and the two orbit loops: cycle detection and the march kernel.
+"""Rotation parameters and the orbit loops: cycle detection, the march kernel, the probe.
 
 The exact map with rotation parameter ``lam = p/q`` sends ``(x, y)`` to
 ``(y, z)`` where ``z`` is the unique integer with ``0 <= z + lam*y + x < 1``,
@@ -39,27 +39,29 @@ object of its own, about three times the memory.  A mirrored word is a
 slice of its twin, so it shares the objects too.  `detect_cycle` keeps
 plain ints: its words are transient.
 
-`detect_cycle`'s exact loop, which the probes run, takes two steps per
-pass, ``x = c(y) - x`` and then ``y = c(x) - y``, testing for the start
-after each; its one-sided loop takes one step per pass and also tests the
-divergence certificate.  The march's one loop, in `_arc`, serves both of
+`detect_cycle` runs one loop for all three maps, one step per pass: the
+closed form on the one-sided side of zero, the exact step elsewhere, and
+the divergence test only on the plus side at -2.  It serves `rotatlas
+orbit` and the tests.  The march's one loop, in `_arc`, serves both of
 its maps: three steps per pass over three names, each new letter tested
-against the two before it (see `orbit_bounds`).  The loops call
-``word.append``, which CPython 3.11 specialises, rather than a
-bound-method local.
+against the two before it (see `orbit_bounds`).  `is_orbit`, the opt-in
+probe of `partition.verify_atlas`, detects nothing: it steps the exact
+map along the word it is given and stops at the first letter that
+differs.  The two loops that build a word call ``word.append``, which
+CPython 3.11 specialises, rather than a bound-method local.
 
-The step is written out in each of the two kernels, `detect_cycle` and
-`orbit_bounds` (in `_arc`), and the word's bounds are solved a third time
-by `constraints.cycle_bounds`.  The three are kept apart on purpose:
+The step is written out in each of the three loops, and the word's bounds
+are solved once more by `constraints.cycle_bounds`.  They are kept apart
+on purpose:
 
 - speed: the fused kernel finds the bounds by a Farey walk of a few terms
   from its letter set, where marching through `detect_cycle` and a
   separate solve pays for a second pass over the whole word;
 - independence: `certificate.certify` re-checks the march with its own
   solve, `constraints.cycle_bounds`, runs no orbit and imports no orbit
-  code, so a fault in the march kernel cannot certify itself;
-  `detect_cycle` serves verification only as the opt-in probe cross-check
-  of `partition.verify_atlas`.
+  code, so a fault in the march kernel cannot certify itself; the probes
+  check the certified words with `is_orbit`, which shares no helper with
+  `certify`.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class OrbitResult:
     pair), "cap_exceeded" (no return within the step cap), or "diverged"
     (a certificate proves the orbit unbounded).  ``visited`` holds every
     orbit value so far; only `max_abs` reads it, so a caller that never
-    asks, such as a verification probe, pays for no scan.
+    asks pays for no scan.
     """
 
     outcome: str
@@ -167,48 +169,46 @@ def detect_cycle(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     p, q = spec.value.numerator, spec.value.denominator
+    m = -p
+    # the closed form holds where ``side * y > 0``: y < 0 plus, y > 0 minus, never exact
+    side = {"exact": 0, "plus_zero": -1, "minus_zero": 1}[spec.kind]
+    certify_divergence = side < 0 and p == -2 * q
     x0, y0 = x, y = start
-    if spec.kind == "exact":
-        # Two steps per pass; after ``cap // 2 + 1`` passes the word may be
-        # one value past the cap, so the cap is tested on its length.
-        # ``(x, y)`` ends as the state after the word's last value.
-        word: list[int] = []
-        for _ in range(cap // 2 + 1):
-            word.append(x)
-            x = -((p * y) // q) - x
-            if y == x0 and x == y0:
-                x, y = y, x
-                break
-            word.append(y)
-            y = -((p * x) // q) - y
-            if x == x0 and y == y0:
-                break
-        if len(word) <= cap:
-            # the word holds one period, from the start
-            return OrbitResult("cycle", tuple(word), len(word), word)
-    else:
-        word = []
-        plus = spec.kind == "plus_zero"
-        certify_divergence = plus and p == -2 * q
-        m = -p
-        for steps in range(cap):
-            if certify_divergence and x - y < 0:
-                word += (x, y)
-                return OrbitResult("diverged", None, steps, word)
-            word.append(x)
-            if y < 0 if plus else y > 0:
-                z = (m * y) // q + 1 - x
-            else:
-                z = -((p * y) // q) - x
-            x, y = y, z
-            if x == x0 and y == y0:
-                return OrbitResult("cycle", tuple(word), steps + 1, word)
-    # ``visited`` ends two values past the cap.  (x, y) follow the word's
-    # last value (they are the start again when an exact orbit closed past
-    # the cap), and the cut drops what an exact pass ran beyond.
+    word: list[int] = []
+    for steps in range(cap):
+        if certify_divergence and x - y < 0:
+            word += (x, y)
+            return OrbitResult("diverged", None, steps, word)
+        word.append(x)
+        x, y = y, (m * y) // q + 1 - x if side * y > 0 else -((p * y) // q) - x
+        if x == x0 and y == y0:
+            return OrbitResult("cycle", tuple(word), steps + 1, word)
+    # ``visited`` ends with the state after the word's last value
     word += (x, y)
-    del word[cap + 2 :]
     return OrbitResult("cap_exceeded", None, cap, word)
+
+
+def is_orbit(lam: Fraction, start: LatticePoint, word: Word) -> bool:
+    """Whether the orbit of ``start`` under the exact map at ``lam`` is exactly ``word``.
+
+    The map is stepped along ``word``, with no list built: the check fails
+    at the first letter that differs, or at a return to ``start`` before
+    ``len(word)`` steps, and otherwise holds iff the orbit returns there.
+    So it runs at most ``len(word)`` steps, and for a non-empty ``word``
+    it agrees with ``detect_cycle(ParamSpec.exact(lam), start,
+    len(word)).cycle == word``.
+    It shares no helper with `certificate.certify`, which it cross-checks.
+    """
+    p, q = lam.numerator, lam.denominator
+    x0, y0 = x, y = start
+    last = len(word) - 1
+    for i, letter in enumerate(word):
+        if x != letter:
+            return False
+        x, y = y, -((p * y) // q) - x
+        if x == x0 and y == y0:
+            return i == last
+    return False
 
 
 def _arc(

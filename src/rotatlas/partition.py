@@ -19,7 +19,8 @@ cross `sweep`'s process pool.
 `verify_atlas` re-checks a computed atlas from scratch by the exact
 certificate of the `certificate` module, as every command does; probe
 orbits (``probes_per_interval``), a library-only cross-check against the
-dynamics, run on a certified atlas only.
+dynamics, run on a certified atlas only: each steps the exact map along
+the certified word (`dynamics.is_orbit`) and detects no cycle.
 `sweep` runs compute + verify over a square grid of initial pairs and
 aggregates the statistics reported by `report`; it marches and certifies
 each unordered pair once, mirrors the atlas to the swapped pair, and checks
@@ -35,7 +36,7 @@ from typing import Optional
 
 from .certificate import VerificationReport, certify, checked_windows
 from .constraints import Bounds, Word, _pair_index
-from .dynamics import DEFAULT_ORBIT_CAP, ParamSpec, detect_cycle, orbit_bounds
+from .dynamics import DEFAULT_ORBIT_CAP, is_orbit, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
 
@@ -198,16 +199,6 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     return PartitionAtlas(a0, a1, tuple(body))
 
 
-def _probe(lam: Fraction, start: tuple[int, int], word: Word) -> bool:
-    """Whether the orbit of ``start`` at ``lam`` is exactly ``word``.
-
-    `detect_cycle` runs at most ``len(word)`` steps: an orbit that spells
-    ``word`` closes in exactly that many, so the cap changes no verdict, and
-    a faulty solve cannot make one probe run long.
-    """
-    return detect_cycle(ParamSpec("exact", lam), start, len(word)).cycle == word
-
-
 def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
     """The closed endpoints of ``ival``, then ``per_interval`` evenly spaced interior points."""
     lo, hi = ival.lo, ival.hi
@@ -233,11 +224,12 @@ def verify_atlas(
     """`certificate.certify(atlas, twin)`, then, if it passed, the probes.
 
     ``probes_per_interval`` is 0 by default, and no command sets it.  With
-    1 or more, `detect_cycle` runs, capped at the word's length, at each
-    checked tail window's midpoint and at the closed endpoints and that many
-    interior points of every entry, and must return the expected word.  A
-    probe can fail on a certified atlas only if the certificate is unsound,
-    so the probes change no verdict, and a rejected atlas runs none.
+    1 or more, `dynamics.is_orbit` steps the exact map along the expected
+    word, at each checked tail window's midpoint and at the closed endpoints
+    and that many interior points of every entry, and the orbit must be
+    that word.  A probe can fail on a certified atlas only if the
+    certificate is unsound, so the probes change no verdict, and a rejected
+    atlas runs none.
     """
     if probes_per_interval < 0:
         raise ValueError("probes_per_interval must be >= 0")
@@ -249,11 +241,11 @@ def verify_atlas(
     # the certified tail's checked windows, each cycle rotated to start at the pair
     for name, window, cycle in checked_windows(atlas.tail):
         i = _pair_index(cycle, a0, a1, 0)
-        if not _probe(window.midpoint(), start, cycle[i:] + cycle[:i]):
+        if not is_orbit(window.midpoint(), start, cycle[i:] + cycle[:i]):
             return VerificationReport(f"{name} not re-detected")
     for ival, word in atlas.body:
         for lam in _probe_points(ival, probes_per_interval):
-            if not _probe(lam, start, word):
+            if not is_orbit(lam, start, word):
                 return VerificationReport(f"cycle on {ival} not re-detected at {lam}")
     return verdict
 

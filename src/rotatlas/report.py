@@ -57,11 +57,7 @@ def render_endpoint_listing(atlas: PartitionAtlas) -> str:
 
 def atlas_table_lines(atlas: PartitionAtlas) -> Iterator[str]:
     """Human-oriented per-entry view of one atlas, line by line, without newlines."""
-    label = atlas.tail.label
-    yield (
-        f"initial pair ({atlas.a0},{atlas.a1})  label s={label.s} d={label.d}"
-        + (f" K={label.K}" if label.K is not None else "")
-    )
+    yield f"initial pair ({atlas.a0},{atlas.a1})  label {atlas.tail.label}"
     yield f"tail {atlas.tail.interval}"
     yield (
         f"body {atlas.body_range}: {atlas.interval_count} intervals, "

@@ -47,7 +47,11 @@ class Label:
 
     def __post_init__(self) -> None:
         if self.s < 0 or self.d < 0 or 0 < self.d <= self.s:
-            raise ValueError(f"label needs s, d >= 0, and s < d when d > 0: {self}")
+            raise ValueError(f"label needs s, d >= 0, and s < d when d > 0: {self!r}")
+
+    def __str__(self) -> str:
+        """The label as listings print it: ``s=1 d=2 K=1``, with no K when d = 0."""
+        return f"s={self.s} d={self.d}" + (f" K={self.K}" if self.d else "")
 
     @property
     def K(self) -> Optional[int]:
@@ -95,21 +99,15 @@ def label_of(a0: int, a1: int) -> Label:
 
 
 def _rung(a0: int, a1: int, d: int) -> int:
-    return max(1, min(a0, a1) // d)  # `occurrence_index`, for d > 0; a negative value floors below 1
-
-
-def occurrence_index(a0: int, a1: int) -> int:
-    """The least window index whose ramp cycle contains the pair adjacently.
+    """The pair's occurrence index, for d > 0: the least window whose ramp cycle holds it.
 
     The arithmetic ramp of the k-th cycle only reaches up to s + (k+1)d, so a
     pair of non-negative values sits on it only from its own rung
     floor(min(a0,a1)/d) on; any other pair sits on the descending ramp or at
-    a junction, which exist for all k >= 1.  Only defined for d > 0.
+    a junction, which exist for all k >= 1.  The floor is raised to 1,
+    the first window index.
     """
-    d = label_of(a0, a1).d
-    if d == 0:
-        raise ValueError(f"pair ({a0},{a1}) has a constant tail; no window index")
-    return _rung(a0, a1, d)
+    return max(1, min(a0, a1) // d)
 
 
 def triangular_cycle(s: int, d: int, k: int) -> Word:
@@ -132,10 +130,10 @@ def triangular_cycle(s: int, d: int, k: int) -> Word:
 
 def z_interval(s: int, d: int, k: int) -> Interval:
     """The parameter window realizing the k-th ramp cycle: closed left, open right."""
-    edge = Label(s, d).edge  # the label itself needs 0 <= s < d
-    if d == 0 or k * d < triangular(d) - s:
+    label = Label(s, d)  # the label itself needs 0 <= s < d
+    if d == 0 or k < label.K:
         raise ValueError(f"need d > 0 and k >= (T_d - s)/d, got s={s} d={d} k={k}")
-    return Interval(edge(k + 1), edge(k), True, False)
+    return Interval(label.edge(k + 1), label.edge(k), True, False)
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,10 @@ class TailDescription:
     For d > 0 its ``interval`` is the disjoint union of the per-k windows
     for k >= ``k_start``, listed up to a given index by `pieces_through`;
     for d = 0 it is one window with a constant cycle, and ``k_start`` is
-    None.  ``k_start`` is max(K, occurrence index): K alone makes every
-    window's cycle occupy exactly that window, but the pair itself only
-    rides the cycles from its occurrence index on, and the windows below
-    that belong to the marched body.
+    None.  ``k_start`` is max(K, occurrence index), the index from `_rung`:
+    K alone makes every window's cycle occupy exactly that window, but the
+    pair itself only rides the cycles from its occurrence index on, and
+    the windows below that belong to the marched body.
     """
 
     label: Label

@@ -5,12 +5,14 @@ words in integers; these are the plain, one-step-at-a-time definitions, plus
 the textual interval parser, membership test, set intersection and
 empty-or-interval constructor that tests use to state expected intervals,
 the triple-loop word solve, the per-letter fold of a word's bounds and the
-SVG coordinate on exact Fractions.
+SVG coordinate on exact Fractions, and the tail's occurrence index by a
+scan of the ramp cycles.
 """
 
 from fractions import Fraction
+from itertools import count
 
-from rotatlas import Interval, ParamSpec, parse_rational
+from rotatlas import Interval, ParamSpec, label_of, parse_rational, triangular_cycle
 
 
 def step(spec: ParamSpec, point):
@@ -68,6 +70,22 @@ def make_interval(lo, lo_closed: bool, hi, hi_closed: bool):
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def occurrence_index(a0: int, a1: int) -> int:
+    """The least window index k >= 1 whose ramp cycle holds the pair adjacently, by scan.
+
+    Only defined for d > 0; the scan ends, since the pair occurs from its
+    rung max(1, floor(min(a0, a1)/d)) on.
+    """
+    label = label_of(a0, a1)
+    if label.d == 0:
+        raise ValueError(f"pair ({a0},{a1}) has a constant tail; no window index")
+    for k in count(1):
+        word = triangular_cycle(label.s, label.d, k)
+        n = len(word)
+        if any(word[i] == a0 and word[(i + 1) % n] == a1 for i in range(n)):
+            return k
 
 
 def intersect(a: Interval, b: Interval):

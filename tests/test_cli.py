@@ -146,7 +146,7 @@ def test_diagram_verifies_without_probe_orbits(capsys, tmp_path, monkeypatch):
     def no_orbit(*args):
         raise AssertionError("a command ran a probe orbit")
 
-    monkeypatch.setattr(partition, "detect_cycle", no_orbit)
+    monkeypatch.setattr(partition, "is_orbit", no_orbit)
     target = tmp_path / "pair.svg"
     code, _, _ = run(capsys, "diagram", "--a0", "2", "--a1", "3", "--out", str(target))
     assert code == 0

@@ -27,7 +27,7 @@ from rotatlas import (
     sweep,
     verify_atlas,
 )
-from rotatlas import certificate, partition, tail
+from rotatlas import certificate, dynamics, partition, tail
 from rotatlas.certificate import VerificationReport, _edge, _solves_to
 from rotatlas.constraints import cycle_bounds
 from rotatlas.partition import PartitionAtlas, _mirrored
@@ -44,15 +44,15 @@ def entry_map(atlas):
 
 @pytest.fixture
 def probe_orbits(monkeypatch):
-    """``(parameter, cap)`` of every `detect_cycle` call `partition` makes from now on."""
+    """``(parameter, word length)`` of every `is_orbit` call `partition` makes from now on."""
     calls = []
-    detect = partition.detect_cycle
+    check = partition.is_orbit
 
-    def recorded(spec, start, cap):
-        calls.append((spec.value, cap))
-        return detect(spec, start, cap)
+    def recorded(lam, start, word):
+        calls.append((lam, len(word)))
+        return check(lam, start, word)
 
-    monkeypatch.setattr(partition, "detect_cycle", recorded)
+    monkeypatch.setattr(partition, "is_orbit", recorded)
     return calls
 
 
@@ -496,6 +496,26 @@ def _mutations(word, other):
     out += [word[:j] + (word[j] + delta,) + word[j + 1 :] for j in range(n) for delta in (-1, 1)]
     out += [word[:j] + (value,) + word[j:] for j in range(n + 1) for value in word[:2]]
     return out
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (1, 1), (-1, -1), (-2, -2), (2, 3), (-2, 3)], ids=str)
+def test_is_orbit_is_the_detected_cycle_at_the_probe_points(atlas, pair):
+    at = atlas(*pair)
+    points = []
+    for _, window, cycle in certificate.checked_windows(at.tail):
+        # the cycle rotated to start at the pair, which it holds once
+        i = next(i for i in range(len(cycle)) if (cycle + cycle)[i : i + 2] == pair)
+        points.append((window.midpoint(), cycle[i:] + cycle[:i]))
+    for ival, word in at.body:
+        points += [(lam, word) for lam in partition._probe_points(ival, 2)]
+    for (lam, word), (_, other) in zip(points, points[1:] + points[:1]):
+        assert dynamics.is_orbit(lam, pair, word), (lam, word)
+        # doubled, truncated, rotated, one letter changed, and more
+        for w in filter(None, [word[:-1]] + _mutations(word, other)):
+            detected = detect_cycle(ParamSpec.exact(lam), pair, len(w)).cycle == w
+            assert dynamics.is_orbit(lam, pair, w) == detected, (lam, w)
+    assert dynamics.is_orbit(F(1, 3), (0, 0), (0,))
+    assert not dynamics.is_orbit(F(1, 3), (0, 0), (0, 0))
 
 
 @given(

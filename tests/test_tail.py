@@ -9,7 +9,6 @@ from rotatlas import (
     TailDescription,
     interval_for_cycle,
     label_of,
-    occurrence_index,
     tail_of,
     triangular,
     triangular_cycle,
@@ -18,6 +17,7 @@ from rotatlas import (
 from rotatlas import tail
 from rotatlas.partition import PartitionAtlas
 from rotatlas.tail import _ramp_index_closed_form
+from reference import occurrence_index
 
 
 def ramp_index_scan(t, m):
@@ -116,6 +116,14 @@ def test_z_interval_examples():
     assert str(z_interval(0, 1, 2)) == "[-5/3,-3/2)"
     with pytest.raises(ValueError):
         z_interval(0, 3, 1)  # k below (T_d - s)/d
+    # K is the least k with k*d >= T_d - s, and the windows start there
+    for s, d in ((0, 1), (1, 2), (0, 3), (2, 5), (4, 5)):
+        k = Label(s, d).K
+        assert (k - 1) * d < triangular(d) - s <= k * d
+        assert z_interval(s, d, k).hi == Label(s, d).edge(k)
+        text = rf"^need d > 0 and k >= \(T_d - s\)/d, got s={s} d={d} k={k - 1}$"
+        with pytest.raises(ValueError, match=text):
+            z_interval(s, d, k - 1)
 
 
 def test_window_is_exactly_the_cycles_parameter_interval():
@@ -233,6 +241,13 @@ def test_label_validation():
         Label(2, 2)
     with pytest.raises(ValueError):
         Label(-1, 0)
+
+
+def test_label_text_and_its_error_text():
+    texts = [str(Label(1, 2)), str(Label(0, 1)), str(Label(3, 0))]
+    assert texts == ["s=1 d=2 K=1", "s=0 d=1 K=1", "s=3 d=0"]
+    with pytest.raises(ValueError, match=r"s < d when d > 0: Label\(s=2, d=2\)$"):
+        Label(2, 2)
 
 
 def test_tail_is_swap_symmetric():
