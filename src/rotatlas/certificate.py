@@ -33,31 +33,17 @@ def checked_windows(tail: TailDescription) -> Iterator[tuple[str, Interval, Word
         yield (f"tail cycle k={k}" if k else "constant tail cycle"), window, cycle
 
 
-def _edge(body: Interval) -> tuple[int, int, bool]:
-    """The lower edge of ``body`` as `_solves_to` takes it: numerator, denominator, closure."""
-    return body.lo.numerator, body.lo.denominator, body.lo_closed
+def _solves_to(bounds: Optional[Bounds], ival: Interval) -> bool:
+    """Whether a word's solved set is exactly ``ival``, in integers.
 
-
-def _solves_to(
-    bounds: Optional[Bounds], edge_n: int, edge_d: int, edge_closed: bool, ival: Interval
-) -> bool:
-    """Whether a word's solved set, cut to a body, is exactly ``ival``, in integers.
-
-    ``bounds`` are the word's `cycle_bounds`, and the body runs from the
-    lower edge ``edge_n/edge_d`` (closed or not, see `_edge`) to the open
-    edge 2: the test is ``interval_for_cycle(word) ∩ body == ival``.  The
-    solved lower bound is raised to the body's lower edge, and both ends
-    are compared with ``ival``'s by cross-multiplication.  The solved upper
-    bound never passes the body's open upper edge 2, so it needs no clip.
-    A match with the non-empty ``ival`` also shows the intersection
-    non-empty.  The edge is read once per atlas, not once per entry.
+    ``bounds`` are the word's `cycle_bounds`, and the test is
+    ``interval_for_cycle(word) == ival``: the closures must agree, and
+    both ends are compared with ``ival``'s by cross-multiplication.  A
+    match with the non-empty ``ival`` also shows the solved set non-empty.
     """
     if bounds is None:
         return False
     lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
-    cmp = lo_n * edge_d - edge_n * lo_d
-    if cmp < 0 or (cmp == 0 and not edge_closed):
-        lo_n, lo_d, lo_closed = edge_n, edge_d, edge_closed
     lo, hi = ival.lo, ival.hi
     return (
         lo_closed == ival.lo_closed
@@ -84,10 +70,10 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     The certificate is a proof, not a sample, and it runs no orbit.  For
     every entry ``(ival, word)`` of the body, it establishes two facts:
 
-    1. ``interval_for_cycle(word) ∩ body == ival``, decided on the integer
+    1. ``interval_for_cycle(word) == ival``, decided on the integer
        bounds of `cycle_bounds`: every cyclic step inequality
        ``0 <= w[i+2] + lam*w[i+1] + w[i] < 1`` of ``word`` holds at every
-       ``lam`` in ``ival`` (and nowhere else in the body).  For a word
+       ``lam`` in ``ival``, and nowhere else in (-2, 2).  For a word
        equal to its own reflection, `cycle_bounds` folds only the first
        triple of each mirrored pair, in the word's order.  That is sound:
        the reflection is verified letter by letter on the word itself, and
@@ -102,7 +88,10 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     with that minimal period, on the whole interval.  The tiling check shows
     the entries cover the body exactly, so every orbit in the body is
     periodic.  A cycle up to rotation has one rotation starting at the pair,
-    so distinct cycles are distinct tuples.
+    so distinct cycles are distinct tuples.  Fact (1) asks for the word's
+    whole set, not its cut to the body: no cycle reaches into the tail
+    (the proof is `partition.compute_atlas`'s), so the first entry of a
+    marched atlas passes it too.
 
     No entry needs a test against the earlier words.  Two entries with the
     same word have the same solved set, so by (1) their intervals are equal;
@@ -112,10 +101,10 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
 
     The tail is the pair's own, `tail_of(a0, a1)`, which the atlas derives
     and does not store.  Its first `TAIL_PIECES` windows (the one window of
-    a constant tail) pass the same checks, each against ``(-2, 2)`` and with
-    the pair held once anywhere in the cycle, so the orbit there is the
-    cycle rotated to start at the pair; the rest is the `tail` module's
-    closed form.
+    a constant tail) pass the same checks, each window its cycle's whole
+    parameter set and the pair held once anywhere in the cycle, so the
+    orbit there is the cycle rotated to start at the pair; the rest is the
+    `tail` module's closed form.
 
     ``twin``, an atlas of the swapped pair ``(a1, a0)`` that this function
     has passed, replaces the solves: ``atlas`` is then certified as its
@@ -150,12 +139,10 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
             if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
                 return VerificationReport(f"coverage breaks between {cur} and {nxt}")
-        edge_n, edge_d, edge_closed = _edge(body_range)
 
     # Tail: the pair's first windows pass the certificate.
     for name, window, cycle in checked_windows(atlas.tail):
-        # solved within the ambient (-2, 2): lower edge -2/1, open
-        if twin is None and not _solves_to(cycle_bounds(cycle), -2, 1, False, window):
+        if twin is None and not _solves_to(cycle_bounds(cycle), window):
             return VerificationReport(f"{name} does not hold on the tail")
         i = _pair_index(cycle, a0, a1, 0)
         if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
@@ -166,7 +153,7 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         if twin is None:
             if not word:
                 return VerificationReport(f"empty cycle on {ival}")
-            if not _solves_to(cycle_bounds(word), edge_n, edge_d, edge_closed, ival):
+            if not _solves_to(cycle_bounds(word), ival):
                 return VerificationReport(
                     f"stored interval {ival} is not the cycle's parameter set"
                 )

@@ -156,14 +156,29 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     point ``r`` that the previous interval left open, the orbit runs at
     ``r`` itself; from one it closed, it runs just right of ``r`` (the
     plus-side map).  So (0, 0) runs one orbit, just right of -2, whose
-    word (0) holds on the whole body.  Either way the kernel's solved
-    bounds must start at ``r`` with the opposite closure and be non-empty,
-    or `MarchError` is raised; the first interval, which reaches into the
-    tail, is clipped to the body first.  Edges are compared in integers,
-    and the interval is built here with ``r`` itself as its lower edge, so
-    each inner boundary is one Fraction shared by the two intervals that
-    meet there.  Exhausting a budget (see `TOTAL_STEP_BUDGET`) raises
-    `BudgetExceeded` with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
+    word (0) holds on the whole body.  Every interval, the first one
+    included, is the kernel's whole solved set: it must start at ``r``,
+    closed there exactly when no earlier interval holds ``r``, and be
+    non-empty, or `MarchError` is raised.  Edges are compared in
+    integers, and the interval is built here with ``r`` itself as its
+    lower edge, so each inner boundary is one Fraction shared by the two
+    intervals that meet there.
+
+    No cycle reaches into the tail, so the first interval needs no cut to
+    the body.  Let ``r0`` be the body's lower edge: ``edge(k_start)`` of
+    a ramp tail, or -2 + 1/s of a constant one.  The word ``w`` marched
+    at ``r0`` has a solved set ``S`` that holds ``r0``.  If ``S`` reached
+    below ``r0``, it would meet the tail window just left of ``r0``, where
+    the pair's orbit is that window's cycle ``T`` (the first window of
+    `certificate.checked_windows`, which `certify` proves).  The map is
+    deterministic, so ``w`` would be ``T`` rotated to start at the pair,
+    and ``S`` would be ``T``'s set, that window, which is open at ``r0``:
+    a contradiction.  For (0, 0) the body is all of (-2, 2).  So a sound
+    kernel never trips the first interval's check, and `certify` demands
+    of every entry its word's whole parameter set.
+
+    Exhausting a budget (see `TOTAL_STEP_BUDGET`) raises `BudgetExceeded`
+    with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
     """
     start = (a0, a1)
     cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
@@ -186,12 +201,9 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
             raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
         lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
         num, den = r.numerator, r.denominator
-        below = num * lo_d - lo_n * den  # r minus the solved lower edge
-        if below > 0 and not body:
-            below, lo_closed = 0, closed  # clipped to the body's lower edge
         above = hi_n * den - num * hi_d  # the solved upper edge minus r
         empty = above < 0 or (above == 0 and not (closed and hi_closed))
-        if below or lo_closed != closed or empty:
+        if lo_n * den != num * lo_d or lo_closed != closed or empty:
             raise MarchError(start, r, "exact" if closed else "plus_zero", bounds)
         ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
         body.append((ival, word))
@@ -240,13 +252,13 @@ def verify_atlas(
     start = (a0, a1)
     # the certified tail's checked windows, each cycle rotated to start at the pair
     for name, window, cycle in checked_windows(atlas.tail):
-        i = _pair_index(cycle, a0, a1, 0)
-        if not is_orbit(window.midpoint(), start, cycle[i:] + cycle[:i]):
-            return VerificationReport(f"{name} not re-detected")
+        i, lam = _pair_index(cycle, a0, a1, 0), window.midpoint()
+        if not is_orbit(lam, start, cycle[i:] + cycle[:i]):
+            return VerificationReport(f"{name} is not the orbit at {lam}")
     for ival, word in atlas.body:
         for lam in _probe_points(ival, probes_per_interval):
             if not is_orbit(lam, start, word):
-                return VerificationReport(f"cycle on {ival} not re-detected at {lam}")
+                return VerificationReport(f"cycle on {ival} is not the orbit at {lam}")
     return verdict
 
 
@@ -308,22 +320,15 @@ class SweepReport:
     def shell_stats(self, m: int) -> ShellStats:
         """Recompute one shell's aggregates from the per-point summaries.
 
-        Argmax scans lexicographically ascending and keeps the last point
-        attaining the maximum, so among tied symmetric pairs the
-        lexicographically largest is reported.
+        Each pick is a point attaining the maximum; among tied points,
+        such as a pair and its mirror, the lexicographically largest pair
+        is reported.
         """
-        shell = sorted(
-            (p for p in self.points if p.shell == m), key=lambda p: (p.a0, p.a1)
-        )
+        shell = [p for p in self.points if p.shell == m]
         if not shell:
             raise ValueError(f"no points at shell {m}")
-        card_best = shell[0]
-        len_best = shell[0]
-        for p in shell[1:]:
-            if p.intervals >= card_best.intervals:
-                card_best = p
-            if p.max_len >= len_best.max_len:
-                len_best = p
+        card_best = max(shell, key=lambda p: (p.intervals, p.a0, p.a1))
+        len_best = max(shell, key=lambda p: (p.max_len, p.a0, p.a1))
         total = sum(p.total_len for p in shell)
         count = sum(p.intervals for p in shell)
         return ShellStats(

@@ -98,3 +98,21 @@ def test_the_certificate_reaches_no_orbit_code():
     assert "dynamics" not in _reach("tail")
     # the walk does see imports: the march reaches the certificate and the orbit code
     assert {"certificate", "dynamics"} <= _reach("partition")
+
+
+def test_the_march_module_detects_no_cycle():
+    # The probes step the certified word (`dynamics.is_orbit`) and detect
+    # nothing, so `partition` neither binds nor reads the detection API.
+    tree = ast.parse((PACKAGE / "partition.py").read_text(), "partition.py")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert {"is_orbit", "orbit_bounds"} <= names
+    assert names & {"detect_cycle", "OrbitResult"} == set()

@@ -28,10 +28,10 @@ from rotatlas import (
     verify_atlas,
 )
 from rotatlas import certificate, dynamics, partition, tail
-from rotatlas.certificate import VerificationReport, _edge, _solves_to
+from rotatlas.certificate import VerificationReport, _solves_to
 from rotatlas.constraints import cycle_bounds
 from rotatlas.partition import PartitionAtlas, _mirrored
-from rotatlas.report import atlas_from_json, atlas_to_json
+from rotatlas.report import atlas_from_json, atlas_to_json, write_atlas_json
 from reference import contains, intersect, make_interval, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
@@ -253,6 +253,61 @@ def test_verify_rejects_foreign_tail(atlas):
     assert report.failure == f"body starts at {bad.body[0][0]}, expected lower edge {at.body_range}"
 
 
+def _copied(at):
+    """The atlas with every endpoint a fresh Fraction, so no two intervals share one."""
+    body = [
+        (Interval(F(str(ival.lo)), F(str(ival.hi)), ival.lo_closed, ival.hi_closed), word)
+        for ival, word in at.body
+    ]
+    return dataclasses.replace(at, body=tuple(body))
+
+
+@pytest.mark.parametrize("pair", [(-2, -2), (2, 3)], ids=str)
+def test_verify_tiles_a_body_whose_shared_edges_are_equal_copies(atlas, pair):
+    at = _copied(atlas(*pair))
+    assert all(cur.hi is not nxt.lo for (cur, _), (nxt, _) in zip(at.body, at.body[1:]))
+    assert verify_atlas(at).ok
+    k = _proper_boundary(at.body)
+    (left, w1), (right, w2) = at.body[k], at.body[k + 1]
+    for closed in (False, True):  # a gap at the shared edge, then an overlap
+        cur = dataclasses.replace(left, hi_closed=closed)
+        nxt = dataclasses.replace(right, lo_closed=closed)
+        report = verify_atlas(_edit(at, {k: (cur, w1), k + 1: (nxt, w2)}))
+        assert report.failure == f"coverage breaks between {cur} and {nxt}"
+
+
+@pytest.mark.parametrize("pair", [(-2, 1), (2, 3)], ids=str)
+def test_verify_checks_a_mirror_read_back_against_its_twin_read_back(atlas, tmp_path, pair):
+    def read_back(at):
+        with open(write_atlas_json(at, str(tmp_path))) as fh:
+            return atlas_from_json(fh.read())
+
+    twin = atlas(*pair)
+    twin, mirror = read_back(twin), read_back(_mirrored(twin))
+    assert all(m is not t for (m, _), (t, _) in zip(mirror.body, twin.body))
+    assert verify_atlas(twin).ok and verify_atlas(mirror, twin=twin).ok
+    ival, word = mirror.body[-1]
+    bad = _edit(mirror, {-1: (dataclasses.replace(ival, lo_closed=not ival.lo_closed), word)})
+    report = verify_atlas(bad, twin=twin)
+    assert report.failure == f"stored interval {bad.body[-1][0]} is not its twin's {ival}"
+
+
+def test_probe_failures_name_the_point_that_is_not_the_orbit(atlas, monkeypatch):
+    at = atlas(-1, -1)
+    assert verify_atlas(at, probes_per_interval=2).ok
+    check = partition.is_orbit
+    for rejected, failure in [
+        (F(-5, 4), "tail cycle k=1 is not the orbit at -5/4"),
+        (F(-2, 3), "cycle on (-1,-1/2) is not the orbit at -2/3"),
+    ]:
+        def rejecting(lam, start, word, rejected=rejected):
+            return lam != rejected and check(lam, start, word)
+
+        monkeypatch.setattr(partition, "is_orbit", rejecting)
+        report = verify_atlas(at, probes_per_interval=2)
+        assert (report.ok, report.failure) == (False, failure)
+
+
 CORRUPTIONS = {
     "shifted endpoint": _shift_endpoint,
     "flipped closure": _flip_closure,
@@ -394,7 +449,7 @@ def test_verify_rejects_a_doubled_word_without_probes(atlas, probe_orbits):
     k = [str(ival) for ival, _ in at.body].index("(-3/2,-4/3)")
     ival, word = at.body[k]
     bad = _edit(at, {k: (ival, word * 2)})
-    assert _solves_to(cycle_bounds(word * 2), *_edge(at.body_range), ival)
+    assert _solves_to(cycle_bounds(word * 2), ival)
     report = verify_atlas(bad, probes_per_interval=0)
     assert not report.ok and probe_orbits == []
     assert report.failure == "cycle on (-3/2,-4/3) does not hold (-2, -2) at its start only"
@@ -477,16 +532,6 @@ def test_probes_check_the_tail_windows_that_certify_checks(atlas, monkeypatch, p
     assert len(windows) == (1 if t.k_start is None else 2)
 
 
-def test_probes_scan_no_orbit_for_its_largest_value(atlas, monkeypatch, probe_orbits):
-    def unread(result):
-        raise AssertionError("a probe read OrbitResult.max_abs")
-
-    monkeypatch.setattr(rotatlas.OrbitResult, "max_abs", property(unread))
-    for pair in ((-2, -2), (2, 3)):
-        assert verify_atlas(atlas(*pair), probes_per_interval=2).ok
-    assert probe_orbits
-
-
 def _mutations(word, other):
     """Single edits of a cycle word; ``other`` is another entry's word."""
     n = len(word)
@@ -557,18 +602,6 @@ rationals = st.integers(1, 12).flatmap(
 inner_rationals = rationals.filter(lambda r: -2 < r < 2)
 
 
-def _body(data, exact):
-    """A body as `PartitionAtlas.body_range` makes one, often edged on ``exact``.
-
-    That is the full range, or closed at an edge and open at 2.
-    """
-    edges = [data.draw(inner_rationals)]
-    if exact is not None:
-        edges += [exact.lo, exact.hi, exact.midpoint()]
-    edge = data.draw(st.sampled_from([e for e in edges if -2 < e < 2] + [None]))
-    return Interval.open(F(-2), F(2)) if edge is None else Interval(edge, F(2), True, False)
-
-
 def _detected(lam, start):
     result = detect_cycle(ParamSpec.exact(lam), start, 10**4)
     return result.cycle if result.outcome == "cycle" else (0,)
@@ -598,16 +631,26 @@ def _near(data, ival):
 
 @given(words, st.data())
 def test_integer_certificate_matches_the_interval_check(word, data):
-    exact = interval_for_cycle(word)
-    body = _body(data, exact)
-    solved = intersect(exact, body) if exact is not None else None
+    solved = interval_for_cycle(word)
     lo, hi = data.draw(rationals), data.draw(rationals)
     candidates = [make_interval(lo, data.draw(st.booleans()), hi, data.draw(st.booleans()))]
     if solved is not None:
         candidates += [solved, _near(data, solved)]
     for ival in candidates:
         if ival is not None:
-            assert _solves_to(cycle_bounds(word), *_edge(body), ival) == (solved == ival)
+            assert _solves_to(cycle_bounds(word), ival) == (solved == ival)
+
+
+def test_no_first_cycle_reaches_into_the_tail():
+    # `compute_atlas`'s proof, run on every ordered pair with m <= 30: the
+    # cycle at the body's lower edge solves to that edge, with its closure.
+    for a0, a1 in itertools.product(range(-30, 31), repeat=2):
+        edge = partition._body_range(tail.tail_of(a0, a1))
+        found = dynamics.orbit_bounds(
+            edge.lo, not edge.lo_closed, (a0, a1), dynamics.DEFAULT_ORBIT_CAP
+        )
+        lo_n, lo_d, lo_closed = found[1][:3]
+        assert (F(lo_n, lo_d), lo_closed) == (edge.lo, edge.lo_closed), (a0, a1)
 
 
 def test_round_budget_exhaustion(atlas, monkeypatch):
@@ -652,7 +695,6 @@ def test_march_rejects_a_misplaced_interval(monkeypatch):
         lambda b, r, plus: (r.numerator, r.denominator, b[2], r.numerator, r.denominator, False),
         lambda b, r, plus: b[:3] + (r.numerator - r.denominator, r.denominator, b[5]),
         lambda b, r, plus: (b[0] + b[1], b[1] * 2) + b[2:],
-        # only the first interval may reach below r
         lambda b, r, plus: b if plus else (b[0] - b[1],) + b[1:],
     ],
     ids=["half-open at r", "upper edge below r", "lower edge raised", "lower edge lowered"],
@@ -712,7 +754,7 @@ def test_march_checks_survive_optimized_python():
         timeout=120,
     )
     assert done.stdout.split() == [
-        "False", "22", "plus_zero", "True", "False", "True", "False"
+        "False", "22", "exact", "True", "False", "True", "False"
     ]
 
 
