@@ -87,17 +87,22 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     returns to the pair after ``len(word)`` steps: the orbit is ``word``,
     with that minimal period, on the whole interval.  The tiling check shows
     the entries cover the body exactly, so every orbit in the body is
-    periodic.  A cycle up to rotation has one rotation starting at the pair,
-    so distinct cycles are distinct tuples.  Fact (1) asks for the word's
-    whole set, not its cut to the body: no cycle reaches into the tail
-    (the proof is `partition.compute_atlas`'s), so the first entry of a
-    marched atlas passes it too.
+    periodic: each entry's lower edge meets the previous entry's upper edge
+    with the complementary closure (the first entry's meets the body's
+    lower edge), and the last entry's upper edge is the body's.  A cycle up
+    to rotation has one rotation starting at the pair, so distinct cycles
+    are distinct tuples.  Fact (1) asks for the word's whole set, not its
+    cut to the body: no cycle reaches into the tail (the proof is
+    `partition.compute_atlas`'s), so the first entry of a marched atlas
+    passes it too.
 
     No entry needs a test against the earlier words.  Two entries with the
-    same word have the same solved set, so by (1) their intervals are equal;
-    but the tiling check, which runs first, admits no two equal intervals
-    (each entry's lower edge, with its closure, lies strictly above the
-    previous one's), so a repeated word already fails (1) at one of them.
+    same word have the same solved set, so by (1) their intervals are equal.
+    But the body is read once, in order, and each entry's lower edge is
+    checked before its facts, so when the later of the two is reached, every
+    lower edge up to it lies, with its closure, strictly above the previous
+    one's (each entry is non-empty).  Its interval is then not the earlier
+    one's, and the repeated word fails (1) there.
 
     The tail is the pair's own, `tail_of(a0, a1)`, which the atlas derives
     and does not store.  Its first `TAIL_PIECES` windows (the one window of
@@ -124,21 +129,6 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         return VerificationReport(
             f"twin {twin.a0, twin.a1} with {len(twin.body)} entries is not its swap"
         )
-    if twin is None:
-        # Tiling: the entries cover the body range exactly, in order, with
-        # complementary closures at shared endpoints (one shared Fraction in
-        # a marched atlas, so the identity test settles most of them).
-        body_range = atlas.body_range
-        if not atlas.body:
-            return VerificationReport("empty body")
-        first, last = atlas.body[0][0], atlas.body[-1][0]
-        if (first.lo, first.lo_closed) != (body_range.lo, body_range.lo_closed):
-            return VerificationReport(f"body starts at {first}, expected lower edge {body_range}")
-        if (last.hi, last.hi_closed) != (body_range.hi, body_range.hi_closed):
-            return VerificationReport(f"body ends at {last}, expected upper edge {body_range}")
-        for (cur, _), (nxt, _) in zip(atlas.body, atlas.body[1:]):
-            if (cur.hi is not nxt.lo and cur.hi != nxt.lo) or cur.hi_closed == nxt.lo_closed:
-                return VerificationReport(f"coverage breaks between {cur} and {nxt}")
 
     # Tail: the pair's first windows pass the certificate.
     for name, window, cycle in checked_windows(atlas.tail):
@@ -148,24 +138,37 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
             return VerificationReport(f"initial pair not once in {name}")
 
-    # Body entries: the certificate above, or the twin's swap image, in integers.
-    for k, (ival, word) in enumerate(atlas.body):
-        if twin is None:
-            if not word:
-                return VerificationReport(f"empty cycle on {ival}")
-            if not _solves_to(cycle_bounds(word), ival):
-                return VerificationReport(
-                    f"stored interval {ival} is not the cycle's parameter set"
-                )
-            if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
-                return VerificationReport(
-                    f"cycle on {ival} does not hold {a0, a1} at its start only"
-                )
-        else:
-            twin_ival, twin_word = twin.body[k]
+    if twin is not None:
+        # Body: the twin's swap image, entry by entry.
+        for (ival, word), (twin_ival, twin_word) in zip(atlas.body, twin.body):
             if ival is not twin_ival and ival != twin_ival:
                 return VerificationReport(f"stored interval {ival} is not its twin's {twin_ival}")
             if word[::-1] != twin_word[2:] + twin_word[:2]:
                 return VerificationReport(f"cycle on {ival} is not its twin's cycle reversed")
+        return VerificationReport()
 
+    # Body: each entry starts where the previous one ends (the first at the
+    # body's lower edge), with the complementary closure (one shared Fraction
+    # in a marched atlas, so the identity test settles most), and then passes
+    # the certificate above, in integers.
+    body_range, prev = atlas.body_range, None
+    for ival, word in atlas.body:
+        if prev is None:
+            if (ival.lo, ival.lo_closed) != (body_range.lo, body_range.lo_closed):
+                return VerificationReport(
+                    f"body starts at {ival}, expected lower edge {body_range}"
+                )
+        elif (prev.hi is not ival.lo and prev.hi != ival.lo) or prev.hi_closed == ival.lo_closed:
+            return VerificationReport(f"coverage breaks between {prev} and {ival}")
+        if not word:
+            return VerificationReport(f"empty cycle on {ival}")
+        if not _solves_to(cycle_bounds(word), ival):
+            return VerificationReport(f"stored interval {ival} is not the cycle's parameter set")
+        if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
+            return VerificationReport(f"cycle on {ival} does not hold {a0, a1} at its start only")
+        prev = ival
+    if prev is None:
+        return VerificationReport("empty body")
+    if (prev.hi, prev.hi_closed) != (body_range.hi, body_range.hi_closed):
+        return VerificationReport(f"body ends at {prev}, expected upper edge {body_range}")
     return VerificationReport()

@@ -298,11 +298,14 @@ def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Bounds:
     largest ``b <= n`` congruent to ``p^-1`` mod ``q``; otherwise ``r``
     lies between two consecutive terms, the last convergent and
     semiconvergent within ``n``, from the continued-fraction loop of
-    `Fraction.limit_denominator`.  From consecutive terms ``e/f, g/h``
-    the next one on, in either direction, is ``(k*g - e)/(k*h - f)`` with
-    ``k = (n + f) // h``.  A term costs one membership test of ``±m`` per
-    multiple ``m <= n`` of its denominator: one when ``h > n/2``, as for
-    most terms near ``r``.  A sparse letter set can walk O(n) terms.
+    `Fraction.limit_denominator`.  That branch serves `orbit_bounds` at an
+    arbitrary ``lam``: the march never takes it, since an interval that
+    starts at ``r`` needs a letter divisible by ``q``.  From consecutive
+    terms ``e/f, g/h`` the next one on, in either direction, is
+    ``(k*g - e)/(k*h - f)`` with ``k = (n + f) // h``.  A term costs one
+    membership test of ``±m`` per multiple ``m <= n`` of its denominator:
+    one when ``h > n/2``, as for most terms near ``r``.  A sparse letter set
+    can walk O(n) terms.
     """
     top, bottom = max(letters), min(letters)
     n = top if top > -bottom else -bottom

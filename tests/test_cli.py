@@ -167,10 +167,53 @@ def test_failed_diagram_write_keeps_the_previous_file(capsys, tmp_path, monkeypa
         raise OSError("replace failed")
 
     monkeypatch.setattr(report.os, "replace", fail_on_replace)
-    with pytest.raises(OSError):
-        main(["diagram", "--a0", "0", "--a1", "1", "--out", str(target)])
+    code, out, err = run(capsys, "diagram", "--a0", "0", "--a1", "1", "--out", str(target))
+    assert (code, out, err) == (2, "", "error: replace failed\n")
     assert target.read_text() == "previous"
     assert os.listdir(tmp_path) == ["pair.svg"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--a0", "1", "--a1", "2"),
+        ("diagram", "--a0", "1", "--a1", "2"),
+        ("sweep", "--max-m", "2", "--jobs", "1"),
+        ("sweep", "--max-m", "2", "--jobs", "2"),
+    ],
+    ids=["partition", "diagram", "sweep-jobs-1", "sweep-jobs-2"],
+)
+def test_unwritable_output_exits_two_without_a_traceback(capfd, tmp_path, argv):
+    # capfd also catches what the sweep's workers write to stderr
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capfd, *argv, "--out", str(blocker / "sub"))
+    assert code == 2 and "Traceback" not in err
+    # a directory below a regular file, or the file itself as the directory
+    path = re.escape(str(blocker))
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:\n]+: '{path}(/sub)?'\n", err)
+    assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
+    if argv[0] == "sweep":
+        assert out == ""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched writer",
+)
+def test_a_workers_unwritable_output_crosses_the_pool(capfd, monkeypatch, tmp_path):
+    # only the pool's worker fails to write, so the error that exits is its own
+    caller, write = os.getpid(), report.write_atlas_json
+
+    def worker_fails(atlas, out_dir):
+        if os.getpid() != caller:
+            raise PermissionError(13, "Permission denied", out_dir)
+        return write(atlas, out_dir)
+
+    monkeypatch.setattr(report, "write_atlas_json", worker_fails)
+    code, out, err = run(capfd, "sweep", "--max-m", "2", "--jobs", "2", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: '{tmp_path}'\n"
 
 
 def test_usage_errors_exit_two():

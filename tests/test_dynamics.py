@@ -364,6 +364,22 @@ def test_farey_bounds_equal_the_per_letter_fold(case):
     )
 
 
+def test_march_never_takes_the_continued_fraction_branch(monkeypatch):
+    # An interval that starts at r = p/q needs a letter that is a multiple of
+    # q, so q <= max |y| at every march point, and r is a term of the walk.
+    calls, farey = [], dynamics._farey_bounds
+
+    def spied(p, q, plus, letters):
+        calls.append((q, max(map(abs, letters))))
+        return farey(p, q, plus, letters)
+
+    monkeypatch.setattr(dynamics, "_farey_bounds", spied)
+    for a0, a1 in itertools.product(range(-6, 7), repeat=2):
+        compute_atlas(a0, a1)
+    assert len(calls) > 10**4 and max(q for q, _ in calls) > 1
+    assert [(q, n) for q, n in calls if q > n >= 1] == []
+
+
 def test_farey_bounds_examples():
     r = F(3, 2)
     # the letter 1 alone: the walks stop at the integers next to r, and at

@@ -127,12 +127,15 @@ def test_deferred_occurrence_pair_has_wider_body(atlas):
 
 def test_verify_rejects_perturbed_endpoint(atlas):
     at = atlas(-1, -1)
-    body = list(at.body)
-    ival, word = body[1]
-    body[1] = (dataclasses.replace(ival, hi=ival.hi - F(1, 10**6)), word)
-    bad = dataclasses.replace(at, body=tuple(body))
-    report = verify_atlas(bad, probes_per_interval=2)
-    assert not report.ok and "coverage" in report.failure
+    (left, w1), (right, w2) = at.body[1], at.body[2]
+    # A moved upper edge breaks the entry's own set before the next entry's
+    # lower edge is read; a moved lower edge breaks the tiling first.
+    cut = dataclasses.replace(left, hi=left.hi - F(1, 10**6))
+    report = verify_atlas(_edit(at, {1: (cut, w1)}), probes_per_interval=2)
+    assert report.failure == f"stored interval {cut} is not the cycle's parameter set"
+    lowered = dataclasses.replace(right, lo=right.lo - F(1, 10**6))
+    report = verify_atlas(_edit(at, {2: (lowered, w2)}), probes_per_interval=2)
+    assert report.failure == f"coverage breaks between {left} and {lowered}"
 
 
 def test_verify_rejects_swapped_cycles(atlas):
@@ -267,12 +270,16 @@ def test_verify_tiles_a_body_whose_shared_edges_are_equal_copies(atlas, pair):
     at = _copied(atlas(*pair))
     assert all(cur.hi is not nxt.lo for (cur, _), (nxt, _) in zip(at.body, at.body[1:]))
     assert verify_atlas(at).ok
-    k = _proper_boundary(at.body)
-    (left, w1), (right, w2) = at.body[k], at.body[k + 1]
-    for closed in (False, True):  # a gap at the shared edge, then an overlap
-        cur = dataclasses.replace(left, hi_closed=closed)
+    for closed in (False, True):  # a gap at a shared edge, then an overlap
+        # only the later entry is edited: its lower edge is read before its set
+        k = next(
+            k
+            for k, (ival, _) in enumerate(at.body[1:], 1)
+            if ival.lo_closed != closed and not ival.is_singleton
+        )
+        (cur, _), (right, word) = at.body[k - 1], at.body[k]
         nxt = dataclasses.replace(right, lo_closed=closed)
-        report = verify_atlas(_edit(at, {k: (cur, w1), k + 1: (nxt, w2)}))
+        report = verify_atlas(_edit(at, {k: (nxt, word)}))
         assert report.failure == f"coverage breaks between {cur} and {nxt}"
 
 
@@ -390,6 +397,47 @@ def test_corruption_corpus_failures_are_the_golden_texts(atlas):
             assert not report.ok
             texts.append(f"{pair[1]} {pair[0]} {name} twin: {report.failure}")
     assert texts == golden
+
+
+@pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
+def test_verify_judges_the_end_edge_after_every_entry(atlas, pair):
+    at = atlas(*pair)
+    short = dataclasses.replace(at, body=at.body[:-1])
+    last = short.body[-1][0]
+    report = verify_atlas(short)
+    assert report.failure == f"body ends at {last}, expected upper edge {at.body_range}"
+    # a fault in any entry is named first
+    report = verify_atlas(_empty_word(short))
+    assert report.failure == f"empty cycle on {short.body[0][0]}"
+
+
+class _ReadOnce(tuple):
+    """A body that counts its iterations and refuses to be indexed or sliced."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        raise AssertionError(f"body read at {key!r}")
+
+
+@pytest.mark.parametrize("pair", CORPUS_PAIRS + ((0, 0),), ids=str)
+def test_certify_reads_each_body_once_in_order(atlas, pair):
+    twin = atlas(*pair)
+    mirror = _mirrored(twin)
+    bodies = _ReadOnce(twin.body), _ReadOnce(mirror.body)
+    twin = dataclasses.replace(twin, body=bodies[0])
+    mirror = dataclasses.replace(mirror, body=bodies[1])
+    assert certificate.certify(twin).ok
+    assert [body.iterations for body in bodies] == [1, 0]
+    assert certificate.certify(mirror, twin).ok
+    assert [body.iterations for body in bodies] == [2, 1]
+    empty = _ReadOnce()
+    report = certificate.certify(dataclasses.replace(twin, body=empty))
+    assert (report.failure, empty.iterations) == ("empty body", 1)
 
 
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
