@@ -120,8 +120,9 @@ def interval_for_cycle(word: Sequence[int]) -> Optional[Interval]:
 
     `cycle_bounds` as an `Interval`.  Singletons are legitimate results.
     None means infeasible, or empty, which `Interval` rejects.
-    `dynamics.orbit_bounds` finds the same bounds by another algorithm, a
-    walk along the Farey sequence over the word's letter set;
+    `dynamics.orbit_bounds` finds the same bounds, for a set that starts at
+    the march point, by another algorithm, a walk up the Farey sequence
+    over the word's letter set;
     `certificate.certify` uses `cycle_bounds` as its independent check.
     """
     bounds = cycle_bounds(word)

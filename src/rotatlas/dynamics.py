@@ -22,11 +22,13 @@ Every step ``(x, y) -> (y, z)`` has ``x + z = ceil(-lam*y)`` (one more on
 the tie lines of the one-sided maps): the sum depends on the middle letter
 ``y`` alone.  So the step inequalities of a cycle word give one constraint
 per distinct letter: at ``r = p/q`` the letter ``y`` confines the parameter
-between the fractions of denominator ``|y|`` nearest ``r``.  After the orbit
-closes, `orbit_bounds` finds the word's bounds from its letter set by a
-walk along the Farey sequence out from ``r`` (`_farey_bounds`), which stops
+between the fractions of denominator ``|y|`` nearest ``r``.  The march asks
+only for a word whose set starts at ``r``.  After the orbit closes,
+`orbit_bounds` reads from the letter set whether it does (a letter
+divisible by ``q`` of the right sign), and if so finds the upper bound by
+one walk up the Farey sequence from ``r`` (`_farey_bounds`), which stops
 at the first fraction whose denominator divides a letter, not once per
-letter or per step.
+letter or per step.  A set that reaches below ``r`` is not solved.
 
 `orbit_bounds` is the march kernel: it runs the exact map or the plus-side
 map (the only two the march visits) and returns the cycle word with its
@@ -256,13 +258,13 @@ def _arc(
     return word, z == word[-2]
 
 
-def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Bounds:
+def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Optional[Bounds]:
     """The bounds of a cycle at ``r = p/q`` (just right of ``r`` if ``plus``) from its letters.
 
-    Equal in value and closure to ``cycle_bounds(word)`` for a cycle word
-    at ``r`` whose letter set is ``letters``, found by walking the Farey
-    sequence ``F_n``, ``n = max |y|``, from ``r`` out to each side.  ``r``
-    lies in (-2, 2), or is -2 on the plus side.
+    For a cycle word at ``r`` whose letter set is ``letters``: None if the
+    word's set reaches below ``r``, and otherwise bounds equal in value and
+    closure to ``cycle_bounds(word)``, which start at ``r``.  ``r`` lies
+    in (-2, 2), or is -2 on the plus side.
 
     A step with middle letter ``y > 0`` confines the parameter to the cell
     ``[k/y, (k+1)/y)``, ``k = floor(r*y)``, closed below; with ``y = -d <
@@ -272,123 +274,84 @@ def _farey_bounds(p: int, q: int, plus: bool, letters: set[int]) -> Bounds:
     and the smallest upper cell end over the letters, cut to the open
     (-2, 2); an end is closed only if every letter admits equality there.
 
-    Away from ``r``.  A cell end of ``y`` is a multiple of ``1/|y|``, so in
-    lowest terms its denominator ``b`` divides ``|y| <= n``: it is a term
-    of ``F_n``.  Conversely a term of ``F_n`` above ``r`` whose ``b``
-    divides some ``|y|`` is a multiple of ``1/|y|``, so the upper end of
-    ``y``'s cell is that term or nearer ``r``.  So the smallest upper end
-    above ``r`` is the first term of ``F_n`` above ``r`` whose
-    denominator divides a letter, and the largest lower end below ``r``
-    the first such term below it.  The letters ending their cells there
-    are exactly the multiples of ``b``; an upper end is open for a
-    positive letter and closed for a negative one, so the upper bound is
-    closed iff no positive letter is a multiple of ``b``, the lower iff no
-    negative one is.  At ±2, a term of denominator 1, the walk always
-    stops, and the bound is open.
-
     At ``r``.  Only a letter divisible by ``q`` has a cell end at ``r``
-    itself.  On the exact side a positive one puts the lower bound at
-    ``r``, closed, and a negative one the upper bound, closed.  On the
-    plus side a positive one's cell starts at ``r`` closed and a negative
-    one's ``(r, r + 1/d]`` open, so either puts the lower bound at ``r``,
-    open iff a negative one does, and the upper bound is always walked.
+    itself; every other cell reaches below ``r``.  On the exact side a
+    positive one puts the lower bound at ``r``, closed, and a negative one
+    the upper bound, closed.  On the plus side a positive one's cell starts
+    at ``r`` closed and a negative one's ``(r, r + 1/d]`` open, so either
+    puts the lower bound at ``r``, open iff a negative one does.  With no
+    such letter the set reaches below ``r`` (at -2, only the word 0 has
+    none, and its set (-2, 2) starts there), and no walk is made.
 
-    The walk.  If ``q <= n``, ``r`` is a term, and its neighbour below,
-    ``a/b``, has ``p*b - q*a = 1`` and ``n - q < b <= n``, so ``b`` is the
-    largest ``b <= n`` congruent to ``p^-1`` mod ``q``; otherwise ``r``
-    lies between two consecutive terms, the last convergent and
-    semiconvergent within ``n``, from the continued-fraction loop of
-    `Fraction.limit_denominator`.  That branch serves `orbit_bounds` at an
-    arbitrary ``lam``: the march never takes it, since an interval that
-    starts at ``r`` needs a letter divisible by ``q``.  From consecutive
-    terms ``e/f, g/h`` the next one on, in either direction, is
-    ``(k*g - e)/(k*h - f)`` with ``k = (n + f) // h``.  A term costs one
-    membership test of ``±m`` per multiple ``m <= n`` of its denominator:
-    one when ``h > n/2``, as for most terms near ``r``.  A sparse letter set
-    can walk O(n) terms.
+    Above ``r``.  A cell end of ``y`` is a multiple of ``1/|y|``, so in
+    lowest terms its denominator ``b`` divides ``|y| <= n = max |y|``: it
+    is a term of the Farey sequence ``F_n``.  Conversely a term of ``F_n``
+    above ``r`` whose ``b`` divides some ``|y|`` is a multiple of
+    ``1/|y|``, so the upper end of ``y``'s cell is that term or nearer
+    ``r``.  So the smallest upper end above ``r`` is the first term of
+    ``F_n`` above ``r`` whose denominator divides a letter.  The letters
+    ending their cells there are exactly the multiples of ``b``; an upper
+    end is open for a positive letter and closed for a negative one, so
+    the bound is closed iff no positive letter is a multiple of ``b``.  At
+    2, a term of denominator 1, the walk always stops, and the bound is
+    open.
+
+    The walk.  A letter divisible by ``q`` gives ``q <= n``, so ``r`` is a
+    term, and its successor ``c/d`` has ``q*c - p*d = 1`` and ``n - q < d
+    <= n``: ``d`` is the largest ``d <= n`` congruent to ``-p^-1`` mod
+    ``q``.  From consecutive terms ``e/f, g/h`` the next one is ``(k*g -
+    e)/(k*h - f)`` with ``k = (n + f) // h``.  A term costs one membership
+    test of ``±m`` per multiple ``m <= n`` of its denominator: one when
+    ``h > n/2``, as for most terms near ``r``.  A sparse letter set can
+    walk O(n) terms.
     """
     top, bottom = max(letters), min(letters)
     n = top if top > -bottom else -bottom
     if not n:
-        return -2, 1, False, 2, 1, False
-    lo = hi = None
-    if q <= n:
-        # r's neighbours in F_n: a/b below it, then c/d, the term after r
-        inv = pow(p, -1, q)
-        b = n - (n - inv) % q
-        a = (p * b - 1) // q
-        k = (n + b) // q
-        c, d = k * p - a, k * q - b
-        # each walk: (the term before, the first term)
-        down, up = (p, q, a, b), (p, q, c, d)
-        # the letters divisible by q, by sign
-        above = below = False
-        for m in range(q, n + 1, q):
+        return (-2, 1, False, 2, 1, False) if p == -2 * q else None
+    # the letters divisible by q, by sign
+    above = below = False
+    for m in range(q, n + 1, q):
+        if m in letters:
+            above = True
+        if -m in letters:
+            below = True
+    if not (above or plus and below):
+        return None
+    if below and not plus:
+        return p, q, True, p, q, True
+    # the walk up from r's successor c/d in F_n, as the terms e/f, g/h
+    d = n - (n + pow(p, -1, q)) % q
+    e, f, g, h = p, q, (p * d + 1) // q, d
+    # ``hit`` is 2 if a positive multiple of h is a letter, 1 if only a negative one
+    while True:
+        hit = 0
+        for m in range(h, n + 1, h):
             if m in letters:
-                above = True
-            if -m in letters:
-                below = True
-        if plus:
-            if above or below:
-                lo = p, q, not below and p > -2 * q
-        else:
-            if above:
-                lo = p, q, True
-            if below:
-                hi = p, q, True
-    else:
-        # convergents e/f, g/h of r while g's denominator stays within n;
-        # r lies between g/h and the semiconvergent a/b
-        e, f, g, h = 0, 1, 1, 0
-        num, den = p, q
-        while True:
-            k = num // den
-            t = f + k * h
-            if t > n:
+                hit = 2
                 break
-            e, f, g, h = g, h, e + k * g, t
-            num, den = den, num - k * den
-        k = (n - f) // h
-        a, b, c, d = e + k * g, f + k * h, g, h
-        if c * q < p * d:
-            a, b, c, d = c, d, a, b
-        down, up = (c, d, a, b), (a, b, c, d)
-    bounds = ()
-    # Letters of ``sign`` open the bound they end on, the others close it:
-    # ``hit`` is 2 if a multiple of h is a letter of that sign, 1 if only
-    # of the other.
-    for end, (e, f, g, h), sign in ((lo, down, -1), (hi, up, 1)):
-        if end is None:
-            while True:
-                hit = 0
-                for m in range(h, n + 1, h):
-                    if sign * m in letters:
-                        hit = 2
-                        break
-                    if -sign * m in letters:
-                        hit = 1
-                if hit:
-                    break
-                k = (n + f) // h
-                e, f, g, h = g, h, k * g - e, k * h - f
-            end = g, h, hit == 1 and -2 * h < g < 2 * h
-        bounds += end
-    return bounds
+            if -m in letters:
+                hit = 1
+        if hit:
+            break
+        k = (n + f) // h
+        e, f, g, h = g, h, k * g - e, k * h - f
+    return p, q, not below and p > -2 * q, g, h, hit == 1 and g < 2 * h
 
 
 def orbit_bounds(
     lam: Fraction, plus: bool, start: LatticePoint, cap: int = DEFAULT_ORBIT_CAP
-) -> Optional[tuple[Word, Bounds]]:
+) -> Optional[tuple[Word, Optional[Bounds]]]:
     """`detect_cycle` and `constraints.cycle_bounds` in one orbit pass, or half of one.
 
     The orbit runs at ``lam`` itself, or just right of it when ``plus`` is
     set, with no bound bookkeeping; once it closes, `_farey_bounds` finds
     the bounds from the set of its letters.  Returns ``(word, bounds)``,
-    with ``bounds`` in the form of `constraints.Bounds`, in lowest terms,
-    and equal in value and closure to ``cycle_bounds(word)``, or None when
-    the orbit does not return to ``start`` within ``cap`` steps.  The word
-    holds the shared letter objects, and its length is the steps the orbit
-    took.
+    or None when the orbit does not return to ``start`` within ``cap``
+    steps.  ``bounds`` is None when ``cycle_bounds(word)`` reaches below
+    ``lam``, and otherwise equal to it in value and closure, in the form
+    of `constraints.Bounds` and in lowest terms.  The word holds the
+    shared letter objects, and its length is the steps the orbit took.
 
     The step inequality is symmetric in its outer letters, so the orbit run
     backwards is the orbit of the swapped state: from ``(a1, a0)`` the map

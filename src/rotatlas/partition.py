@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Optional
 
 from .certificate import VerificationReport, certify, checked_windows
-from .constraints import Bounds, Word, _pair_index
+from .constraints import Bounds, Word, _pair_index, cycle_bounds
 from .dynamics import DEFAULT_ORBIT_CAP, is_orbit, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
@@ -86,7 +86,9 @@ class MarchError(Exception):
     """A solved interval is empty or does not start at the marched point as it must.
 
     It must start closed there on ``side`` "exact", open on "plus_zero";
-    ``solved`` holds the kernel's `constraints.Bounds`.
+    ``solved`` holds the kernel's `constraints.Bounds`, or, when the kernel
+    found that the word's set reaches below the point, `cycle_bounds` of
+    the word.
     """
 
     def __init__(self, start: tuple[int, int], lam: Fraction, side: str, solved: Bounds):
@@ -159,10 +161,12 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     word (0) holds on the whole body.  Every interval, the first one
     included, is the kernel's whole solved set: it must start at ``r``,
     closed there exactly when no earlier interval holds ``r``, and be
-    non-empty, or `MarchError` is raised.  Edges are compared in
-    integers, and the interval is built here with ``r`` itself as its
-    lower edge, so each inner boundary is one Fraction shared by the two
-    intervals that meet there.
+    non-empty, or `MarchError` is raised.  The kernel reports a set that
+    reaches below ``r`` as None, unsolved; the error then carries
+    `constraints.cycle_bounds` of the word, and no interval is built from
+    it.  Edges are compared in integers, and the interval is built here
+    with ``r`` itself as its lower edge, so each inner boundary is one
+    Fraction shared by the two intervals that meet there.
 
     No cycle reaches into the tail, so the first interval needs no cut to
     the body.  Let ``r0`` be the body's lower edge: ``edge(k_start)`` of
@@ -199,6 +203,8 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
         if total_steps > max_steps:
             reason = f"total step budget {max_steps}"
             raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+        if bounds is None:
+            raise MarchError(start, r, "exact" if closed else "plus_zero", cycle_bounds(word))
         lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
         num, den = r.numerator, r.denominator
         above = hi_n * den - num * hi_d  # the solved upper edge minus r
@@ -449,8 +455,11 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
     until it meets one a worker holds.  The first `BudgetExceeded` or
     `MarchError` in grid order propagates (with ``jobs`` above 1, once
     every pair has run), naming the marched pair of the two, with the same
-    text at any ``jobs``.  The result is deterministic and independent of
-    ``jobs``; with ``out_dir`` set, one JSON atlas per pair is written.
+    text at any ``jobs``.  Any other error, such as an `OSError` writing
+    to ``out_dir``, propagates as soon as it is met: every pair no worker
+    has started is cancelled.  The result is deterministic and
+    independent of ``jobs``; with ``out_dir`` set, one JSON atlas per
+    pair is written.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -468,13 +477,19 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
         with ProcessPoolExecutor(max_workers=min(jobs - 1, len(grid) - 1)) as pool:
             futures = [pool.submit(_sweep_pair, args) for args in grid]
             batches = [None] * len(grid)
-            for i in reversed(range(len(grid))):
-                if not futures[i].cancel():
-                    break  # a worker holds this pair, and the pool runs every earlier one
-                batches[i] = _outcome(_sweep_pair, grid[i])
-            for i, future in enumerate(futures):
-                if not future.cancelled():
-                    batches[i] = _outcome(future.result)
+            try:
+                for i in reversed(range(len(grid))):
+                    if not futures[i].cancel():
+                        break  # a worker holds this pair, and the pool runs every earlier one
+                    batches[i] = _outcome(_sweep_pair, grid[i])
+                for i, future in enumerate(futures):
+                    if not future.cancelled():
+                        batches[i] = _outcome(future.result)
+            except BaseException:
+                # an uncollected error: the pool's exit waits only for pairs a worker holds
+                for future in futures:
+                    future.cancel()
+                raise
         failure = next((b for b in batches if isinstance(b, Exception)), None)
         if failure is not None:
             raise failure

@@ -155,6 +155,9 @@ def cycle_bounds(word):
 def letter_bounds(p, q, plus, letters):
     """The bounds `rotatlas.dynamics._farey_bounds` is checked against: one fold per letter.
 
+    Any letter set folds, also one whose bounds reach below ``p/q``, which
+    `_farey_bounds` leaves unsolved.
+
     Every step with middle letter ``y`` has outer sum ``s = -((p*y) // q)``
     at ``p/q`` (one more for ``y < 0`` with ``q | y`` just right of it), so
     each distinct letter gives one constraint, folded into the running

@@ -313,13 +313,22 @@ def _values(bounds):
 
 @settings(deadline=None)
 @given(kernel_specs, pairs)
+# march calls whose set starts at lam: closed on [8/5], open just right of it
+@example(ParamSpec.exact(F(8, 5)), (-1, -1))
+@example(ParamSpec.plus_zero(F(8, 5)), (-1, -1))
 def test_orbit_bounds_is_one_pass_of_detect_cycle_and_cycle_bounds(spec, start):
     reference = detect_cycle(spec, start)
     assert reference.outcome == "cycle"
     word, bounds = _kernel(spec, start)
     assert word == reference.cycle
     assert len(word) == reference.steps_used
-    assert _values(bounds) == _values(cycle_bounds(word))
+    # solved exactly when the set starts at lam, as the march needs
+    solved = _values(cycle_bounds(word))
+    assert solved[0] <= spec.value
+    if solved[0] < spec.value:
+        assert bounds is None
+    else:
+        assert _values(bounds) == solved
     # both loop kernels inline `step`; the word must be its orbit
     point = start
     for letter in word:
@@ -357,41 +366,38 @@ def farey_cases(draw):
 @example((7, 400, True, {150}))
 @example((1, 3, False, {3, -6, 5}))
 @example((1, 3, True, {3, -6, 5}))
+# unsolved, as the set reaches below r: q > n; exact side with only a
+# negative multiple of q; plus side with no multiple of q
+@example((5, 12, False, {7, -11, 3}))
+@example((1, 3, False, {-3, 5}))
+@example((1, 3, True, {2, -5}))
 def test_farey_bounds_equal_the_per_letter_fold(case):
     p, q, plus, letters = case
-    assert _values(dynamics._farey_bounds(p, q, plus, letters)) == _values(
-        letter_bounds(p, q, plus, letters)
-    )
-
-
-def test_march_never_takes_the_continued_fraction_branch(monkeypatch):
-    # An interval that starts at r = p/q needs a letter that is a multiple of
-    # q, so q <= max |y| at every march point, and r is a term of the walk.
-    calls, farey = [], dynamics._farey_bounds
-
-    def spied(p, q, plus, letters):
-        calls.append((q, max(map(abs, letters))))
-        return farey(p, q, plus, letters)
-
-    monkeypatch.setattr(dynamics, "_farey_bounds", spied)
-    for a0, a1 in itertools.product(range(-6, 7), repeat=2):
-        compute_atlas(a0, a1)
-    assert len(calls) > 10**4 and max(q for q, _ in calls) > 1
-    assert [(q, n) for q, n in calls if q > n >= 1] == []
+    oracle = _values(letter_bounds(p, q, plus, letters))
+    found = dynamics._farey_bounds(p, q, plus, letters)
+    assert oracle[0] <= F(p, q)
+    if oracle[0] < F(p, q):
+        assert found is None
+    else:
+        assert _values(found) == oracle
 
 
 def test_farey_bounds_examples():
     r = F(3, 2)
-    # the letter 1 alone: the walks stop at the integers next to r, and at
-    # 2 or -2 the bound is open whatever the letter's sign
-    assert _values(dynamics._farey_bounds(3, 2, False, {1})) == (F(1), True, F(2), False)
-    assert _values(dynamics._farey_bounds(-3, 2, True, {-1})) == (F(-2), False, F(-1), True)
+    # the letter 1 alone, or -1, is no multiple of q = 2: the set reaches below r
+    assert dynamics._farey_bounds(3, 2, False, {1}) is None
+    assert dynamics._farey_bounds(-3, 2, True, {-1}) is None
+    # the walk up stops at 2, and the bound there is open whatever the letter's sign
+    assert _values(dynamics._farey_bounds(3, 2, False, {2})) == (r, True, F(2), False)
+    assert _values(dynamics._farey_bounds(3, 2, True, {-2})) == (r, False, F(2), False)
     # q | y at r: exact, a positive letter closes below and a negative above
     assert _values(dynamics._farey_bounds(3, 2, False, {2, -4})) == (r, True, r, True)
     # plus side: a negative one opens the bound at r, a positive one alone closes it
     assert _values(dynamics._farey_bounds(3, 2, True, {2, -4}))[:2] == (r, False)
     assert _values(dynamics._farey_bounds(3, 2, True, {2, 5}))[:2] == (r, True)
-    assert dynamics._farey_bounds(3, 2, True, {0}) == (-2, 1, False, 2, 1, False)
+    # the word 0 holds on all of (-2, 2), which starts at r only at -2
+    assert dynamics._farey_bounds(3, 2, True, {0}) is None
+    assert dynamics._farey_bounds(-2, 1, True, {0}) == (-2, 1, False, 2, 1, False)
 
 
 @settings(deadline=None)

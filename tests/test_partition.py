@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -863,6 +864,27 @@ def test_total_step_budget_exhaustion(atlas, monkeypatch):
     assert (residual.lo, residual.lo_closed) == (ival.lo, ival.lo_closed)
 
 
+@pytest.mark.parametrize("side", ["exact", "plus_zero"])
+def test_march_reports_a_set_reaching_below_r_with_its_cycle_bounds(monkeypatch, side):
+    # A kernel that leaves every set on one side unsolved, as it does one
+    # that reaches below r: the error carries the word's own bounds.
+    good, words = partition.orbit_bounds, []
+
+    def unsolved(lam, plus, start, cap):
+        word, bounds = good(lam, plus, start, cap)
+        words.append(word)
+        return word, None if plus == (side == "plus_zero") else bounds
+
+    monkeypatch.setattr(partition, "orbit_bounds", unsolved)
+    with pytest.raises(MarchError) as exc:
+        compute_atlas(-2, -2)
+    assert exc.value.side == side and exc.value.solved == cycle_bounds(words[-1])
+    text = r"solved bounds \(.*\), which do not start (closed|open) there"
+    assert re.search(text, str(exc.value))
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert str(copy) == str(exc.value) and vars(copy) == vars(exc.value)
+
+
 def test_march_failures_survive_pickling():
     residual = Interval(F(-3, 2), F(2), False, False)
     march = MarchError((1, 2), F(-1, 3), "plus_zero", (-1, 3, False, 0, 1, True))
@@ -898,12 +920,15 @@ def test_budget_failure_crosses_the_process_pool(monkeypatch, budget):
 
 
 def _inline_pool(monkeypatch, started):
-    """Stand in for `ProcessPoolExecutor` in-process; return its sizes and the pairs it ran.
+    """Stand in for `ProcessPoolExecutor` in-process; return its sizes, runs and exits.
 
-    The first ``started`` futures submitted run at once, as if a worker had
-    taken them, so they can no longer be cancelled; the rest stay pending.
+    The runs are the pairs it ran, and each exit is recorded as the count
+    of futures still pending then, which a real pool would run first.
+    The first ``started`` futures submitted run at once, as if a worker
+    had taken them, so they can no longer be cancelled; the rest stay
+    pending.
     """
-    sizes, ran = [], []
+    sizes, ran, exits = [], [], []
 
     class InlineFuture(concurrent.futures.Future):
         def result(self, timeout=None):
@@ -913,28 +938,29 @@ def _inline_pool(monkeypatch, started):
     class InlineExecutor:
         def __init__(self, max_workers):
             sizes.append(max_workers)
-            self.submitted = 0
+            self.futures = []
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            exits.append(sum(not future.done() for future in self.futures))
             return False
 
         def submit(self, fn, args):
             future = InlineFuture()
-            if self.submitted < started:
+            if len(self.futures) < started:
                 future.set_running_or_notify_cancel()
                 ran.append(args[:2])
                 try:
                     future.set_result(fn(args))
                 except Exception as exc:
                     future.set_exception(exc)
-            self.submitted += 1
+            self.futures.append(future)
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    return sizes, ran
+    return sizes, ran, exits
 
 
 @pytest.fixture
@@ -952,7 +978,7 @@ def marches(monkeypatch):
 
 
 def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
-    sizes, _ = _inline_pool(monkeypatch, started=10**6)
+    sizes, _, exits = _inline_pool(monkeypatch, started=10**6)
     # max_m 1 has 6 unordered pairs, max_m 2 has 15; the caller marches too,
     # so a pool gets jobs - 1 workers, never more than the pairs minus one
     assert sweep(1, jobs=500) == sweep(1, jobs=1)
@@ -960,10 +986,11 @@ def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
     sweep(2, jobs=15)
     sweep(2, jobs=16)
     assert sizes == [5, 1, 14, 14]
+    assert exits == [0] * 4
 
 
 def test_sweep_caller_marches_every_pair_when_no_worker_starts(monkeypatch, marches):
-    _, ran = _inline_pool(monkeypatch, started=0)
+    _, ran, _ = _inline_pool(monkeypatch, started=0)
     pooled = sweep(2, jobs=2)
     assert ran == []
     pairs = [(a0, a1) for a0 in range(-2, 3) for a1 in range(a0, 3)]
@@ -973,7 +1000,7 @@ def test_sweep_caller_marches_every_pair_when_no_worker_starts(monkeypatch, marc
 
 
 def test_sweep_caller_marches_no_pair_a_worker_holds(monkeypatch, marches):
-    _, ran = _inline_pool(monkeypatch, started=10**6)
+    _, ran, _ = _inline_pool(monkeypatch, started=10**6)
     assert sweep(2, jobs=2) == sweep(2, jobs=1)
     assert len(ran) == 15
     # the pool ran all 15 pairs, then the serial sweep marched them again
@@ -1000,12 +1027,33 @@ def test_sweep_raises_the_first_failure_in_grid_order(monkeypatch):
     assert raised == [(-2, -1)]
     # a worker holds the first three pairs; the caller marches the rest
     # from (2, 2) down and meets its MarchError before the worker's failure
-    _, ran = _inline_pool(monkeypatch, started=3)
+    _, ran, _ = _inline_pool(monkeypatch, started=3)
     with pytest.raises(BudgetExceeded) as pooled:
         sweep(2, jobs=2)
     assert ran == [(-2, -2), (-2, -1), (-2, 0)]
     assert raised == [(-2, -1), (-2, -1), (2, 2)]
     assert str(pooled.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("failing", [(2, 2), (-2, -1)], ids=["caller", "worker"])
+def test_sweep_cancels_the_pool_on_an_uncollected_error(monkeypatch, failing):
+    # A worker holds the first three pairs and the caller marches from the
+    # back: an OSError in either propagates, and the pool's exit finds no
+    # pair still queued.  A worker's error is read only once the caller has
+    # met the worker, so no pair is queued then anyway.
+    compute = partition.compute_atlas
+
+    def broken(a0, a1):
+        if (a0, a1) == failing:
+            raise OSError(f"cannot write {failing}")
+        return compute(a0, a1)
+
+    monkeypatch.setattr(partition, "compute_atlas", broken)
+    _, ran, exits = _inline_pool(monkeypatch, started=3)
+    with pytest.raises(OSError, match=re.escape(str(failing))):
+        sweep(2, jobs=2)
+    assert ran == [(-2, -2), (-2, -1), (-2, 0)]
+    assert exits == [0]
 
 
 @pytest.mark.skipif(
