@@ -91,7 +91,7 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     with the complementary closure (the first entry's meets the body's
     lower edge), and the last entry's upper edge is the body's.  A cycle up
     to rotation has one rotation starting at the pair, so distinct cycles
-    are distinct tuples.  Fact (1) asks for the word's whole set, not its
+    are distinct words.  Fact (1) asks for the word's whole set, not its
     cut to the body: no cycle reaches into the tail (the proof is
     `partition.compute_atlas`'s), so the first entry of a marched atlas
     passes it too.

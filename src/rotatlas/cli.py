@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on verified success, 1 on verification failure, an exhausted
-budget or a failed march check (`MarchError`), 2 on usage errors and on an
-output that cannot be written (an `OSError`, such as ``--out`` below a
+budget or a failed march check (`MarchError`), 2 on usage errors, on a
+word letter outside 64 bits (an `OverflowError`: words are packed) and on
+an output that cannot be written (an `OSError`, such as ``--out`` below a
 regular file, raised here or in a `sweep` worker).  The ROTATLAS_OUT
 environment variable supplies a default output directory for commands that
 write files.  Output is deterministic; there is no randomness anywhere in
@@ -209,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except MarchError as exc:
         print(f"march error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,34 +12,54 @@ a single point.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence
 
 from .intervals import Interval
 
-# A cycle word: the orbit values of one period, from the initial pair on.
-Word = tuple[int, ...]
+# A cycle word: the orbit values of one period, from the initial pair on,
+# packed by `pack_word` into 2-byte letters, or 8-byte ones for a word
+# with a letter outside the 16-bit range.
+Word = array
 # (lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed): the bounds lo_n/lo_d and
 # hi_n/hi_d, denominators positive and not necessarily reduced.
 Bounds = tuple[int, int, bool, int, int, bool]
 
 
+def pack_word(letters: Sequence[int]) -> Word:
+    """``letters`` as a word: an array of 2-byte letters, or of 8-byte ones if need be.
+
+    A letter outside 64 bits raises OverflowError.  The array takes a
+    ``bool`` as an integer, so a reader checks its letters' types first.
+    """
+    try:
+        return array("h", letters)
+    except OverflowError:
+        return array("q", letters)
+
+
 def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
     """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
 
-    ``tuple.index`` jumps from one ``a0`` to the next, so only the letters
-    equal to ``a0`` cost a step in Python.
+    The pair, packed as the word is, is searched for in the word's bytes,
+    and a match that does not start on a letter is skipped; the pair that
+    wraps around, at ``n - 1``, is compared last.  A pair that the word's
+    letter size cannot hold is not in the word.
     """
-    n = len(word)
-    while True:
-        try:
-            i = word.index(a0, i)
-        except ValueError:
-            return -1
-        if word[(i + 1) % n] == a1:
-            return i
-        i += 1
+    n, size = len(word), word.itemsize
+    try:
+        pair = array(word.typecode, (a0, a1)).tobytes()
+    except OverflowError:
+        return -1
+    data = word.tobytes()
+    j = data.find(pair, i * size)
+    while j > 0 and j % size:
+        j = data.find(pair, j + 1)
+    if j >= 0:
+        return j // size
+    return n - 1 if i < n and word[-1] == a0 and word[0] == a1 else -1
 
 
 def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
@@ -63,23 +83,28 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     enough.  With ``j`` the index of ``(b_1, b_0)`` and ``k = (j + 1) % n``,
     the reflection ``u -> k - u (mod n)`` maps ``(b_0, b_1)`` onto it;
     whether the word equals its reflection is decided letter by letter, by
-    one tuple comparison.  If it does, the triple at ``i`` is the triple at
+    one array comparison.  If it does, the triple at ``i`` is the triple at
     ``k - 2 - i`` read backwards: the same middle letter and the same outer
     sum, so the same constraint.  Folding a constraint a second time
     changes no running bound (it is already at least that tight, with that
     closure on a tie), so only the first triple of each mirrored pair, in
     the original order, is folded, and the tuple returned is the full
     pass's.  Any other word takes the full pass.
+
+    ``word`` is packed (`pack_word`; a copy of a word that already is),
+    searched and compared as an array, and unpacked once for the fold.
     """
-    word = tuple(word)
+    word = pack_word(word)
     n = len(word)
     if not n:
         raise ValueError("cycle words are non-empty")
+    j = _pair_index(word, word[1 % n], word[0], 0)
+    k = (j + 1) % n
+    mirror = j >= 0 and word[k::-1] + word[:k:-1] == word
+    word = word.tolist()
     # b_0 .. b_{n-1}, b_0, b_1: the triples' letters, cyclically
     ext = word + word[:2] if n > 1 else word * 3
-    j = _pair_index(word, ext[1], word[0], 0)
-    k = (j + 1) % n
-    if j >= 0 and word[k::-1] + word[:k:-1] == word:
+    if mirror:
         # triples 0..m/2, then m+1..(m+n)/2, with m = k - 2 (mod n)
         m = (k - 2) % n
         e, f = m // 2 + 1, (m + n) // 2 + 1

@@ -32,14 +32,14 @@ letter or per step.  A set that reaches below ``r`` is not solved.
 
 `orbit_bounds` is the march kernel: it runs the exact map or the plus-side
 map (the only two the march visits) and returns the cycle word with its
-integer bounds; `partition.compute_atlas` builds the intervals.  Words that
-`orbit_bounds` returns, and that `report.atlas_from_json` reads, hold one
-shared ``int`` object per letter value (`_LETTERS`, one dict lookup per
-letter: a miss stores its key).  Letters below -5 are not among CPython's
-cached small ints, so without the sharing every letter of an atlas is an
-object of its own, about three times the memory.  A mirrored word is a
-slice of its twin, so it shares the objects too.  `detect_cycle` keeps
-plain ints: its words are transient.
+integer bounds; `partition.compute_atlas` builds the intervals.  The words
+that `orbit_bounds` returns, like those that `report.atlas_from_json`
+reads, are packed (`constraints.pack_word`): 2 bytes a letter, where a
+tuple takes 8 for its pointer alone, so an atlas holds its letters in a
+quarter of the memory.  A consumer that iterates a packed word makes one
+``int`` per letter, so the loops that read a word letter by letter unpack
+it once (``tolist``).  `detect_cycle` returns a tuple: its words are
+transient.
 
 `detect_cycle` runs one loop for all three maps, one step per pass: the
 closed form on the one-sided side of zero, the exact step elsewhere, and
@@ -70,27 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .constraints import Bounds, Word
+from .constraints import Bounds, Word, pack_word
 
 DEFAULT_ORBIT_CAP = 10**7
-
-
-class Memo(dict):
-    """A dict that makes a missing value once, as ``make(key)``, and keeps it."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
-# One int object per letter value, shared by every word `orbit_bounds` returns.
-_LETTERS = Memo(lambda letter: letter)
 
 _KINDS = ("exact", "plus_zero", "minus_zero")
 
@@ -145,7 +129,7 @@ class OrbitResult:
     """
 
     outcome: str
-    cycle: Optional[Word]
+    cycle: Optional[tuple[int, ...]]
     steps_used: int
     visited: list[int] = field(compare=False, repr=False)
 
@@ -190,7 +174,7 @@ def detect_cycle(
     return OrbitResult("cap_exceeded", None, cap, word)
 
 
-def is_orbit(lam: Fraction, start: LatticePoint, word: Word) -> bool:
+def is_orbit(lam: Fraction, start: LatticePoint, word: Sequence[int]) -> bool:
     """Whether the orbit of ``start`` under the exact map at ``lam`` is exactly ``word``.
 
     The map is stepped along ``word``, with no list built: the check fails
@@ -198,7 +182,7 @@ def is_orbit(lam: Fraction, start: LatticePoint, word: Word) -> bool:
     ``len(word)`` steps, and otherwise holds iff the orbit returns there.
     So it runs at most ``len(word)`` steps, and for a non-empty ``word``
     it agrees with ``detect_cycle(ParamSpec.exact(lam), start,
-    len(word)).cycle == word``.
+    len(word)).cycle == tuple(word)``.
     It shares no helper with `certificate.certify`, which it cross-checks.
     """
     p, q = lam.numerator, lam.denominator
@@ -350,8 +334,8 @@ def orbit_bounds(
     or None when the orbit does not return to ``start`` within ``cap``
     steps.  ``bounds`` is None when ``cycle_bounds(word)`` reaches below
     ``lam``, and otherwise equal to it in value and closure, in the form
-    of `constraints.Bounds` and in lowest terms.  The word holds the
-    shared letter objects, and its length is the steps the orbit took.
+    of `constraints.Bounds` and in lowest terms.  The word is packed, and
+    its length is the steps the orbit took.
 
     The step inequality is symmetric in its outer letters, so the orbit run
     backwards is the orbit of the swapped state: from ``(a1, a0)`` the map
@@ -371,7 +355,7 @@ def orbit_bounds(
     a0, a1 = start
     arc, vertex = _arc(p, q, plus, a0, a1, cap)
     if vertex is None:
-        word = tuple(map(_LETTERS.__getitem__, arc))
+        word = pack_word(arc)
     else:
         if a0 == a1:
             # an edge axis between w[0] and w[1]: w[u] == w[1 - u]
@@ -390,12 +374,9 @@ def orbit_bounds(
         # ``arc`` runs from the axis behind to the one ahead, w[-behind..];
         # the word is w[0..], then ``arc`` reversed without the letters on
         # an axis (a vertex ahead; a vertex, or w[0] and w[1], behind), then
-        # w[-behind..-1].  Built in a list, so it makes one tuple.
-        arc = list(map(_LETTERS.__getitem__, arc))
-        word = arc[behind:]
-        word += arc[-1 - vertex : lead - 1 - len(arc) : -1]
-        word += arc[:behind]
-        word = tuple(word)
+        # w[-behind..-1], each a slice of the packed arc.
+        half = pack_word(arc)
+        word = half[behind:] + half[-1 - vertex : lead - 1 - len(arc) : -1] + half[:behind]
     if len(word) > cap:
         return None
     return word, _farey_bounds(p, q, plus, set(arc))

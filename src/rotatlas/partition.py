@@ -262,8 +262,9 @@ def verify_atlas(
         if not is_orbit(lam, start, cycle[i:] + cycle[:i]):
             return VerificationReport(f"{name} is not the orbit at {lam}")
     for ival, word in atlas.body:
+        letters = word.tolist()  # unpacked once for all the entry's probes
         for lam in _probe_points(ival, probes_per_interval):
-            if not is_orbit(lam, start, word):
+            if not is_orbit(lam, start, letters):
                 return VerificationReport(f"cycle on {ival} is not the orbit at {lam}")
     return verdict
 

@@ -15,14 +15,26 @@ import io
 import json
 import math
 import os
+from array import array
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .constraints import Word
-from .dynamics import _LETTERS, Memo
+from .constraints import Word, pack_word
 from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import Label, tail_of
+
+
+class Memo(dict):
+    """A dict that makes a missing value once, as ``make(key)``, and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
 # Letter value -> its decimal text, formatted once per process rather than
@@ -31,7 +43,7 @@ from .tail import Label, tail_of
 _LETTER_TEXT = Memo(str)
 
 
-def word_text(word: Word, separator: str = ", ") -> str:
+def word_text(word: Sequence[int], separator: str = ", ") -> str:
     """The letters of ``word`` as decimal text joined by ``separator``."""
     return separator.join(map(_LETTER_TEXT.__getitem__, word))
 
@@ -127,7 +139,7 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
 
 # JSON's name for each Python type `atlas_from_json` accepts
 _JSON_TYPES = {
-    dict: "an object", list: "an array", tuple: "an array", str: "a string", int: "an integer",
+    dict: "an object", list: "an array", array: "an array", str: "a string", int: "an integer",
     bool: "a boolean", type(None): "null",
 }
 
@@ -149,15 +161,20 @@ def _expect(record: dict, key: str, expected, where: str) -> None:
 
 
 def _freeze_cycle(record: dict) -> dict:
-    """An ``object_hook``: an entry's ``cycle`` list becomes its word as the object closes.
+    """An ``object_hook``: an entry's ``cycle`` list becomes its packed word as the object closes.
 
-    Converting after the whole parse would keep every list alive at once
-    and put the words among their freed arrays, where the process's peak
-    memory varied by over 10 MB between runs of the same work.
+    Only a list of letters that are exactly ``int`` (JSON booleans and
+    floats are not, and `pack_word` would take ``true`` as 1) within 64
+    bits is packed; any other stays a list, which `atlas_from_json`
+    rejects, naming the entry.  Converting after the whole parse would
+    keep every list alive at once and put the words among their freed
+    arrays, where the process's peak memory varied by over 10 MB between
+    runs of the same work.
     """
     cycle = record.get("cycle")
-    if type(cycle) is list:
-        record["cycle"] = tuple(cycle)
+    if type(cycle) is list and not set(map(type, cycle)) - {int}:
+        with contextlib.suppress(OverflowError):
+            record["cycle"] = pack_word(cycle)
     return record
 
 
@@ -168,21 +185,18 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     a ValueError naming the field.  The label fields ``s``, ``d`` and ``K``
     and the tail's ``lo``, ``hi`` and ``kind`` must be those of the pair's
     `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
-    integers (JSON booleans and floats are not), its closure flags must be
-    booleans, and its redundant ``interval`` and ``length`` fields must
-    agree with its endpoints and its cycle.
+    integers (JSON booleans and floats are not) within 64 bits, its
+    closure flags must be booleans, and its redundant ``interval`` and
+    ``length`` fields must agree with its endpoints and its cycle.
 
-    The parser reads each integer from a table made for this parse, a
-    `Memo` from JSON integer text to the shared letter object of
-    `dynamics`, so it builds no int of its own and the parse tree shrinks
-    (that of (-14,-15) from 37 MiB to 14 MiB).  Each word is built as its
-    entry is parsed (`_freeze_cycle`), and entries leave the parse tree as
-    they are converted.  An entry whose ``lo`` text is the previous entry's
-    ``hi`` text reuses that Fraction, so, as in a marched atlas, each inner
-    boundary is one object shared by the two intervals that meet there.
+    Each word is packed as its entry is parsed (`_freeze_cycle`), so the
+    parse tree holds the letters of one cycle as ints at a time, and
+    entries leave the parse tree as they are converted.  An entry whose
+    ``lo`` text is the previous entry's ``hi`` text reuses that Fraction,
+    so, as in a marched atlas, each inner boundary is one object shared
+    by the two intervals that meet there.
     """
-    letters = Memo(lambda digits: _LETTERS[int(digits)])
-    data = json.loads(text, parse_int=letters.__getitem__, object_hook=_freeze_cycle)
+    data = json.loads(text, object_hook=_freeze_cycle)
     if type(data) is not dict:
         raise ValueError(f"atlas JSON is not an object: {type(data).__name__}")
     a0, a1 = data.get("a0"), data.get("a1")
@@ -219,11 +233,12 @@ def atlas_from_json(text: str) -> PartitionAtlas:
             _field(entry, "lo_closed", bool, where),
             _field(entry, "hi_closed", bool, where),
         )
-        word = _field(entry, "cycle", tuple, where)
-        # exactly int, so JSON booleans and floats are out (the parser
-        # shares only the objects of JSON integers)
-        if set(map(type, word)) - {int}:
-            raise ValueError(f"{where} has a non-integer cycle letter")
+        word = entry.get("cycle")
+        if type(word) is list:  # left unpacked by `_freeze_cycle`
+            if set(map(type, word)) - {int}:
+                raise ValueError(f"{where} has a non-integer cycle letter")
+            raise ValueError(f"{where} has a cycle letter outside 64 bits")
+        word = _field(entry, "cycle", array, where)
         if str(ival) != interval or len(word) != _field(entry, "length", int, where):
             raise ValueError(
                 f"{where} disagrees with its endpoints {ival} or its cycle length {len(word)}"

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Optional
 
-from .constraints import Word
+from .constraints import Word, pack_word
 from .intervals import Interval
 
 
@@ -125,7 +125,7 @@ def triangular_cycle(s: int, d: int, k: int) -> Word:
     a = [s + i * d for i in range(k + 1)]
     b = [s + k * d + (t_d - triangular(d - j)) for j in range(1, d + 1)]
     c = [s - (t_d - triangular(d - j)) for j in range(1, d + 1)]
-    return tuple(a + b + b[::-1] + a[::-1] + c + c[::-1])
+    return pack_word(a + b + b[::-1] + a[::-1] + c + c[::-1])
 
 
 def z_interval(s: int, d: int, k: int) -> Interval:
@@ -167,7 +167,7 @@ class TailDescription:
         """
         s, d = self.label.s, self.label.d
         if d == 0:
-            return [(self.interval, (s,))]
+            return [(self.interval, pack_word((s,)))]
         return [
             (z_interval(s, d, k), triangular_cycle(s, d, k))
             for k in range(self.k_start, k_max + 1)

@@ -86,12 +86,12 @@ def test_criterion_1_reference_listings(atlas, paper_listings):
     with criterion("listing reproduction for max(|a0|,|a1|) <= 2"):
         for (a0, a1), expected in sorted(paper_listings.items()):
             assert render_endpoint_listing(atlas(a0, a1)) == expected, (a0, a1)
-        named = {str(i): w for i, w in atlas(-1, 1).body}
+        named = {str(i): tuple(w) for i, w in atlas(-1, 1).body}
         assert named["(-3/2,-4/3)"] == (-1, 1, 3, 4, 3, 1, -1, -2)
         assert named["[-4/3,-1)"] == (-1, 1, 3, 3, 1, -1, -2)
         assert named["[-1]"] == (-1, 1, 2, 1, -1, -2)
         assert named["(-1,-1/2)"] == (-1, 1, 2, 1, -1)
-        closed = {str(i): w for i, w in atlas(-2, -2).body}
+        closed = {str(i): tuple(w) for i, w in atlas(-2, -2).body}
         assert closed["[-2/3,-1/2]"] == (-2, -2, 1, 3, 1)
 
 

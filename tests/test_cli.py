@@ -55,6 +55,11 @@ def test_cycle_interval(capsys):
     assert code == 0 and out.strip() == "(-1,-1/2)"
     code, out, _ = run(capsys, "cycle-interval", "--word", "(0, 0, 1)")
     assert code == 0 and out.strip() == "infeasible"
+    # a 64-bit letter solves; one past 64 bits is an error, not a traceback
+    code, out, _ = run(capsys, "cycle-interval", "--word", f"{2**62},0,{-2**62},0")
+    assert code == 0 and out.strip() == "[0]"
+    code, out, err = run(capsys, "cycle-interval", "--word", f"{2**64},0,{-2**64},0")
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_tail_command(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotatlas import ParamSpec, constraints, detect_cycle, interval_for_cycle
-from rotatlas.constraints import cycle_bounds
+from rotatlas.constraints import _pair_index, cycle_bounds, pack_word
 from rotatlas.partition import _mirror_word
 from reference import contains, make_interval, parse_interval
 from reference import cycle_bounds as triple_loop_bounds
@@ -151,6 +151,41 @@ def test_cycle_bounds_examples():
     # -2 < x <= -2
     assert cycle_bounds((-1,)) == (-2, 1, False, -2, 1, True)
     assert interval_for_cycle((-1,)) is None
+
+
+def test_pack_word_widens_only_past_16_bits():
+    assert pack_word((-32768, 0, 32767)).typecode == "h"
+    for letter in (-32769, 32768, 40000, 2**63 - 1, -(2**63)):
+        wide = pack_word((1, letter, 2))
+        assert wide.typecode == "q" and tuple(wide) == (1, letter, 2)
+    for letter in (2**63, -(2**63) - 1):
+        with pytest.raises(OverflowError):
+            pack_word((1, letter))
+
+
+# Letters whose 2-byte forms overlap across letter edges: (1, 1, 1) holds
+# the bytes of (256, 256) one byte in, a match that starts on no letter.
+pair_letters = st.sampled_from([0, 1, 256, 257, -1, 40000])
+
+
+@given(st.lists(pair_letters, min_size=1, max_size=10), pair_letters, pair_letters)
+def test_pair_index_is_the_cyclic_scan(letters, a0, a1):
+    word, n = pack_word(letters), len(letters)
+    for i in range(n + 1):
+        expected = next(
+            (j for j in range(i, n) if (letters[j], letters[(j + 1) % n]) == (a0, a1)), -1
+        )
+        assert _pair_index(word, a0, a1, i) == expected, (letters, a0, a1, i)
+
+
+def test_pair_index_skips_a_match_that_starts_on_no_letter():
+    assert pack_word((1, 1, 1)).tobytes().find(pack_word((256, 256)).tobytes()) == 1
+    assert _pair_index(pack_word((1, 1, 1)), 256, 256, 0) == -1
+    assert _pair_index(pack_word((1, 1, 1, 256, 256)), 256, 256, 0) == 3
+    # the pair that wraps around, and one no 2-byte letter holds
+    assert _pair_index(pack_word((7, 5, 6)), 6, 7, 0) == 2
+    assert _pair_index(pack_word((7,)), 7, 7, 0) == 0
+    assert _pair_index(pack_word((7, 5, 6)), 40000, 7, 0) == -1
 
 
 def _from_bounds(bounds):

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,7 @@ from rotatlas import (
 )
 from rotatlas import certificate, dynamics, partition, tail
 from rotatlas.certificate import VerificationReport, _solves_to
-from rotatlas.constraints import cycle_bounds
+from rotatlas.constraints import cycle_bounds, pack_word
 from rotatlas.partition import PartitionAtlas, _mirrored
 from rotatlas.report import atlas_from_json, atlas_to_json, write_atlas_json
 from reference import contains, intersect, make_interval, parse_interval, word_is_cycle_at
@@ -40,7 +41,7 @@ GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def entry_map(atlas):
-    return {str(ival): word for ival, word in atlas.body}
+    return {str(ival): tuple(word) for ival, word in atlas.body}
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ def probe_orbits(monkeypatch):
 
 def test_origin_is_trivial(atlas):
     at = atlas(0, 0)
-    assert [(str(i), w) for i, w in at.body] == [("(-2,2)", (0,))]
+    assert [(str(i), tuple(w)) for i, w in at.body] == [("(-2,2)", (0,))]
     assert at.body_range == at.table_range == parse_interval("(-2,2)")
     assert verify_atlas(at, probes_per_interval=2).ok
 
@@ -582,14 +583,14 @@ def test_probes_check_the_tail_windows_that_certify_checks(atlas, monkeypatch, p
 
 
 def _mutations(word, other):
-    """Single edits of a cycle word; ``other`` is another entry's word."""
-    n = len(word)
+    """Single edits of a cycle word, packed; ``other`` is another entry's word."""
+    word, other, n = tuple(word), tuple(other), len(word)
     out = [word + word, word[::-1], other, word + other]
     out += [word[r:] + word[:r] for r in range(1, n)]
     out += [word[:j] + word[j + 1 :] for j in range(n)]
     out += [word[:j] + (word[j] + delta,) + word[j + 1 :] for j in range(n) for delta in (-1, 1)]
     out += [word[:j] + (value,) + word[j:] for j in range(n + 1) for value in word[:2]]
-    return out
+    return [pack_word(w) for w in out]
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (1, 1), (-1, -1), (-2, -2), (2, 3), (-2, 3)], ids=str)
@@ -598,7 +599,7 @@ def test_is_orbit_is_the_detected_cycle_at_the_probe_points(atlas, pair):
     points = []
     for _, window, cycle in certificate.checked_windows(at.tail):
         # the cycle rotated to start at the pair, which it holds once
-        i = next(i for i in range(len(cycle)) if (cycle + cycle)[i : i + 2] == pair)
+        i = next(i for i in range(len(cycle)) if tuple((cycle + cycle)[i : i + 2]) == pair)
         points.append((window.midpoint(), cycle[i:] + cycle[:i]))
     for ival, word in at.body:
         points += [(lam, word) for lam in partition._probe_points(ival, 2)]
@@ -606,7 +607,7 @@ def test_is_orbit_is_the_detected_cycle_at_the_probe_points(atlas, pair):
         assert dynamics.is_orbit(lam, pair, word), (lam, word)
         # doubled, truncated, rotated, one letter changed, and more
         for w in filter(None, [word[:-1]] + _mutations(word, other)):
-            detected = detect_cycle(ParamSpec.exact(lam), pair, len(w)).cycle == w
+            detected = detect_cycle(ParamSpec.exact(lam), pair, len(w)).cycle == tuple(w)
             assert dynamics.is_orbit(lam, pair, w) == detected, (lam, w)
     assert dynamics.is_orbit(F(1, 3), (0, 0), (0,))
     assert not dynamics.is_orbit(F(1, 3), (0, 0), (0, 0))
@@ -1211,14 +1212,30 @@ def test_march_and_mirror_share_their_interval_objects(atlas):
             assert all(ival is twin for (ival, _), (twin, _) in zip(mirror, body, strict=True))
 
 
-def test_words_share_one_object_per_letter_value(atlas):
-    marched = atlas(-9, -10)
-    atlases = (marched, _mirrored(marched), atlas_from_json(atlas_to_json(marched)))
-    # the atlases keep every letter alive, so no id is reused
-    letters = [b for at in atlases for _, word in at.body for b in word]
-    values = set(letters)
-    assert min(values) < -5  # below CPython's cached small ints
-    assert len({id(b) for b in letters}) == len(values)
+def test_words_take_two_bytes_a_letter():
+    marched = compute_atlas(-9, -10)
+    empty = sys.getsizeof(array("h"))
+    for at in (marched, _mirrored(marched), atlas_from_json(atlas_to_json(marched))):
+        words = [word for _, word in at.body]
+        assert {type(word) for word in words} == {array}
+        assert {word.typecode for word in words} == {"h"}
+        # each buffer is allocated to its letters, with no spare room
+        letters = sum(map(len, words))
+        assert sum(sys.getsizeof(word) - empty for word in words) == 2 * letters == 764_192
+
+
+def test_a_wide_word_mirrors_and_passes_the_twin_check():
+    # the twin check reads the word, and its tail cycles, as 8-byte letters
+    word, _ = dynamics.orbit_bounds(F(0), False, (40000, 0))
+    twin = PartitionAtlas(40000, 0, ((parse_interval("[0]"), word),))
+    mirror = _mirrored(twin)
+    (_, mirrored), = mirror.body
+    assert mirrored.typecode == "q" and tuple(mirrored) == (0, 40000, 0, -40000)
+    assert verify_atlas(mirror, twin=twin).ok
+    rotated = _edit(mirror, {0: (parse_interval("[0]"), mirrored[2:] + mirrored[:2])})
+    assert verify_atlas(rotated, twin=twin).failure == (
+        "cycle on [0] is not its twin's cycle reversed"
+    )
 
 
 def test_sweep_verifies_the_mirrored_pairs(monkeypatch):

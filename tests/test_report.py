@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotatlas import report, sweep
+from rotatlas.dynamics import orbit_bounds
 from rotatlas.report import (
     atlas_from_json,
     atlas_to_json,
@@ -71,7 +73,7 @@ def test_json_round_trip(atlas):
         assert atlas_from_json(atlas_to_json(at)) == at
 
 
-def test_reader_makes_each_word_a_tuple_as_its_entry_is_parsed(atlas, monkeypatch):
+def test_reader_packs_each_word_as_its_entry_is_parsed(atlas, monkeypatch):
     # the parse tree never holds the cycle lists of the whole file at once
     seen = []
     freeze = report._freeze_cycle
@@ -85,7 +87,7 @@ def test_reader_makes_each_word_a_tuple_as_its_entry_is_parsed(atlas, monkeypatc
     parsed = atlas_from_json(atlas_to_json(at))
     assert parsed == at
     assert seen.count(list) == len(at.body) and seen.count(type(None)) == 2
-    assert all(type(word) is tuple for _, word in parsed.body)
+    assert all(type(word) is array and word.typecode == "h" for _, word in parsed.body)
 
 
 def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
@@ -154,10 +156,12 @@ def test_json_rejects_an_inconsistent_entry(atlas, field, value):
 
 # Letters that are not JSON integers.  Read as they are, a string makes
 # `verify_atlas` raise TypeError, and floats give an atlas equal to the
-# computed one, which verifies and re-emits different bytes.
+# computed one, which verifies and re-emits different bytes.  A packed
+# word would take ``true`` as 1.
 LETTER_REWRITES = {
     "string": lambda cycle: ["x"] + cycle[1:],
     "floats": lambda cycle: [float(b) for b in cycle],
+    "one-float": lambda cycle: cycle[:1] + [1.0] + cycle[2:],
     "boolean": lambda cycle: [True] + cycle[1:],
 }
 
@@ -167,7 +171,32 @@ def test_json_rejects_a_non_integer_letter(atlas, kind):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     entry = data["body"][3]
     entry["cycle"] = LETTER_REWRITES[kind](entry["cycle"])
-    with pytest.raises(ValueError, match=re.escape(entry["interval"])):
+    message = f"entry {entry['interval']} of (-1,-1) has a non-integer cycle letter"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        atlas_from_json(json.dumps(data))
+
+
+def _with_cycle(data, cycle):
+    """``data`` with body entry 3's cycle replaced, its length field kept in step."""
+    entry = data["body"][3]
+    entry["cycle"], entry["length"] = cycle, len(cycle)
+    return entry
+
+
+def test_json_reads_a_wide_letter_into_a_wide_word(atlas):
+    marched, _ = orbit_bounds(F(0), False, (40000, 0))
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    _with_cycle(data, list(marched))
+    word = atlas_from_json(json.dumps(data)).body[3][1]
+    assert word.typecode == "q" and word == marched
+
+
+@pytest.mark.parametrize("letter", [2**63, -(2**63) - 1, 10**30])
+def test_json_rejects_a_letter_outside_64_bits(atlas, letter):
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    entry = _with_cycle(data, [-1, -1, letter])
+    message = f"entry {entry['interval']} of (-1,-1) has a cycle letter outside 64 bits"
+    with pytest.raises(ValueError, match=re.escape(message)):
         atlas_from_json(json.dumps(data))
 
 
