@@ -9,6 +9,7 @@ check the same tail windows (`checked_windows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .constraints import Bounds, Word, _pair_index, cycle_bounds
@@ -28,8 +29,7 @@ def checked_windows(tail: TailDescription) -> Iterator[tuple[str, Interval, Word
     That is the first `TAIL_PIECES` windows, or the one window of a
     constant tail (``k`` is 0 there, and ``k_start`` on a ramp tail).
     """
-    k_start = tail.k_start or 0
-    for k, (window, cycle) in enumerate(tail.pieces_through(k_start + TAIL_PIECES - 1), k_start):
+    for k, (window, cycle) in enumerate(islice(tail.windows(), TAIL_PIECES), tail.k_start or 0):
         yield (f"tail cycle k={k}" if k else "constant tail cycle"), window, cycle
 
 

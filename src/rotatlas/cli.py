@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+from itertools import islice
 
 from . import report
 from .constraints import interval_for_cycle
@@ -125,18 +126,17 @@ def _cmd_cycle_interval(args) -> int:
 
 def _cmd_tail(args) -> int:
     tail = tail_of(args.a0, args.a1)
-    label = tail.label
-    k_max = 0
-    if label.d > 0:
-        k_max = args.k_max if args.k_max is not None else tail.k_start + 4
-        if k_max < tail.k_start:
+    shown = 5  # windows; a constant tail has one, whatever --k-max says
+    if tail.k_start is not None and args.k_max is not None:
+        shown = args.k_max - tail.k_start + 1
+        if shown < 1:
             raise ValueError(
-                f"--k-max {k_max} is below the first window index {tail.k_start} "
+                f"--k-max {args.k_max} is below the first window index {tail.k_start} "
                 f"of ({args.a0},{args.a1})"
             )
-    print(f"label: {label}")
+    print(f"label: {tail.label}")
     print(f"tail interval: {tail.interval}")
-    for window, word in tail.pieces_through(k_max):
+    for window, word in islice(tail.windows(), shown):
         print(f"  {str(window):>22} -> ({report.word_text(word)})")
     return 0
 

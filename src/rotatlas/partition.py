@@ -72,14 +72,12 @@ class BudgetExceeded(Exception):
     """The march hit a budget (``reason``) at the lower edge of ``residual``, left unmarched."""
 
     def __init__(self, reason: str, start: tuple[int, int], residual: Interval):
-        self.reason = reason
-        self.start = start
-        self.residual = residual
-        super().__init__(f"march for {start} exceeded {reason}; residual {residual}")
+        # the arguments are the exception's args, so it pickles across the process pool
+        super().__init__(reason, start, residual)
+        self.reason, self.start, self.residual = reason, start, residual
 
-    def __reduce__(self):
-        # rebuilt from its own arguments, so it crosses the process pool
-        return type(self), (self.reason, self.start, self.residual)
+    def __str__(self) -> str:
+        return f"march for {self.start} exceeded {self.reason}; residual {self.residual}"
 
 
 class MarchError(Exception):
@@ -92,17 +90,14 @@ class MarchError(Exception):
     """
 
     def __init__(self, start: tuple[int, int], lam: Fraction, side: str, solved: Bounds):
-        self.start = start
-        self.lam = lam
-        self.side = side
-        self.solved = solved
-        super().__init__(
-            f"march for {start} at {lam} ({side}) solved bounds {solved}, "
-            f"which do not start {'closed' if side == 'exact' else 'open'} there"
-        )
+        super().__init__(start, lam, side, solved)
+        self.start, self.lam, self.side, self.solved = start, lam, side, solved
 
-    def __reduce__(self):
-        return type(self), (self.start, self.lam, self.side, self.solved)
+    def __str__(self) -> str:
+        return (
+            f"march for {self.start} at {self.lam} ({self.side}) solved bounds {self.solved}, "
+            f"which do not start {'closed' if self.side == 'exact' else 'open'} there"
+        )
 
 
 @dataclass(frozen=True)

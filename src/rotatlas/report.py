@@ -15,32 +15,29 @@ import io
 import json
 import math
 import os
+import re
 from array import array
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .constraints import Word, pack_word
-from .intervals import Interval, parse_rational
+from .intervals import Interval
 from .partition import PartitionAtlas, ShellStats, SweepReport
 from .tail import Label, tail_of
 
 
-class Memo(dict):
-    """A dict that makes a missing value once, as ``make(key)``, and keeps it."""
+class _LetterText(dict):
+    """Letter value -> its decimal text, made once, on first use, and kept."""
 
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
+    def __missing__(self, letter: int) -> str:
+        self[letter] = text = str(letter)
+        return text
 
 
-# Letter value -> its decimal text, formatted once per process rather than
-# once per occurrence.  Words are joined from these texts wherever they are
-# printed: the JSON writer, `atlas_table_lines` and the command line's words.
-_LETTER_TEXT = Memo(str)
+# Formatted once per process rather than once per occurrence.  Words are
+# joined from these texts wherever they are printed: the JSON writer,
+# `atlas_table_lines` and the command line's words.
+_LETTER_TEXT = _LetterText()
 
 
 def word_text(word: Sequence[int], separator: str = ", ") -> str:
@@ -160,6 +157,25 @@ def _expect(record: dict, key: str, expected, where: str) -> None:
         raise ValueError(f"{where} field {key!r} is not the pair's {expected!r}")
 
 
+# The writer's text of a rational: an integer, or p/q in lowest terms with q > 1.
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(text: str, key: str, where: str) -> Fraction:
+    """An endpoint text as the writer writes it, and its value.
+
+    The form is checked before any arithmetic, so no exponent or decimal
+    (``"1e1000000"``, ``"0.5"``) builds a number, and the value must print
+    back as the same text, which rules out ``"2/4"``, ``"-0"`` and ``"1/1"``.
+    """
+    if _RATIONAL_TEXT.fullmatch(text):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            value = Fraction(text)
+            if str(value) == text:
+                return value
+    raise ValueError(f"{where} field {key!r} is not a rational as the writer writes it: {text!r}")
+
+
 def _freeze_cycle(record: dict) -> dict:
     """An ``object_hook``: an entry's ``cycle`` list becomes its packed word as the object closes.
 
@@ -186,8 +202,10 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     and the tail's ``lo``, ``hi`` and ``kind`` must be those of the pair's
     `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
     integers (JSON booleans and floats are not) within 64 bits, its
-    closure flags must be booleans, and its redundant ``interval`` and
-    ``length`` fields must agree with its endpoints and its cycle.
+    ``lo`` and ``hi`` texts must be rationals in the writer's own form
+    (`_rational`), its closure flags must be booleans, and its redundant
+    ``interval`` and ``length`` fields must agree with its endpoints and
+    its cycle.
 
     Each word is packed as its entry is parsed (`_freeze_cycle`), so the
     parse tree holds the letters of one cycle as ints at a time, and
@@ -224,9 +242,9 @@ def atlas_from_json(text: str) -> PartitionAtlas:
         interval = _field(entry, "interval", str, where)
         where = f"entry {interval} of ({a0},{a1})"
         lo_text = _field(entry, "lo", str, where)
-        lo = hi if lo_text == hi_text else parse_rational(lo_text)
+        lo = hi if lo_text == hi_text else _rational(lo_text, "lo", where)
         hi_text = _field(entry, "hi", str, where)
-        hi = parse_rational(hi_text)
+        hi = _rational(hi_text, "hi", where)
         ival = Interval(
             lo,
             hi,

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from .constraints import Word, pack_word
 from .intervals import Interval
@@ -141,7 +142,7 @@ class TailDescription:
     """The infinite left part of a pair's partition, fixed by its label and ``k_start``.
 
     For d > 0 its ``interval`` is the disjoint union of the per-k windows
-    for k >= ``k_start``, listed up to a given index by `pieces_through`;
+    for k >= ``k_start``, which `windows` yields in order, one at a time;
     for d = 0 it is one window with a constant cycle, and ``k_start`` is
     None.  ``k_start`` is max(K, occurrence index), the index from `_rung`:
     K alone makes every window's cycle occupy exactly that window, but the
@@ -159,19 +160,18 @@ class TailDescription:
         hi = label.edge(self.k_start or 0) if label.s or label.d else Fraction(2)
         return Interval.open(Fraction(-2), hi)
 
-    def pieces_through(self, k_max: int) -> list[tuple[Interval, Word]]:
-        """(window, cycle word) pairs for k = k_start, ..., ``k_max``.
+    def windows(self) -> Iterator[tuple[Interval, Word]]:
+        """(window, cycle word) pairs for k = k_start, k_start + 1, ..., made as they are read.
 
-        For d > 0 the windows march down toward -2 as k grows; for d = 0 the
-        single constant window is returned whatever ``k_max`` is.
+        For d > 0 the windows march down toward -2 as k grows, without end;
+        for d = 0 the single constant window is the only item.
         """
         s, d = self.label.s, self.label.d
         if d == 0:
-            return [(self.interval, pack_word((s,)))]
-        return [
-            (z_interval(s, d, k), triangular_cycle(s, d, k))
-            for k in range(self.k_start, k_max + 1)
-        ]
+            yield self.interval, pack_word((s,))
+            return
+        for k in count(self.k_start):
+            yield z_interval(s, d, k), triangular_cycle(s, d, k)
 
 
 def tail_of(a0: int, a1: int) -> TailDescription:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rotatlas import partition, report
+from rotatlas import partition, report, tail
 from rotatlas.cli import _COMMANDS, build_parser, main
 
 
@@ -84,6 +84,22 @@ def test_tail_k_max_below_the_first_window_exits_two(capsys, k_max):
     assert err == f"error: --k-max {k_max} is below the first window index 5 of (3,-5)\n"
     code, out, _ = run(capsys, "tail", "--a0", "3", "--a1", "-5", "--k-max", "5")
     assert code == 0 and "label: s=3 d=8 K=5" in out and len(out.splitlines()) == 3
+
+
+def test_tail_prints_each_window_before_it_makes_the_next(capsys, monkeypatch):
+    made, printed = [], []
+
+    def spy(s, d, k):
+        printed.append(capsys.readouterr().out.count(" -> "))
+        made.append(k)
+        return make(s, d, k)
+
+    make = tail.triangular_cycle
+    monkeypatch.setattr(tail, "triangular_cycle", spy)
+    assert main(["tail", "--a0", "2", "--a1", "3", "--k-max", "300"]) == 0
+    printed.append(capsys.readouterr().out.count(" -> "))
+    # window k is printed before window k + 1 is made, and no window is made past --k-max
+    assert made == list(range(2, 301)) and printed == [0] + [1] * 299
 
 
 def test_partition_table(capsys):

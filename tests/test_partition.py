@@ -557,7 +557,7 @@ def test_probe_orbits_are_capped_by_their_word(atlas, probe_orbits, pair):
     at = atlas(*pair)
     t = at.tail
     # body entries and the checked tail windows, with the words they carry
-    entries = list(at.body) + t.pieces_through((t.k_start or 0) + certificate.TAIL_PIECES - 1)
+    entries = list(at.body) + list(itertools.islice(t.windows(), certificate.TAIL_PIECES))
     for probes in (1, 2):
         probe_orbits.clear()
         assert verify_atlas(at, probes_per_interval=probes).ok and probe_orbits
@@ -573,7 +573,7 @@ def test_probes_check_the_tail_windows_that_certify_checks(atlas, monkeypatch, p
     solved = []
     solve = certificate.cycle_bounds
     monkeypatch.setattr(certificate, "cycle_bounds", lambda word: solved.append(word) or solve(word))
-    windows = t.pieces_through((t.k_start or 0) + 1)
+    windows = list(itertools.islice(t.windows(), 2))
     assert verify_atlas(at, probes_per_interval=1).ok
     # `certify` solves the tail's checked cycles, then the body's words
     assert solved == [cycle for _, cycle in windows] + [word for _, word in at.body]
@@ -1366,6 +1366,5 @@ def test_sweep_solves_each_marched_word_once(monkeypatch):
     for a0 in range(-3, 4):
         for a1 in range(a0, 4):
             t = tail.tail_of(a0, a1)
-            k_max = (t.k_start or 0) + certificate.TAIL_PIECES - 1
-            tails += [word for _, word in t.pieces_through(k_max)]
+            tails += [word for _, word in itertools.islice(t.windows(), certificate.TAIL_PIECES)]
     assert sorted(solved) == sorted(marched + tails)

@@ -92,23 +92,56 @@ def test_reader_packs_each_word_as_its_entry_is_parsed(atlas, monkeypatch):
 
 def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
     parses = []
-    parse = report.parse_rational
+    parse = report._rational
 
-    def counted_parse(text):
+    def counted_parse(text, key, where):
         parses.append(text)
-        return parse(text)
+        return parse(text, key, where)
 
-    monkeypatch.setattr(report, "parse_rational", counted_parse)
+    monkeypatch.setattr(report, "_rational", counted_parse)
     text = atlas_to_json(atlas(-9, -10))
     body = atlas_from_json(text).body
     assert len(body) > 100 and len(parses) == len(body) + 1
     assert all(cur.hi is nxt.lo for (cur, _), (nxt, _) in zip(body, body[1:]))
-    # a lower edge written otherwise than the previous upper one is parsed anew
+    # a value has one text, so a lower edge written otherwise than the
+    # previous upper one is refused, not parsed anew
     data = json.loads(text)
-    data["body"][5]["lo"] = " " + data["body"][5]["lo"]
-    body = atlas_from_json(json.dumps(data)).body
-    assert body[4][0].hi == body[5][0].lo and body[4][0].hi is not body[5][0].lo
-    assert body == atlas(-9, -10).body
+    entry = data["body"][5]
+    entry["lo"] = " " + entry["lo"]
+    message = f"entry {entry['interval']} of (-9,-10) field 'lo'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        atlas_from_json(json.dumps(data))
+
+
+# Endpoint texts the writer never writes, each with the value it spells or
+# None.  Read by `Fraction` alone, each one that spells an endpoint of the
+# (-1,-1) atlas reads as that atlas, "1_0" and "1e400" as 10 and 10**400,
+# and "1e1000000" takes 0.2 s to fail on Python's int-string limit, with an
+# error that names no field.
+ENDPOINT_SPELLINGS = {
+    "decimal": ("0.5", F(1, 2)),
+    "unreduced": ("2/4", F(1, 2)),
+    "leading-space": (" -1/2", F(-1, 2)),
+    "plus-sign": ("+1", F(1)),
+    "negative-zero": ("-0", F(0)),
+    "unit-denominator": ("1/1", F(1)),
+    "non-ascii-digit": ("\uff11", F(1)),
+    "underscore": ("1_0", None),
+    "exponent": ("1e400", None),
+    "zero-denominator": ("1/0", None),
+}
+
+
+@pytest.mark.parametrize("field", ["lo", "hi"])
+@pytest.mark.parametrize("kind", sorted(ENDPOINT_SPELLINGS))
+def test_json_reads_endpoints_only_as_the_writer_writes_them(atlas, field, kind):
+    spelling, value = ENDPOINT_SPELLINGS[kind]
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    entry = next((e for e in data["body"] if e[field] == str(value)), data["body"][3])
+    entry[field] = spelling
+    message = f"entry {entry['interval']} of (-1,-1) field '{field}' is not a rational"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        atlas_from_json(json.dumps(data))
 
 
 def test_json_schema_fields(atlas):

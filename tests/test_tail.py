@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -219,21 +220,45 @@ def test_pair_occurs_from_its_start_index_on():
 def test_tail_of_constant_cases():
     t = tail_of(0, 0)
     assert str(t.interval) == "(-2,2)" and t.k_start is None
-    assert [(w, tuple(c)) for w, c in t.pieces_through(99)] == [(t.interval, (0,))]
+    assert [(w, tuple(c)) for w, c in t.windows()] == [(t.interval, (0,))]
     t = tail_of(1, 1)
     assert str(t.interval) == "(-2,-1)"
-    assert [(w, tuple(c)) for w, c in t.pieces_through(0)] == [(t.interval, (1,))]
+    assert [(w, tuple(c)) for w, c in t.windows()] == [(t.interval, (1,))]
 
 
 def test_tail_of_window_cases():
     t = tail_of(-1, -1)
     assert str(t.interval) == "(-2,-1)" and t.k_start == 1
-    pieces = t.pieces_through(2)
+    pieces = list(islice(t.windows(), 2))
     assert pieces[0] == (z_interval(0, 1, 1), triangular_cycle(0, 1, 1))
     assert pieces[1][0] == Interval(F(-5, 3), F(-3, 2), True, False)
     # deferred-occurrence pair: tail starts later, windows below go to the body
     t = tail_of(2, 3)
     assert t.k_start == 2 and str(t.interval) == "(-2,-3/2)"
+
+
+def test_windows_make_each_cycle_as_it_is_read(monkeypatch):
+    built = []
+
+    def counted(s, d, k):
+        built.append(k)
+        return triangular_cycle(s, d, k)
+
+    monkeypatch.setattr(tail, "triangular_cycle", counted)
+    t = tail_of(2, 3)
+    windows = t.windows()
+    assert built == []
+    first = list(islice(windows, 3))
+    assert built == [2, 3, 4]
+    # a ramp tail has no last window: the same sequence reads on past any index
+    rest = list(islice(windows, 1000))
+    assert built == list(range(2, 1005)) and len(first + rest) == 1003
+    assert [w for w, _ in first + rest] == [z_interval(0, 1, k) for k in range(2, 1005)]
+    assert next(windows)[0] == z_interval(0, 1, 1005) and len(built) == 1004
+    # a constant tail, and the full tail of (0, 0), are one window each, with no ramp cycle
+    for pair in ((1, 1), (0, 0), (5, 5)):
+        assert len(list(tail_of(*pair).windows())) == 1
+    assert len(built) == 1004
 
 
 def test_label_validation():
