@@ -93,7 +93,7 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     to rotation has one rotation starting at the pair, so distinct cycles
     are distinct words.  Fact (1) asks for the word's whole set, not its
     cut to the body: no cycle reaches into the tail (the proof is
-    `partition.compute_atlas`'s), so the first entry of a marched atlas
+    `partition.march`'s), so the first entry of a marched atlas
     passes it too.
 
     No entry needs a test against the earlier words.  Two entries with the
@@ -114,8 +114,8 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     ``twin``, an atlas of the swapped pair ``(a1, a0)`` that this function
     has passed, replaces the solves: ``atlas`` is then certified as its
     exact swap image.  Its tail is its twin's, since `tail_of` is
-    swap-symmetric; the body has the twin's entry count and intervals, and
-    each word ``v`` satisfies ``v[::-1] == w[2:] + w[:2]`` for the twin's
+    swap-symmetric by construction; the body has the twin's entry count
+    and intervals, and each word ``v`` satisfies ``v[::-1] == w[2:] + w[:2]`` for the twin's
     word ``w``: it is ``w`` reversed and rotated to start at ``(a0, a1)``.  By the swap
     theorem (see `partition._mirrored`) and the twin's certificate, ``v`` is
     then the orbit of ``(a0, a1)`` on the whole interval, with the same

@@ -4,10 +4,13 @@ Exit codes: 0 on verified success, 1 on verification failure, an exhausted
 budget or a failed march check (`MarchError`), 2 on usage errors, on a
 word letter outside 64 bits (an `OverflowError`: words are packed) and on
 an output that cannot be written (an `OSError`, such as ``--out`` below a
-regular file, raised here or in a `sweep` worker).  The ROTATLAS_OUT
-environment variable supplies a default output directory for commands that
-write files.  Output is deterministic; there is no randomness anywhere in
-the package.
+regular file, raised here or in a `sweep` worker).  A reader that closes
+stdout early, as ``| head`` does, ends the command quietly: `main` lets the
+`BrokenPipeError` through, and the console script `entrypoint` exits 141
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) with
+nothing on stderr.  The ROTATLAS_OUT environment variable supplies a
+default output directory for commands that write files.  Output is
+deterministic; there is no randomness anywhere in the package.
 """
 
 from __future__ import annotations
@@ -210,13 +213,22 @@ def main(argv: list[str] | None = None) -> int:
     except MarchError as exc:
         print(f"march error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is no unwritable output; `entrypoint` ends quietly
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+    except BrokenPipeError:
+        # fd 1 now discards, so the final flush of what is left buffered succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

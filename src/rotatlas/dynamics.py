@@ -32,7 +32,7 @@ letter or per step.  A set that reaches below ``r`` is not solved.
 
 `orbit_bounds` is the march kernel: it runs the exact map or the plus-side
 map (the only two the march visits) and returns the cycle word with its
-integer bounds; `partition.compute_atlas` builds the intervals.  The words
+integer bounds; `partition.march` builds the intervals.  The words
 that `orbit_bounds` returns, like those that `report.atlas_from_json`
 reads, are packed (`constraints.pack_word`): 2 bytes a letter, where a
 tuple takes 8 for its pointer alone, so an atlas holds its letters in a

@@ -9,12 +9,14 @@ At each point ``r`` one orbit pass (`dynamics.orbit_bounds`) finds the
 cycle at ``r``, or just right of ``r`` when ``r`` already belongs to the
 previous interval, with the integer bounds of the exact interval on which
 that cycle occurs; the march builds that interval and continues from its
-right end.  The cycles partition the body, so the march emits the
-partition in order.  It is expected to stop after finitely many intervals;
-fixed budgets guard against the alternative, which would mean either a bug
-or a counterexample.  Each raises `BudgetExceeded`, naming the pair, the
-budget and the unmarched residual; it and `MarchError` pickle, so they
-cross `sweep`'s process pool.
+right end.  The cycles partition the body, so `march` yields the
+partition in order, one entry per orbit as the stream is read, and
+`compute_atlas` collects the whole stream into an atlas.  The march is
+expected to stop after finitely many intervals; fixed budgets guard
+against the alternative, which would mean either a bug or a
+counterexample.  Each raises `BudgetExceeded` where the stream reaches
+it, naming the pair, the budget and the unmarched residual; it and
+`MarchError` pickle, so they cross `sweep`'s process pool.
 
 `verify_atlas` re-checks a computed atlas from scratch by the exact
 certificate of the `certificate` module, as every command does; probe
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .certificate import VerificationReport, certify, checked_windows
 from .constraints import Bounds, Word, _pair_index, cycle_bounds
@@ -52,8 +54,8 @@ def _body_range(tail: TailDescription) -> Interval:
     return Interval(ival.hi, Fraction(2), True, False)
 
 
-# The march's budgets, read once per `compute_atlas` call: `DEFAULT_ORBIT_CAP`
-# steps per orbit, this many steps in all, and `_interval_budget` intervals.
+# The march's budgets, read once per `march`: `DEFAULT_ORBIT_CAP` steps per
+# orbit, this many steps in all, and `_interval_budget` intervals.
 TOTAL_STEP_BUDGET = 10**9
 
 
@@ -145,8 +147,8 @@ class PartitionAtlas:
         return sum(len(word) for _, word in self.body)
 
 
-def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
-    """March the body of one initial pair from left to right.
+def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
+    """Yield the body of one initial pair as ``(ival, word)``, left to right.
 
     The body is `_body_range`: it starts closed at the right edge of the
     tail, or open at -2 for the pair (0, 0), and ends open at 2.  From a
@@ -176,28 +178,31 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
     kernel never trips the first interval's check, and `certify` demands
     of every entry its word's whole parameter set.
 
-    Exhausting a budget (see `TOTAL_STEP_BUDGET`) raises `BudgetExceeded`
-    with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
+    The stream is lazy: each entry runs one orbit when it is read.  The
+    budgets are read when the first entry is, and exhausting one (see
+    `TOTAL_STEP_BUDGET`) raises `BudgetExceeded` where the stream reaches
+    it, with the unmarched residual ``[r, 2)`` or ``(r, 2)``.
     """
     start = (a0, a1)
     cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
-    body: list[tuple[Interval, Word]] = []
-    total_steps = 0
+    rounds = total_steps = 0
     body_range = _body_range(tail_of(a0, a1))
     r, closed = body_range.lo, body_range.lo_closed
+
+    def exhausted(reason: str) -> BudgetExceeded:
+        # the unmarched residual [r, 2) or (r, 2), at the point the march reached
+        return BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+
     while r.numerator < 2 * r.denominator:  # r < 2, in integers
-        if len(body) == max_rounds:
-            reason = f"interval budget {max_rounds}"
-            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+        if rounds == max_rounds:
+            raise exhausted(f"interval budget {max_rounds}")
         found = orbit_bounds(r, not closed, start, cap)
         if found is None:
-            reason = f"orbit step cap {cap} at {r}"
-            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+            raise exhausted(f"orbit step cap {cap} at {r}")
         word, bounds = found
         total_steps += len(word)
         if total_steps > max_steps:
-            reason = f"total step budget {max_steps}"
-            raise BudgetExceeded(reason, start, Interval(r, 2, closed, False))
+            raise exhausted(f"total step budget {max_steps}")
         if bounds is None:
             raise MarchError(start, r, "exact" if closed else "plus_zero", cycle_bounds(word))
         lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
@@ -207,9 +212,14 @@ def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
         if lo_n * den != num * lo_d or lo_closed != closed or empty:
             raise MarchError(start, r, "exact" if closed else "plus_zero", bounds)
         ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
-        body.append((ival, word))
+        yield ival, word
+        rounds += 1
         r, closed = ival.hi, not hi_closed
-    return PartitionAtlas(a0, a1, tuple(body))
+
+
+def compute_atlas(a0: int, a1: int) -> PartitionAtlas:
+    """The atlas of one initial pair: its whole `march`, collected."""
+    return PartitionAtlas(a0, a1, tuple(march(a0, a1)))
 
 
 def _probe_points(ival: Interval, per_interval: int) -> list[Fraction]:
@@ -399,7 +409,8 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     parameter the orbit of ``(a1, a0)`` is the orbit of ``(a0, a1)`` run
     backwards, with the same minimal period: the body keeps its intervals,
     and each word becomes its `_mirror_word`.  The label, and so the tail
-    each atlas derives from its pair, is swap-symmetric.  `sweep` verifies
+    each atlas derives from its pair, is swap-symmetric by construction:
+    `tail.label_of` reads only the unordered pair.  `sweep` verifies
     the result all the same, as the swap image of its verified twin
     (``twin`` in `certificate.certify`).
     """

@@ -395,10 +395,7 @@ def _x(value: Fraction) -> float:
 
 def _color(length: int, max_length: int) -> str:
     # Hue runs blue (short cycles) to red (long); rendered edge only.
-    if max_length <= 1:
-        ratio = 0.0
-    else:
-        ratio = math.log(length) / math.log(max_length)
+    ratio = math.log(length) / math.log(max_length) if max_length > 1 else 0.0
     hue = round(240 * (1 - ratio))
     return f"hsl({hue},70%,50%)"
 

@@ -77,38 +77,25 @@ def _ramp_index_closed_form(t: int, m: int) -> int:
 
 
 def label_of(a0: int, a1: int) -> Label:
-    """Classify an initial pair; the six cases are exhaustive and disjoint."""
-    if 0 <= a0 < a1:
-        d = a1 - a0
-        s = a0 % d
-    elif 0 <= a1 < a0:
-        d = a0 - a1
-        s = a1 % d
-    elif a0 == a1 and a0 >= 0:
-        s, d = a0, 0
-    elif a0 < 0 <= a1:
-        s, d = a1, a1 - a0
-    elif a1 < 0 <= a0:
-        s, d = a0, a0 - a1
+    """Classify an initial pair; the four cases are exhaustive and disjoint.
+
+    The cases read only the unordered pair ``lo <= hi``, so the label is
+    swap-symmetric by construction.
+    """
+    lo, hi = min(a0, a1), max(a0, a1)
+    if lo == hi >= 0:
+        s, d = lo, 0
+    elif lo >= 0:
+        d = hi - lo
+        s = lo % d
+    elif hi >= 0:
+        s, d = hi, hi - lo
     else:
-        t = abs(a0 - a1)
-        m = max(a0, a1)
-        r = _ramp_index_closed_form(t, m)
-        s = m + r * t + triangular(r)
+        t = hi - lo
+        r = _ramp_index_closed_form(t, hi)
+        s = hi + r * t + triangular(r)
         d = t + r
     return Label(s, d)
-
-
-def _rung(a0: int, a1: int, d: int) -> int:
-    """The pair's occurrence index, for d > 0: the least window whose ramp cycle holds it.
-
-    The arithmetic ramp of the k-th cycle only reaches up to s + (k+1)d, so a
-    pair of non-negative values sits on it only from its own rung
-    floor(min(a0,a1)/d) on; any other pair sits on the descending ramp or at
-    a junction, which exist for all k >= 1.  The floor is raised to 1,
-    the first window index.
-    """
-    return max(1, min(a0, a1) // d)
 
 
 def triangular_cycle(s: int, d: int, k: int) -> Word:
@@ -144,7 +131,7 @@ class TailDescription:
     For d > 0 its ``interval`` is the disjoint union of the per-k windows
     for k >= ``k_start``, which `windows` yields in order, one at a time;
     for d = 0 it is one window with a constant cycle, and ``k_start`` is
-    None.  ``k_start`` is max(K, occurrence index), the index from `_rung`:
+    None.  ``k_start`` is max(K, occurrence index), as `tail_of` finds it:
     K alone makes every window's cycle occupy exactly that window, but the
     pair itself only rides the cycles from its occurrence index on, and
     the windows below that belong to the marched body.
@@ -175,8 +162,17 @@ class TailDescription:
 
 
 def tail_of(a0: int, a1: int) -> TailDescription:
-    """The tail description of an initial pair, from its label (classified once)."""
+    """The tail description of an initial pair, from its label (classified once).
+
+    For d > 0, ``k_start`` is the larger of K and the pair's rung
+    floor(min(a0, a1)/d).  The arithmetic ramp of the k-th cycle only
+    reaches up to s + (k+1)d, so a pair of non-negative values sits on it
+    only from its own rung on; any other pair sits on the descending ramp
+    or at a junction, which exist for all k >= 1, and K >= 1 since
+    T_d >= d > s.  The label and the rung read only the unordered pair, so
+    ``tail_of(a0, a1) == tail_of(a1, a0)`` by construction.
+    """
     label = label_of(a0, a1)
     if label.d == 0:
         return TailDescription(label, None)
-    return TailDescription(label, max(label.K, _rung(a0, a1, label.d)))
+    return TailDescription(label, max(label.K, min(a0, a1) // label.d))

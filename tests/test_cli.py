@@ -389,3 +389,46 @@ def test_optimized_run_prints_the_same_bytes(argv):
     ]
     plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
     assert plain[0] == 0 and plain[1] and optimized == plain
+
+
+def _console_script(argv, stdout):
+    """``python -m rotatlas.cli *argv``, the console script, with stdout block-buffered."""
+    src = os.path.dirname(os.path.dirname(report.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("ROTATLAS_OUT", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = src
+    return subprocess.Popen(
+        [sys.executable, "-m", "rotatlas.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tail", "--a0", "2", "--a1", "3", "--k-max", "3000"],
+        ["partition", "--a0", "-9", "--a1", "-10", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    # a reader that stops early, as `| head -2` does: status 128 + SIGPIPE, nothing on stderr
+    with _console_script(argv, stdout=subprocess.PIPE) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    assert all(line.endswith(b"\n") for line in lines)
+    assert (status, err) == (141, b"")
+
+
+def test_a_stdout_closed_before_the_first_write_ends_the_command_quietly():
+    # the whole text is still buffered when the pipe fails, so the final flush
+    # must find fd 1 discarding, or the interpreter prints "Exception ignored"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _console_script(["tail", "--a0", "2", "--a1", "3"], stdout=write_end) as proc:
+            err = proc.stderr.read()
+            status = proc.wait(timeout=120)
+    finally:
+        os.close(write_end)
+    assert (status, err) == (141, b"")

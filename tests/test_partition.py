@@ -692,7 +692,7 @@ def test_integer_certificate_matches_the_interval_check(word, data):
 
 
 def test_no_first_cycle_reaches_into_the_tail():
-    # `compute_atlas`'s proof, run on every ordered pair with m <= 30: the
+    # `march`'s proof, run on every ordered pair with m <= 30: the
     # cycle at the body's lower edge solves to that edge, with its closure.
     for a0, a1 in itertools.product(range(-30, 31), repeat=2):
         edge = partition._body_range(tail.tail_of(a0, a1))
@@ -715,6 +715,43 @@ def test_round_budget_exhaustion(atlas, monkeypatch):
     # two intervals were marched; the residual starts where the third does
     third, _ = full.body[2]
     assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)
+
+
+def test_march_yields_the_atlas_body_entry_for_entry(atlas):
+    for a0, a1 in itertools.product(range(-6, 7), repeat=2):
+        assert list(partition.march(a0, a1)) == list(atlas(a0, a1).body), (a0, a1)
+
+
+def test_march_runs_one_orbit_per_entry_read(monkeypatch):
+    calls = []
+    kernel = partition.orbit_bounds
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(partition, "orbit_bounds", counted)
+    stream = partition.march(-29, -30)
+    assert calls == []  # nothing runs before the first entry is read
+    ival, _ = next(stream)
+    assert calls == [ival.lo]
+    next(stream)
+    assert len(calls) == 2
+
+
+def test_march_raises_the_interval_budget_where_the_stream_reaches_it(monkeypatch):
+    monkeypatch.setattr(partition, "_interval_budget", lambda a0, a1: 3)
+    stream = partition.march(-2, -2)
+    entries = list(itertools.islice(stream, 3))
+    with pytest.raises(BudgetExceeded) as streamed:
+        next(stream)
+    with pytest.raises(BudgetExceeded) as collected:
+        compute_atlas(-2, -2)
+    assert str(streamed.value) == str(collected.value)
+    assert str(streamed.value).startswith("march for (-2, -2) exceeded interval budget 3;")
+    third, _ = entries[2]
+    residual = streamed.value.residual
+    assert (residual.lo, residual.lo_closed) == (third.hi, not third.hi_closed)
 
 
 def _flip_lower_closure(orbit_bounds):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 from itertools import islice
 
@@ -279,3 +280,17 @@ def test_tail_is_swap_symmetric():
     for a0 in range(-20, 21):
         for a1 in range(-20, 21):
             assert tail_of(a0, a1) == tail_of(a1, a0)
+
+
+# sha256 of the lines "a0 a1 s d\n" for every pair with |a0|, |a1| <= 60, a0
+# then a1 ascending, recorded from the six-case classification
+LABELS_M60_SHA256 = "5e377bb1c7d842755504c4a54b6aa7ae35b9d0ac2c9b7bbec8c0c61b358fbb84"
+
+
+def test_labels_up_to_shell_sixty_are_pinned():
+    digest = hashlib.sha256()
+    for a0 in range(-60, 61):
+        for a1 in range(-60, 61):
+            label = label_of(a0, a1)
+            digest.update(f"{a0} {a1} {label.s} {label.d}\n".encode())
+    assert digest.hexdigest() == LABELS_M60_SHA256
