@@ -9,7 +9,9 @@ stdout early, as ``| head`` does, ends the command quietly: `main` lets the
 `BrokenPipeError` through, and the console script `entrypoint` exits 141
 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) with
 nothing on stderr.  The ROTATLAS_OUT environment variable supplies a
-default output directory for commands that write files.  Output is
+default ``--out`` directory for ``partition`` and ``sweep``; ``diagram
+--out`` names an SVG file and has no default, so `diagram` prints its SVG
+whatever ROTATLAS_OUT says.  Output is
 deterministic; there is no randomness anywhere in the package.
 """
 
@@ -19,6 +21,7 @@ import argparse
 import os
 import re
 import sys
+from fractions import Fraction
 from itertools import islice
 
 from . import report
@@ -54,6 +57,14 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _lambda(text: str) -> Fraction:
+    # checked here, so the range error echoes the text and formats no huge value
+    lam = parse_rational(text)
+    if not -2 <= lam <= 2:
+        raise argparse.ArgumentTypeError(f"lambda must lie in [-2,2], got {text!r}")
+    return lam
+
+
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a0", type=int, required=True, help="first initial value")
     parser.add_argument("--a1", type=int, required=True, help="second initial value")
@@ -70,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="iterate one orbit to first return")
     _add_point_args(p)
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True,
+    p.add_argument("--lambda", dest="lam", type=_lambda, required=True,
                    help="rotation parameter p/q")
     p.add_argument("--side", choices=sorted(_SIDES), default="exact",
                    help="exact parameter or one-sided limit")

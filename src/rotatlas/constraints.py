@@ -31,8 +31,8 @@ Bounds = tuple[int, int, bool, int, int, bool]
 def pack_word(letters: Sequence[int]) -> Word:
     """``letters`` as a word: an array of 2-byte letters, or of 8-byte ones if need be.
 
-    A letter outside 64 bits raises OverflowError.  The array takes a
-    ``bool`` as an integer, so a reader checks its letters' types first.
+    A letter outside 64 bits raises OverflowError, one that is not an
+    integer TypeError.  The array takes a ``bool`` as 1 or 0.
     """
     try:
         return array("h", letters)

@@ -5,6 +5,10 @@ rational r belongs to the proper interval on its right, ``<r`` to the one on
 its left, and a bare r is a singleton interval (the final boundary 2 is
 always bare; it is the open right edge).  JSON, CSV and SVG output is
 byte-deterministic for fixed inputs and package version.
+
+The JSON format is decided by the writer alone, `atlas_json_chunks`: the
+reader, `atlas_from_json`, accepts exactly the bytes the writer writes for
+the atlas it reads, and keeps no field checks of its own.
 """
 
 from __future__ import annotations
@@ -23,14 +27,20 @@ from typing import Iterable, Iterator, Sequence
 from .constraints import Word, pack_word
 from .intervals import Interval
 from .partition import PartitionAtlas, ShellStats, SweepReport
-from .tail import Label, tail_of
+from .tail import Label
 
 
 class _LetterText(dict):
-    """Letter value -> its decimal text, made once, on first use, and kept."""
+    """Letter value -> its decimal text, made on first use and kept if the letter fits 2 bytes.
+
+    The reader formats letters from outside the program, so the memo keeps
+    at most the 65,536 texts of 2-byte letters whatever a file holds.
+    """
 
     def __missing__(self, letter: int) -> str:
-        self[letter] = text = str(letter)
+        text = str(letter)
+        if -32768 <= letter < 32768:
+            self[letter] = text
         return text
 
 
@@ -134,135 +144,109 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
     return "".join(atlas_json_chunks(atlas))
 
 
-# JSON's name for each Python type `atlas_from_json` accepts
-_JSON_TYPES = {
-    dict: "an object", list: "an array", array: "an array", str: "a string", int: "an integer",
-    bool: "a boolean", type(None): "null",
-}
-
-
-def _field(record: dict, key: str, kind: type, where: str):
-    """``record[key]``, which must be present and exactly of type ``kind``."""
-    if key not in record:
-        raise ValueError(f"{where} has no {key!r} field")
-    value = record[key]
-    if type(value) is not kind:
-        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}: {value!r}")
-    return value
-
-
-def _expect(record: dict, key: str, expected, where: str) -> None:
-    """``record[key]`` must be present and equal to ``expected``, of its exact type."""
-    if _field(record, key, type(expected), where) != expected:
-        raise ValueError(f"{where} field {key!r} is not the pair's {expected!r}")
-
-
-# The writer's text of a rational: an integer, or p/q in lowest terms with q > 1.
+# The writer's text of a rational: an integer, or p/q.
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rational(text: str, key: str, where: str) -> Fraction:
-    """An endpoint text as the writer writes it, and its value.
+def _rational(text, key: str) -> Fraction:
+    """The value of an endpoint text in the writer's form.
 
     The form is checked before any arithmetic, so no exponent or decimal
-    (``"1e1000000"``, ``"0.5"``) builds a number, and the value must print
-    back as the same text, which rules out ``"2/4"``, ``"-0"`` and ``"1/1"``.
+    (``"1e1000000"``, ``"0.5"``) builds a number.  A text of this form that
+    the writer would not write for its value (``"2/4"``, ``"-0"``) is left
+    to the comparison with the writer's text.
     """
-    if _RATIONAL_TEXT.fullmatch(text):
+    if type(text) is str and _RATIONAL_TEXT.fullmatch(text):
         with contextlib.suppress(ValueError, ZeroDivisionError):
-            value = Fraction(text)
-            if str(value) == text:
-                return value
-    raise ValueError(f"{where} field {key!r} is not a rational as the writer writes it: {text!r}")
+            return Fraction(text)
+    raise ValueError(f"field {key!r} is not a rational as the writer writes it: {text!r}")
 
 
 def _freeze_cycle(record: dict) -> dict:
     """An ``object_hook``: an entry's ``cycle`` list becomes its packed word as the object closes.
 
-    Only a list of letters that are exactly ``int`` (JSON booleans and
-    floats are not, and `pack_word` would take ``true`` as 1) within 64
-    bits is packed; any other stays a list, which `atlas_from_json`
-    rejects, naming the entry.  Converting after the whole parse would
-    keep every list alive at once and put the words among their freed
-    arrays, where the process's peak memory varied by over 10 MB between
-    runs of the same work.
+    A list that `pack_word` cannot pack (a letter that is no integer, or
+    one outside 64 bits) stays a list, which `atlas_from_json` rejects.
+    Converting after the whole parse would keep every list alive at once
+    and put the words among their freed arrays, where the process's peak
+    memory varied by over 10 MB between runs of the same work.
     """
     cycle = record.get("cycle")
-    if type(cycle) is list and not set(map(type, cycle)) - {int}:
-        with contextlib.suppress(OverflowError):
+    if type(cycle) is list:
+        with contextlib.suppress(OverflowError, TypeError):
             record["cycle"] = pack_word(cycle)
     return record
 
 
-def atlas_from_json(text: str) -> PartitionAtlas:
-    """Rebuild an atlas from its JSON form (the tail is derived from the pair).
+def _first_difference(text: str, chunks: Iterable[str]) -> int:
+    """Where ``text`` first departs from the joined ``chunks``, or -1 if it is exactly them."""
+    pos = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, pos):
+            return pos + len(os.path.commonprefix([text[pos : pos + len(chunk)], chunk]))
+        pos += len(chunk)
+    return -1 if pos == len(text) else pos
 
-    The reader is strict: a missing field, or one of the wrong JSON type, is
-    a ValueError naming the field.  The label fields ``s``, ``d`` and ``K``
-    and the tail's ``lo``, ``hi`` and ``kind`` must be those of the pair's
-    `tail_of`.  ``a0``, ``a1`` and each entry's cycle letters must be
-    integers (JSON booleans and floats are not) within 64 bits, its
-    ``lo`` and ``hi`` texts must be rationals in the writer's own form
-    (`_rational`), its closure flags must be booleans, and its redundant
-    ``interval`` and ``length`` fields must agree with its endpoints and
-    its cycle.
+
+def atlas_from_json(text: str) -> PartitionAtlas:
+    """Rebuild an atlas from its JSON form, which must be exactly the writer's text.
+
+    The atlas is built from the fields that fix it: ``a0``, ``a1``
+    (integers, checked before `tail_of` runs) and each entry's ``lo``,
+    ``hi`` (rationals in the writer's form, checked before any arithmetic),
+    ``lo_closed``, ``hi_closed`` and ``cycle`` (integer letters within 64
+    bits).  A text from which no atlas can be built is a ValueError
+    naming the pair and the body entry.  Then one rule decides: the text
+    must be what `atlas_json_chunks` writes for that atlas, byte for byte,
+    compared chunk by chunk, so the label, the tail, each entry's
+    ``interval`` and ``length``, the letters' JSON types, the layout, the
+    key order and every spelling are checked without a check of their
+    own.  Any other text is a ValueError naming the pair, the first line
+    that differs and that line as the file has it.
 
     Each word is packed as its entry is parsed (`_freeze_cycle`), so the
     parse tree holds the letters of one cycle as ints at a time, and
-    entries leave the parse tree as they are converted.  An entry whose
-    ``lo`` text is the previous entry's ``hi`` text reuses that Fraction,
-    so, as in a marched atlas, each inner boundary is one object shared
-    by the two intervals that meet there.
+    entries leave the parse tree as they are converted; the tree is gone
+    before the comparison.  An entry whose ``lo`` text is the previous
+    entry's ``hi`` text reuses that Fraction, so, as in a marched atlas,
+    each inner boundary is one object shared by the two intervals that
+    meet there.
     """
     data = json.loads(text, object_hook=_freeze_cycle)
-    if type(data) is not dict:
-        raise ValueError(f"atlas JSON is not an object: {type(data).__name__}")
-    a0, a1 = data.get("a0"), data.get("a1")
+    a0, a1 = (data.get("a0"), data.get("a1")) if type(data) is dict else (None, None)
     if type(a0) is not int or type(a1) is not int:
         raise ValueError(f"initial pair 'a0', 'a1' = ({a0!r},{a1!r}) is not a pair of integers")
-    tail = tail_of(a0, a1)
-    label = tail.label
-    where = f"atlas of ({a0},{a1})"
-    for key, expected in (("s", label.s), ("d", label.d), ("K", label.K)):
-        _expect(data, key, expected, where)
-    stored = _field(data, "tail", dict, where)
-    entries = _field(data, "body", list, where)
-    where = f"tail of ({a0},{a1})"
-    _expect(stored, "lo", str(tail.interval.lo), where)
-    _expect(stored, "hi", str(tail.interval.hi), where)
-    _expect(stored, "kind", _tail_kind(label), where)
+    entries = data.get("body")
+    del data  # the tree is held by `entries` alone, which empties as it is read
+    if type(entries) is not list:
+        raise ValueError(f"atlas of ({a0},{a1}) has no body array")
     entries.reverse()  # popped from the end, so in file order
     body = []
-    hi_text = hi = None
-    while entries:
-        entry = entries.pop()
-        where = f"body entry {len(body)} of ({a0},{a1})"
-        if type(entry) is not dict:
-            raise ValueError(f"{where} is not an object")
-        interval = _field(entry, "interval", str, where)
-        where = f"entry {interval} of ({a0},{a1})"
-        lo_text = _field(entry, "lo", str, where)
-        lo = hi if lo_text == hi_text else _rational(lo_text, "lo", where)
-        hi_text = _field(entry, "hi", str, where)
-        hi = _rational(hi_text, "hi", where)
-        ival = Interval(
-            lo,
-            hi,
-            _field(entry, "lo_closed", bool, where),
-            _field(entry, "hi_closed", bool, where),
-        )
-        word = entry.get("cycle")
-        if type(word) is list:  # left unpacked by `_freeze_cycle`
-            if set(map(type, word)) - {int}:
-                raise ValueError(f"{where} has a non-integer cycle letter")
-            raise ValueError(f"{where} has a cycle letter outside 64 bits")
-        word = _field(entry, "cycle", array, where)
-        if str(ival) != interval or len(word) != _field(entry, "length", int, where):
-            raise ValueError(
-                f"{where} disagrees with its endpoints {ival} or its cycle length {len(word)}"
-            )
-        body.append((ival, word))
-    return PartitionAtlas(a0, a1, tuple(body))
+    try:
+        while entries:
+            entry = entries.pop()
+            if type(entry) is not dict:
+                raise ValueError("not an object")
+            lo_text = entry.get("lo")
+            lo = hi if body and lo_text == hi_text else _rational(lo_text, "lo")
+            hi_text = entry.get("hi")
+            hi = _rational(hi_text, "hi")
+            word = entry.get("cycle")
+            if type(word) is not array:  # left unpacked by `_freeze_cycle`
+                raise ValueError("field 'cycle' is not an array of integers within 64 bits")
+            body.append((Interval(lo, hi, entry.get("lo_closed"), entry.get("hi_closed")), word))
+    except ValueError as exc:
+        raise ValueError(f"body entry {len(body)} of ({a0},{a1}): {exc}") from None
+    atlas = PartitionAtlas(a0, a1, tuple(body))
+    pos = _first_difference(text, atlas_json_chunks(atlas))
+    if pos < 0:
+        return atlas
+    start = text.rfind("\n", 0, pos) + 1
+    line = text[start : start + 80].partition("\n")[0]
+    number = text.count("\n", 0, start) + 1
+    raise ValueError(
+        f"atlas of ({a0},{a1}) is not the writer's text: line {number} reads {line!r}"
+    )
 
 
 def _write_atomically(path: str, chunks: Iterable[str]) -> str:

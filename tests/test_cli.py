@@ -127,6 +127,15 @@ def test_partition_out_from_environment(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "atlas_0_1.json").exists()
 
 
+def test_diagram_prints_its_svg_whatever_rotatlas_out_says(capsys, tmp_path, monkeypatch):
+    # ROTATLAS_OUT is a default for partition and sweep only
+    monkeypatch.setenv("ROTATLAS_OUT", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "diagram", "--a0", "2", "--a1", "3")
+    assert code == 0 and out.startswith("<svg") and out.endswith("</svg>\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_command(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "--max-m", "1", "--out", str(tmp_path))
     assert code == 0
@@ -255,6 +264,14 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_a_huge_lambda_is_a_usage_error_that_echoes_its_text(capsys):
+    # the range error formats the text, not a 5001-digit value
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--a0", "1", "--a1", "1", "--lambda", "1e5000"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "'1e5000'" in err and "int_max_str_digits" not in err
 
 
 def test_readme_command_lines_parse():

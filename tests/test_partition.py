@@ -453,8 +453,12 @@ def test_reader_rejects_another_pairs_tail_edge(atlas, pair, key):
     data = json.loads(atlas_to_json(atlas(*pair)))
     assert data["tail"][key] != foreign
     data["tail"][key] = foreign
-    with pytest.raises(ValueError, match=rf"tail of \({pair[0]},{pair[1]}\) field '{key}'"):
-        atlas_from_json(json.dumps(data))
+    # the tail's lo and hi are the file's lines 8 and 9
+    line = f'    "{key}": "{foreign}",'
+    message = f"is not the writer's text: line {8 if key == 'lo' else 9} reads {line!r}"
+    message = f"atlas of ({pair[0]},{pair[1]}) {message}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        atlas_from_json(json.dumps(data, indent=2) + "\n")
 
 
 def _flip_one_closure(at):
@@ -511,7 +515,7 @@ def test_verify_rejects_an_empty_word_read_from_json(atlas):
     data = json.loads(atlas_to_json(compute_atlas(-1, -1)))
     data["body"][3]["cycle"] = []
     data["body"][3]["length"] = 0
-    bad = atlas_from_json(json.dumps(data))
+    bad = atlas_from_json(json.dumps(data, indent=2) + "\n")
     report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok and report.failure == f"empty cycle on {bad.body[3][0]}"
 

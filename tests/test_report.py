@@ -8,10 +8,10 @@ from array import array
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotatlas import report, sweep
+from rotatlas import compute_atlas, report, sweep
 from rotatlas.dynamics import orbit_bounds
 from rotatlas.report import (
     atlas_from_json,
@@ -90,13 +90,24 @@ def test_reader_packs_each_word_as_its_entry_is_parsed(atlas, monkeypatch):
     assert all(type(word) is array and word.typecode == "h" for _, word in parsed.body)
 
 
+def _written(data):
+    """``data`` in the writer's layout: the encoder oracle's text."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _differs_at(text, line):
+    """The reader's message for ``text``, whose first line off the writer's is ``line``."""
+    number = text.split("\n").index(line) + 1
+    return f"is not the writer's text: line {number} reads {line!r}"
+
+
 def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
     parses = []
     parse = report._rational
 
-    def counted_parse(text, key, where):
+    def counted_parse(text, key):
         parses.append(text)
-        return parse(text, key, where)
+        return parse(text, key)
 
     monkeypatch.setattr(report, "_rational", counted_parse)
     text = atlas_to_json(atlas(-9, -10))
@@ -108,28 +119,32 @@ def test_parsed_atlas_shares_each_inner_boundary(atlas, monkeypatch):
     data = json.loads(text)
     entry = data["body"][5]
     entry["lo"] = " " + entry["lo"]
-    message = f"entry {entry['interval']} of (-9,-10) field 'lo'"
+    message = "body entry 5 of (-9,-10): field 'lo' is not a rational"
     with pytest.raises(ValueError, match=re.escape(message)):
-        atlas_from_json(json.dumps(data))
+        atlas_from_json(_written(data))
 
 
 # Endpoint texts the writer never writes, each with the value it spells or
 # None.  Read by `Fraction` alone, each one that spells an endpoint of the
 # (-1,-1) atlas reads as that atlas, "1_0" and "1e400" as 10 and 10**400,
 # and "1e1000000" takes 0.2 s to fail on Python's int-string limit, with an
-# error that names no field.
+# error that names no field.  The form check refuses all but the last
+# three, which have the writer's form but are not the writer's text of
+# their value (1/2, 0, 1): the comparison with the writer's text refuses
+# those.
 ENDPOINT_SPELLINGS = {
     "decimal": ("0.5", F(1, 2)),
-    "unreduced": ("2/4", F(1, 2)),
     "leading-space": (" -1/2", F(-1, 2)),
     "plus-sign": ("+1", F(1)),
-    "negative-zero": ("-0", F(0)),
-    "unit-denominator": ("1/1", F(1)),
     "non-ascii-digit": ("\uff11", F(1)),
     "underscore": ("1_0", None),
     "exponent": ("1e400", None),
     "zero-denominator": ("1/0", None),
+    "unreduced": ("2/4", F(1, 2)),
+    "negative-zero": ("-0", F(0)),
+    "unit-denominator": ("1/1", F(1)),
 }
+WRITER_FORM_SPELLINGS = {"unreduced", "negative-zero", "unit-denominator"}
 
 
 @pytest.mark.parametrize("field", ["lo", "hi"])
@@ -137,11 +152,15 @@ ENDPOINT_SPELLINGS = {
 def test_json_reads_endpoints_only_as_the_writer_writes_them(atlas, field, kind):
     spelling, value = ENDPOINT_SPELLINGS[kind]
     data = json.loads(atlas_to_json(atlas(-1, -1)))
-    entry = next((e for e in data["body"] if e[field] == str(value)), data["body"][3])
-    entry[field] = spelling
-    message = f"entry {entry['interval']} of (-1,-1) field '{field}' is not a rational"
+    k = next((k for k, e in enumerate(data["body"]) if e[field] == str(value)), 3)
+    data["body"][k][field] = spelling
+    text = _written(data)
+    if kind in WRITER_FORM_SPELLINGS:
+        message = _differs_at(text, f'      "{field}": "{spelling}",')
+    else:
+        message = f"body entry {k} of (-1,-1): field '{field}' is not a rational"
     with pytest.raises(ValueError, match=re.escape(message)):
-        atlas_from_json(json.dumps(data))
+        atlas_from_json(text)
 
 
 def test_json_schema_fields(atlas):
@@ -157,7 +176,7 @@ def test_json_schema_fields(atlas):
 
 
 def _oracle_json(at):
-    return json.dumps(atlas_to_dict(at), indent=2) + "\n"
+    return _written(atlas_to_dict(at))
 
 
 def test_json_matches_the_encoder_oracle(atlas):
@@ -178,25 +197,30 @@ def test_json_of_empty_lists_matches_the_encoder_oracle(atlas):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("interval", "[0,1]"), ("length", 99)], ids=["interval", "length"]
+    "field, value, line",
+    [("interval", "[0,1]", '      "interval": "[0,1]",'), ("length", 99, '      "length": 99')],
+    ids=["interval", "length"],
 )
-def test_json_rejects_an_inconsistent_entry(atlas, field, value):
+def test_json_rejects_an_inconsistent_entry(atlas, field, value, line):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     data["body"][0][field] = value
-    with pytest.raises(ValueError):
-        atlas_from_json(json.dumps(data))
+    text = _written(data)
+    with pytest.raises(ValueError, match=re.escape(_differs_at(text, line))):
+        atlas_from_json(text)
 
 
 # Letters that are not JSON integers.  Read as they are, a string makes
 # `verify_atlas` raise TypeError, and floats give an atlas equal to the
 # computed one, which verifies and re-emits different bytes.  A packed
-# word would take ``true`` as 1.
+# word takes ``true`` as 1, which the writer writes as 1: the comparison
+# refuses it at its line, and `pack_word` refuses the others.
 LETTER_REWRITES = {
     "string": lambda cycle: ["x"] + cycle[1:],
     "floats": lambda cycle: [float(b) for b in cycle],
     "one-float": lambda cycle: cycle[:1] + [1.0] + cycle[2:],
     "boolean": lambda cycle: [True] + cycle[1:],
 }
+NOT_A_WORD = "body entry 3 of (-1,-1): field 'cycle' is not an array of integers within 64 bits"
 
 
 @pytest.mark.parametrize("kind", sorted(LETTER_REWRITES))
@@ -204,9 +228,10 @@ def test_json_rejects_a_non_integer_letter(atlas, kind):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     entry = data["body"][3]
     entry["cycle"] = LETTER_REWRITES[kind](entry["cycle"])
-    message = f"entry {entry['interval']} of (-1,-1) has a non-integer cycle letter"
+    text = _written(data)
+    message = _differs_at(text, "        true,") if kind == "boolean" else NOT_A_WORD
     with pytest.raises(ValueError, match=re.escape(message)):
-        atlas_from_json(json.dumps(data))
+        atlas_from_json(text)
 
 
 def _with_cycle(data, cycle):
@@ -220,17 +245,16 @@ def test_json_reads_a_wide_letter_into_a_wide_word(atlas):
     marched, _ = orbit_bounds(F(0), False, (40000, 0))
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     _with_cycle(data, list(marched))
-    word = atlas_from_json(json.dumps(data)).body[3][1]
+    word = atlas_from_json(_written(data)).body[3][1]
     assert word.typecode == "q" and word == marched
 
 
 @pytest.mark.parametrize("letter", [2**63, -(2**63) - 1, 10**30])
 def test_json_rejects_a_letter_outside_64_bits(atlas, letter):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
-    entry = _with_cycle(data, [-1, -1, letter])
-    message = f"entry {entry['interval']} of (-1,-1) has a cycle letter outside 64 bits"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        atlas_from_json(json.dumps(data))
+    _with_cycle(data, [-1, -1, letter])
+    with pytest.raises(ValueError, match=re.escape(NOT_A_WORD)):
+        atlas_from_json(_written(data))
 
 
 @pytest.mark.parametrize("field", ["a0", "a1"])
@@ -239,7 +263,7 @@ def test_json_rejects_a_non_integer_pair(atlas, field, value):
     data = json.loads(atlas_to_json(atlas(-1, -1)))
     data[field] = value
     with pytest.raises(ValueError, match="not a pair of integers"):
-        atlas_from_json(json.dumps(data))
+        atlas_from_json(_written(data))
 
 
 def _edit_entry(data, drop=None, **fields):
@@ -254,54 +278,76 @@ def _without(data, *keys):
     return {k: v for k, v in data.items() if k not in keys}
 
 
+def _line(n, text):
+    return f"atlas of (-1,-1) is not the writer's text: line {n} reads {text!r}"
+
+
 # Structural faults: each maps the parsed document to the one to write, with
-# the field the error must name.  Read without the checks, an object body
-# parsed as an empty body, "cycle": 5 and a top-level array raised
-# TypeError, a missing field KeyError, and "lo": 1 AttributeError.
+# the reader's message.  Read without the checks, an object body parsed as
+# an empty body, "cycle": 5 and a top-level array raised TypeError, a
+# missing field KeyError, and "lo": 1 AttributeError.  A fault in a field
+# the atlas is not built from is refused at the first line that differs
+# from the writer's text: the field's own line or, where it is missing, a
+# line next to where it belongs.
 STRUCTURE_REWRITES = {
-    "top-level-array": (lambda data: [data], "not an object"),
-    "object-body": (lambda data: {**data, "body": {}}, "'body'"),
-    "integer-cycle": (lambda data: _edit_entry(data, cycle=5), "'cycle'"),
-    "no-cycle": (lambda data: _edit_entry(data, drop="cycle"), "'cycle'"),
-    "no-tail": (lambda data: _without(data, "tail"), "'tail'"),
-    "integer-lo": (lambda data: _edit_entry(data, lo=1), "'lo'"),
-    "no-length": (lambda data: _edit_entry(data, drop="length"), "'length'"),
-    "no-closure": (lambda data: _edit_entry(data, drop="hi_closed"), "'hi_closed'"),
-    "no-pair": (lambda data: _without(data, "a1"), "'a1'"),
+    "top-level-array": (
+        lambda data: [data], "initial pair 'a0', 'a1' = (None,None) is not a pair of integers"
+    ),
+    "object-body": (lambda data: {**data, "body": {}}, "atlas of (-1,-1) has no body array"),
+    "integer-cycle": (lambda data: _edit_entry(data, cycle=5), NOT_A_WORD),
+    "no-cycle": (lambda data: _edit_entry(data, drop="cycle"), NOT_A_WORD),
+    "no-tail": (lambda data: _without(data, "tail"), _line(7, '  "body": [')),
+    "integer-lo": (
+        lambda data: _edit_entry(data, lo=1),
+        "body entry 3 of (-1,-1): field 'lo' is not a rational as the writer writes it: 1",
+    ),
+    "no-length": (lambda data: _edit_entry(data, drop="length"), _line(84, "      ]")),
+    "no-closure": (
+        lambda data: _edit_entry(data, drop="hi_closed"), _line(73, '      "cycle": [')
+    ),
+    "no-pair": (
+        lambda data: _without(data, "a1"),
+        "initial pair 'a0', 'a1' = (-1,None) is not a pair of integers",
+    ),
     "array-entry": (
         lambda data: {**data, "body": data["body"][:3] + [[]] + data["body"][4:]},
-        "body entry 3 ",
+        "body entry 3 of (-1,-1): not an object",
     ),
     # The label and the tail kind must be the pair's.  Read without the
     # checks, each of these files parsed as the (-1,-1) atlas.
-    "wrong-s": (lambda data: {**data, "s": 7}, "'s'"),
-    "string-d": (lambda data: {**data, "d": "x"}, "'d'"),
-    "boolean-d": (lambda data: {**data, "d": True}, "'d'"),
-    "null-K": (lambda data: {**data, "K": None}, "'K'"),
-    "wrong-kind": (lambda data: {**data, "tail": {**data["tail"], "kind": "bogus"}}, "'kind'"),
-    "no-s": (lambda data: _without(data, "s"), "'s'"),
-    "no-d": (lambda data: _without(data, "d"), "'d'"),
-    "no-K": (lambda data: _without(data, "K"), "'K'"),
-    "no-kind": (lambda data: {**data, "tail": _without(data["tail"], "kind")}, "'kind'"),
+    "wrong-s": (lambda data: {**data, "s": 7}, _line(4, '  "s": 7,')),
+    "string-d": (lambda data: {**data, "d": "x"}, _line(5, '  "d": "x",')),
+    "boolean-d": (lambda data: {**data, "d": True}, _line(5, '  "d": true,')),
+    "null-K": (lambda data: {**data, "K": None}, _line(6, '  "K": null,')),
+    "wrong-kind": (
+        lambda data: {**data, "tail": {**data["tail"], "kind": "bogus"}},
+        _line(10, '    "kind": "bogus"'),
+    ),
+    "no-s": (lambda data: _without(data, "s"), _line(4, '  "d": 1,')),
+    "no-d": (lambda data: _without(data, "d"), _line(5, '  "K": 1,')),
+    "no-K": (lambda data: _without(data, "K"), _line(6, '  "tail": {')),
+    "no-kind": (
+        lambda data: {**data, "tail": _without(data["tail"], "kind")}, _line(9, '    "hi": "-1"')
+    ),
     "bogus-label": (
         lambda data: {
             **data, "s": 7, "d": "x", "K": None, "tail": {**data["tail"], "kind": "bogus"}
         },
-        "'s'",
+        _line(4, '  "s": 7,'),
     ),
     "no-label": (
         lambda data: {**_without(data, "s", "d", "K"), "tail": _without(data["tail"], "kind")},
-        "'s'",
+        _line(4, '  "tail": {'),
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURE_REWRITES))
 def test_json_rejects_a_structural_fault(atlas, kind):
-    rewrite, field = STRUCTURE_REWRITES[kind]
+    rewrite, message = STRUCTURE_REWRITES[kind]
     data = rewrite(json.loads(atlas_to_json(atlas(-1, -1))))
-    with pytest.raises(ValueError, match=re.escape(field)):
-        atlas_from_json(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        atlas_from_json(_written(data))
 
 
 # Closure flags that are not JSON booleans.  Each replaces a proper entry's
@@ -317,8 +363,73 @@ def test_json_rejects_a_non_boolean_closure_flag(atlas, field, kind):
     data = json.loads(atlas_to_json(atlas(-2, -2)))
     entry = next(e for e in data["body"] if e["lo"] != e["hi"] and e[field] == bool(value))
     entry[field] = value
-    with pytest.raises(ValueError, match=re.escape(entry["interval"])):
-        atlas_from_json(json.dumps(data))
+    text = _written(data)
+    line = f'      "{field}": {json.dumps(value)},'
+    with pytest.raises(ValueError, match=re.escape(_differs_at(text, line))):
+        atlas_from_json(text)
+
+
+# Texts the writer never writes, each of the (-1,-1) atlas, with the first
+# line where each leaves the writer's text.  Each read as that atlas when
+# the reader checked fields rather than the text.
+OFF_TEXTS = {
+    "compact": (lambda text: json.dumps(json.loads(text)), None),
+    "reordered-keys": (lambda text: _written(dict(sorted(json.loads(text).items()))), '  "K": 1,'),
+    "extra-field": (lambda text: _written({"note": 1, **json.loads(text)}), '  "note": 1,'),
+    "extra-entry-field": (
+        lambda text: text.replace('"length": 6\n', '"length": 6,\n      "note": 1\n', 1),
+        '      "length": 6,',
+    ),
+    "duplicated-key": (
+        lambda text: text.replace('  "s": 0,', '  "s": 5,\n  "s": 0,', 1), '  "s": 5,'
+    ),
+    "escaped-endpoint": (
+        lambda text: text.replace('"lo": "-1",', '"lo": "\\u002d1",', 1),
+        '      "lo": "\\u002d1",',
+    ),
+    "trailing-blank-line": (lambda text: text + "\n", ""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_TEXTS))
+def test_json_reads_only_the_writers_text(atlas, kind):
+    rewrite, line = OFF_TEXTS[kind]
+    written = atlas_to_json(atlas(-1, -1))
+    text = rewrite(written)
+    assert text != written
+    # the compact text is one line, shown up to its 80th character
+    message = _line(1, text[:80]) if line is None else f"atlas of (-1,-1) {_differs_at(text, line)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        atlas_from_json(text)
+
+
+MINUS_ONE_TEXT = atlas_to_json(compute_atlas(-1, -1))
+# JSON's own characters, then any of the first 256 code points
+EDIT_CHARACTERS = st.one_of(
+    st.sampled_from('0123456789-/,:[]{}" \t\r\nfnrtu'), st.characters(max_codepoint=255)
+)
+
+
+@settings(max_examples=500)
+@given(st.integers(0, len(MINUS_ONE_TEXT) - 1), EDIT_CHARACTERS)
+def test_a_one_byte_edit_is_refused_or_read_as_written(at, character):
+    # `cli.main` maps only ValueError to exit 2, so no other exception may escape
+    edited = MINUS_ONE_TEXT[:at] + character + MINUS_ONE_TEXT[at + 1 :]
+    try:
+        parsed = atlas_from_json(edited)
+    except ValueError:
+        return
+    assert atlas_to_json(parsed) == edited
+
+
+def test_reading_wide_letters_leaves_the_letter_memo_bounded(atlas):
+    # the comparison formats each of 200,000 distinct 13-digit letters;
+    # the memo keeps only the texts of 2-byte letters
+    data = json.loads(atlas_to_json(atlas(-1, -1)))
+    letters = range(10**12, 10**12 + 200_000)
+    _with_cycle(data, list(letters))
+    assert atlas_from_json(_written(data)).body[3][1] == array("q", letters)
+    assert len(report._LETTER_TEXT) <= 65_536 and 10**12 not in report._LETTER_TEXT
 
 
 def test_write_atlas_json(tmp_path, atlas):
