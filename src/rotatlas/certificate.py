@@ -1,7 +1,8 @@
 """The certificate: an exact proof that an atlas is its pair's partition, with no orbit run.
 
 It imports only `constraints`, `intervals` and `tail`, so it reaches no
-orbit code, and a fault in the march kernel cannot certify itself.
+orbit code, and a fault in the march kernel cannot certify itself.  It
+reads only an atlas's pair and body, so no code of `partition` runs in it.
 `partition.verify_atlas` runs `certify`, then the opt-in probes, which
 check the same tail windows (`checked_windows`).
 """
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from .constraints import Bounds, Word, _pair_index, cycle_bounds
 from .intervals import Interval
-from .tail import TailDescription
+from .tail import TailDescription, tail_of
 
 if TYPE_CHECKING:
     from .partition import PartitionAtlas
@@ -67,6 +68,7 @@ class VerificationReport:
 def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> VerificationReport:
     """Prove that ``atlas`` is its pair's partition, or name the first fault.
 
+    It reads only ``a0``, ``a1`` and ``body`` of ``atlas`` and ``twin``.
     The certificate is a proof, not a sample, and it runs no orbit.  For
     every entry ``(ival, word)`` of the body, it establishes two facts:
 
@@ -104,12 +106,12 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     one's (each entry is non-empty).  Its interval is then not the earlier
     one's, and the repeated word fails (1) there.
 
-    The tail is the pair's own, `tail_of(a0, a1)`, which the atlas derives
-    and does not store.  Its first `TAIL_PIECES` windows (the one window of
-    a constant tail) pass the same checks, each window its cycle's whole
-    parameter set and the pair held once anywhere in the cycle, so the
-    orbit there is the cycle rotated to start at the pair; the rest is the
-    `tail` module's closed form.
+    The tail is the pair's own, `tail_of(a0, a1)`, derived here from the
+    pair, and the body's edges are its ``body_range``.  Its first
+    `TAIL_PIECES` windows (the one window of a constant tail) pass the same
+    checks, each window its cycle's whole parameter set and the pair held
+    once anywhere in the cycle, so the orbit there is the cycle rotated to
+    start at the pair; the rest is the `tail` module's closed form.
 
     ``twin``, an atlas of the swapped pair ``(a1, a0)`` that this function
     has passed, replaces the solves: ``atlas`` is then certified as its
@@ -131,7 +133,8 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
         )
 
     # Tail: the pair's first windows pass the certificate.
-    for name, window, cycle in checked_windows(atlas.tail):
+    tail = tail_of(a0, a1)
+    for name, window, cycle in checked_windows(tail):
         if twin is None and not _solves_to(cycle_bounds(cycle), window):
             return VerificationReport(f"{name} does not hold on the tail")
         i = _pair_index(cycle, a0, a1, 0)
@@ -151,7 +154,7 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     # body's lower edge), with the complementary closure (one shared Fraction
     # in a marched atlas, so the identity test settles most), and then passes
     # the certificate above, in integers.
-    body_range, prev = atlas.body_range, None
+    body_range, prev = tail.body_range, None
     for ival, word in atlas.body:
         if prev is None:
             if (ival.lo, ival.lo_closed) != (body_range.lo, body_range.lo_closed):

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate one orbit to first return")
     _add_point_args(p)
     p.add_argument("--lambda", dest="lam", type=_lambda, required=True,
-                   help="rotation parameter p/q")
+                   help="rotation parameter n or p/q")
     p.add_argument("--side", choices=sorted(_SIDES), default="exact",
                    help="exact parameter or one-sided limit")
     p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP, help="step cap")
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--table", dest="fmt", action="store_const", const="table")
-    fmt.add_argument("--format", dest="fmt", choices=["json", "table"])
     p.add_argument("--out", default=default_out, help="directory for the JSON atlas")
 
     p = sub.add_parser("sweep", help="compute and verify atlases over a grid")

@@ -9,22 +9,29 @@ has to be decided exactly.
 The canonical textual form every emitter in the package writes: rationals
 render as ``p/q`` (plain ``n`` for integers), intervals as ``[lo,hi]`` /
 ``[lo,hi)`` / ``(lo,hi]`` / ``(lo,hi)``, singletons as ``[r]``.  Only
-rationals are parsed back (`parse_rational`); a JSON atlas stores each
-endpoint and closure as separate fields.
+rationals are parsed back (`parse_rational`), and only in that form; a JSON
+atlas stores each endpoint and closure as separate fields.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+# The written text of a rational: an integer n, or p/q with q > 0.
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``n`` into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """Parse ``n`` or ``p/q`` into an exact rational, the form checked before any arithmetic.
+
+    So no exponent, decimal, sign or space (``"1e-1000000"``, ``"0.5"``,
+    ``"+1"``, ``" 1"``) builds a number.
+    """
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

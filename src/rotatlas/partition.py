@@ -4,7 +4,8 @@ Given an integer initial pair, the tail module covers a left neighbourhood of
 -2 with explicit cycles; the rest of the parameter interval (the "body") is
 marched from its lower edge (closed, but open at -2 for (0, 0)) to the open
 edge 2.  An atlas stores the pair and its body only: its tail, and with it
-the body range and the range the tables count, are derived from the pair.
+the body range and the range the tables count, are derived from the pair
+by the tail module; this module builds no interval from a tail edge.
 At each point ``r`` one orbit pass (`dynamics.orbit_bounds`) finds the
 cycle at ``r``, or just right of ``r`` when ``r`` already belongs to the
 previous interval, with the integer bounds of the exact interval on which
@@ -41,17 +42,6 @@ from .constraints import Bounds, Word, _pair_index, cycle_bounds
 from .dynamics import DEFAULT_ORBIT_CAP, is_orbit, orbit_bounds
 from .intervals import Interval
 from .tail import TailDescription, tail_of
-
-
-def _body_range(tail: TailDescription) -> Interval:
-    """The marched range: from the tail's right edge, closed, to the open edge 2.
-
-    Only the full tail (-2, 2) of (0, 0) reaches 2; it is its own body range.
-    """
-    ival = tail.interval
-    if ival.hi == 2:
-        return ival
-    return Interval(ival.hi, Fraction(2), True, False)
 
 
 # The march's budgets, read once per `march`: `DEFAULT_ORBIT_CAP` steps per
@@ -107,7 +97,8 @@ class PartitionAtlas:
     """The complete partition of the parameter interval for one initial pair.
 
     The pair alone fixes the tail, `tail_of(a0, a1)`, computed on first
-    read and kept; the body is what the march found.
+    read and kept, with the body's range and the tables' (``tail.body_range``,
+    ``tail.table_range``); the body is what the march found.
     """
 
     a0: int
@@ -117,22 +108,6 @@ class PartitionAtlas:
     @cached_property
     def tail(self) -> TailDescription:
         return tail_of(self.a0, self.a1)
-
-    @property
-    def body_range(self) -> Interval:
-        return _body_range(self.tail)
-
-    @property
-    def table_range(self) -> Interval:
-        """The range the summary tables count: from window K's edge, closed, to 2.
-
-        The verified body reaches further left when the pair's occurrence
-        index exceeds K; the tables leave those windows out.
-        """
-        label = self.tail.label
-        if label.d == 0:
-            return self.body_range
-        return Interval(label.edge(label.K), Fraction(2), True, False)
 
     @property
     def interval_count(self) -> int:
@@ -150,11 +125,11 @@ class PartitionAtlas:
 def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
     """Yield the body of one initial pair as ``(ival, word)``, left to right.
 
-    The body is `_body_range`: it starts closed at the right edge of the
-    tail, or open at -2 for the pair (0, 0), and ends open at 2.  From a
-    point ``r`` that the previous interval left open, the orbit runs at
-    ``r`` itself; from one it closed, it runs just right of ``r`` (the
-    plus-side map).  So (0, 0) runs one orbit, just right of -2, whose
+    The body is the tail's `body_range`: it starts closed at the right
+    edge of the tail, or open at -2 for the pair (0, 0), and ends open at
+    2.  From a point ``r`` that the previous interval left open, the orbit
+    runs at ``r`` itself; from one it closed, it runs just right of ``r``
+    (the plus-side map).  So (0, 0) runs one orbit, just right of -2, whose
     word (0) holds on the whole body.  Every interval, the first one
     included, is the kernel's whole solved set: it must start at ``r``,
     closed there exactly when no earlier interval holds ``r``, and be
@@ -186,7 +161,7 @@ def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
     start = (a0, a1)
     cap, max_steps, max_rounds = DEFAULT_ORBIT_CAP, TOTAL_STEP_BUDGET, _interval_budget(a0, a1)
     rounds = total_steps = 0
-    body_range = _body_range(tail_of(a0, a1))
+    body_range = tail_of(a0, a1).body_range
     r, closed = body_range.lo, body_range.lo_closed
 
     def exhausted(reason: str) -> BudgetExceeded:
@@ -362,16 +337,16 @@ class SweepReport:
 def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> PointSummary:
     """Statistics over the table body (the range the reference tables count).
 
-    That is the body cut at `table_range`'s closed lower edge ``c``, which
-    lies right of the body's when the occurrence index exceeds K.  The
-    body tiles its range in order, so one pass cuts it: entries that end
-    below ``c``, or open at it, are dropped; the first kept entry, if it
-    starts below ``c``, is clipped to start there, closed (one that ends
-    closed at ``c`` becomes the singleton ``[c]``); the rest count as
-    they are, an entry starting open at ``c`` included.
+    That is the body cut at the closed lower edge ``c`` of the tail's
+    `table_range`, which lies right of the body's when the occurrence index
+    exceeds K.  The body tiles its range in order, so one pass cuts it:
+    entries that end below ``c``, or open at it, are dropped; the first
+    kept entry, if it starts below ``c``, is clipped to start there, closed
+    (one that ends closed at ``c`` becomes the singleton ``[c]``); the rest
+    count as they are, an entry starting open at ``c`` included.
     """
     entries = atlas.body
-    cut = atlas.table_range.lo
+    cut = atlas.tail.table_range.lo
     if cut > entries[0][0].lo:
         for i, (first, word) in enumerate(entries):
             if first.hi > cut or (first.hi_closed and first.hi == cut):

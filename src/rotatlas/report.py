@@ -19,15 +19,13 @@ import io
 import json
 import math
 import os
-import re
 from array import array
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .constraints import Word, pack_word
-from .intervals import Interval
+from .intervals import Interval, parse_rational
 from .partition import PartitionAtlas, ShellStats, SweepReport
-from .tail import Label
 
 
 class _LetterText(dict):
@@ -79,7 +77,7 @@ def atlas_table_lines(atlas: PartitionAtlas) -> Iterator[str]:
     yield f"initial pair ({atlas.a0},{atlas.a1})  label {atlas.tail.label}"
     yield f"tail {atlas.tail.interval}"
     yield (
-        f"body {atlas.body_range}: {atlas.interval_count} intervals, "
+        f"body {atlas.tail.body_range}: {atlas.interval_count} intervals, "
         f"{atlas.singleton_count} singletons"
     )
     yield f"endpoints: {render_endpoint_listing(atlas)}"
@@ -103,13 +101,10 @@ def _json_entry(ival: Interval, word: Word) -> str:
     )
 
 
-def _tail_kind(label: Label) -> str:
-    return "triangular" if label.d > 0 else ("full" if label.s == 0 else "constant")
-
-
 def atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
     """`atlas_to_json`'s text in order: the head, each body entry, the end."""
-    label = atlas.tail.label
+    tail = atlas.tail
+    label = tail.label
     yield (
         "{\n"
         f'  "a0": {atlas.a0},\n'
@@ -118,9 +113,9 @@ def atlas_json_chunks(atlas: PartitionAtlas) -> Iterator[str]:
         f'  "d": {label.d},\n'
         f'  "K": {"null" if label.K is None else label.K},\n'
         '  "tail": {\n'
-        f'    "lo": "{atlas.tail.interval.lo}",\n'
-        f'    "hi": "{atlas.tail.interval.hi}",\n'
-        f'    "kind": "{_tail_kind(label)}"\n'
+        f'    "lo": "{tail.interval.lo}",\n'
+        f'    "hi": "{tail.interval.hi}",\n'
+        f'    "kind": "{tail.kind}"\n'
         "  },\n"
         '  "body": '
     )
@@ -144,21 +139,15 @@ def atlas_to_json(atlas: PartitionAtlas) -> str:
     return "".join(atlas_json_chunks(atlas))
 
 
-# The writer's text of a rational: an integer, or p/q.
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _rational(text, key: str) -> Fraction:
-    """The value of an endpoint text in the writer's form.
+    """The value of an endpoint text in the writer's form (`parse_rational`).
 
-    The form is checked before any arithmetic, so no exponent or decimal
-    (``"1e1000000"``, ``"0.5"``) builds a number.  A text of this form that
-    the writer would not write for its value (``"2/4"``, ``"-0"``) is left
-    to the comparison with the writer's text.
+    A text of that form that the writer would not write for its value
+    (``"2/4"``, ``"-0"``) is left to the comparison with the writer's text.
     """
-    if type(text) is str and _RATIONAL_TEXT.fullmatch(text):
-        with contextlib.suppress(ValueError, ZeroDivisionError):
-            return Fraction(text)
+    if type(text) is str:
+        with contextlib.suppress(ValueError):
+            return parse_rational(text)
     raise ValueError(f"field {key!r} is not a rational as the writer writes it: {text!r}")
 
 
@@ -404,9 +393,10 @@ def emit_diagram(atlas: PartitionAtlas) -> str:
         f'<text x="{_MARGIN}" y="20" font-size="13" font-family="monospace">'
         f"initial pair ({atlas.a0},{atlas.a1})</text>",
     ]
-    # hatch the tail region left of the body; empty when the body is everything
-    if atlas.tail.interval.lo < atlas.body_range.lo:
-        x0, x1 = _x(atlas.tail.interval.lo), _x(atlas.body_range.lo)
+    # hatch the tail region left of the body; none when the tail is everything
+    tail = atlas.tail
+    if tail.kind != "full":
+        x0, x1 = _x(tail.interval.lo), _x(tail.interval.hi)
         parts.append(
             f'<rect x="{x0}" y="{_BAR_Y}" width="{round(x1 - x0, 2)}" '
             f'height="{_BAR_H}" fill="url(#hatch)"/>'

@@ -11,8 +11,8 @@ and these windows tile a whole left neighbourhood ``(-2, -2 + 1/(s + Kd))``
 of the parameter interval, where ``K`` is the least admissible index.  For
 ``d = 0`` the tail is a single window with a constant cycle.  This module
 computes labels, the cycles, their windows (each edge is `Label.edge`), and
-the tail, which is fixed by its label and first window index; the finite
-remainder of the parameter interval is the partitioner's job.
+the tail, which is fixed by its label and first window index, with the
+ranges derived from it; what the body holds is the partitioner's job.
 """
 
 from __future__ import annotations
@@ -134,18 +134,42 @@ class TailDescription:
     None.  ``k_start`` is max(K, occurrence index), as `tail_of` finds it:
     K alone makes every window's cycle occupy exactly that window, but the
     pair itself only rides the cycles from its occurrence index on, and
-    the windows below that belong to the marched body.
+    the windows below that belong to the marched body.  The ranges an atlas
+    reads, ``body_range`` and ``table_range``, are derived here too.
     """
 
     label: Label
     k_start: Optional[int]
 
     @cached_property
+    def kind(self) -> str:
+        """``"triangular"`` for d > 0, ``"full"`` for (0, 0), tail (-2, 2), else ``"constant"``."""
+        label = self.label
+        return "triangular" if label.d else ("constant" if label.s else "full")
+
+    @cached_property
     def interval(self) -> Interval:
         """All the tail covers: from -2 to window ``k_start``'s edge (to 2 for (0, 0)), open."""
-        label = self.label
-        hi = label.edge(self.k_start or 0) if label.s or label.d else Fraction(2)
+        hi = Fraction(2) if self.kind == "full" else self.label.edge(self.k_start or 0)
         return Interval.open(Fraction(-2), hi)
+
+    @cached_property
+    def body_range(self) -> Interval:
+        """The marched range: from the tail's right edge, closed, to 2, open; a full tail's own."""
+        if self.kind == "full":
+            return self.interval
+        return Interval(self.interval.hi, Fraction(2), True, False)
+
+    @cached_property
+    def table_range(self) -> Interval:
+        """The range the summary tables count: from window K's edge, closed, to 2, open.
+
+        A constant or full tail has no K, and the tables count its body range.
+        """
+        if self.kind != "triangular":
+            return self.body_range
+        label = self.label
+        return Interval(label.edge(label.K), Fraction(2), True, False)
 
     def windows(self) -> Iterator[tuple[Interval, Word]]:
         """(window, cycle word) pairs for k = k_start, k_start + 1, ..., made as they are read.

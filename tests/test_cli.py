@@ -251,6 +251,8 @@ def test_usage_errors_exit_two():
         [],
         ["orbit", "--a0", "1"],
         ["partition", "--a0", "0", "--a1", "0", "--json", "--table"],
+        # one spelling per option: partition takes --json or --table
+        ["partition", "--a0", "0", "--a1", "0", "--format", "json"],
         ["sweep", "--max-m", "1", "--unknown-flag"],
         ["orbit", "--a0", "1", "--a1", "1", "--lambda", "x/y"],
         ["sweep", "--max-m", "1", "--jobs", "0"],
@@ -267,11 +269,14 @@ def test_usage_errors_exit_two():
 
 
 def test_a_huge_lambda_is_a_usage_error_that_echoes_its_text(capsys):
-    # the range error formats the text, not a 5001-digit value
-    with pytest.raises(SystemExit) as exc:
-        main(["orbit", "--a0", "1", "--a1", "1", "--lambda", "1e5000"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and "'1e5000'" in err and "int_max_str_digits" not in err
+    # only n or p/q is read, checked before any arithmetic, so no exponent
+    # builds a huge value (1e-1000000 a million-digit denominator) and a
+    # decimal is refused alike; the error formats the text, not a value
+    for text in ("1e5000", "1e-1000000", "0.5", "1e-3", "+1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--a0", "1", "--a1", "1", "--lambda", text])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and repr(text) in err and "int_max_str_digits" not in err
 
 
 def test_readme_command_lines_parse():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -89,8 +90,11 @@ def test_format_parse_round_trip(text):
 def test_parse_rational():
     assert parse_rational("-5/3") == F(-5, 3)
     assert parse_rational("4") == F(4)
-    with pytest.raises(ValueError):
-        parse_rational("one")
+    assert parse_rational("-0") == 0 and parse_rational("6/4") == F(3, 2)
+    # only the written form ``n`` or ``p/q``, checked before any arithmetic
+    for bad in ("one", "0.5", "1e3", " 1", "1 ", "+1", "1/0", "1/-2", "", "1e-1000000"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_rational(bad)
 
 
 def test_parse_interval_rejects_junk():

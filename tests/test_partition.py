@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import types
 from array import array
 from fractions import Fraction as F
 
@@ -30,7 +31,7 @@ from rotatlas import (
     verify_atlas,
 )
 from rotatlas import certificate, dynamics, partition, tail
-from rotatlas.certificate import VerificationReport, _solves_to
+from rotatlas.certificate import VerificationReport, _solves_to, certify
 from rotatlas.constraints import cycle_bounds, pack_word
 from rotatlas.partition import PartitionAtlas, _mirrored
 from rotatlas.report import atlas_from_json, atlas_to_json, write_atlas_json
@@ -61,7 +62,7 @@ def probe_orbits(monkeypatch):
 def test_origin_is_trivial(atlas):
     at = atlas(0, 0)
     assert [(str(i), tuple(w)) for i, w in at.body] == [("(-2,2)", (0,))]
-    assert at.body_range == at.table_range == parse_interval("(-2,2)")
+    assert at.tail.body_range == at.tail.table_range == parse_interval("(-2,2)")
     assert verify_atlas(at, probes_per_interval=2).ok
 
 
@@ -120,8 +121,8 @@ def test_every_stored_word_replays_at_its_sample(atlas):
 
 def test_deferred_occurrence_pair_has_wider_body(atlas):
     at = atlas(2, 3)
-    assert at.body_range == parse_interval("[-3/2,2)")
-    assert at.table_range == parse_interval("[-1,2)")
+    assert at.tail.body_range == parse_interval("[-3/2,2)")
+    assert at.tail.table_range == parse_interval("[-1,2)")
     assert summarize_atlas(at, verify_atlas(at)).intervals < at.interval_count
     assert entry_map(at)["[-4/3,-1)"] == (2, 3, 2, 0, -2, -2, 0)
     assert verify_atlas(at, probes_per_interval=2).ok
@@ -255,7 +256,8 @@ def test_verify_rejects_foreign_tail(atlas):
     bad = _foreign_tail(at)
     report = verify_atlas(bad, probes_per_interval=2)
     assert not report.ok
-    assert report.failure == f"body starts at {bad.body[0][0]}, expected lower edge {at.body_range}"
+    edge = at.tail.body_range
+    assert report.failure == f"body starts at {bad.body[0][0]}, expected lower edge {edge}"
 
 
 def _copied(at):
@@ -401,13 +403,37 @@ def test_corruption_corpus_failures_are_the_golden_texts(atlas):
     assert texts == golden
 
 
+def _pair_and_body(at):
+    """All that `certify` may read of an atlas: its pair and its body."""
+    return types.SimpleNamespace(a0=at.a0, a1=at.a1, body=at.body)
+
+
+def test_certify_reads_only_the_pair_and_the_body(atlas):
+    # (candidate, verified twin or None): every pair with m <= 3 alone and
+    # against its swap, then the corruption corpus as the golden texts run it
+    cases = []
+    for a0, a1 in itertools.product(range(-3, 4), repeat=2):
+        cases += [(atlas(a0, a1), None), (atlas(a0, a1), atlas(a1, a0))]
+    for pair in CORPUS_PAIRS:
+        at = atlas(*pair)
+        for name in sorted(CORRUPTIONS):
+            cases += [(CORRUPTIONS[name](at), None), (CORRUPTIONS[name](_mirrored(at)), at)]
+    verdicts = []
+    for at, twin in cases:
+        verdict = certify(at, twin)
+        plain = None if twin is None else _pair_and_body(twin)
+        assert certify(_pair_and_body(at), plain) == verdict, (at.a0, at.a1, verdict)
+        verdicts.append(verdict.ok)
+    assert verdicts.count(True) == 2 * 49 and verdicts.count(False) == 2 * 5 * len(CORRUPTIONS)
+
+
 @pytest.mark.parametrize("pair", CORPUS_PAIRS, ids=str)
 def test_verify_judges_the_end_edge_after_every_entry(atlas, pair):
     at = atlas(*pair)
     short = dataclasses.replace(at, body=at.body[:-1])
     last = short.body[-1][0]
     report = verify_atlas(short)
-    assert report.failure == f"body ends at {last}, expected upper edge {at.body_range}"
+    assert report.failure == f"body ends at {last}, expected upper edge {at.tail.body_range}"
     # a fault in any entry is named first
     report = verify_atlas(_empty_word(short))
     assert report.failure == f"empty cycle on {short.body[0][0]}"
@@ -699,7 +725,7 @@ def test_no_first_cycle_reaches_into_the_tail():
     # `march`'s proof, run on every ordered pair with m <= 30: the
     # cycle at the body's lower edge solves to that edge, with its closure.
     for a0, a1 in itertools.product(range(-30, 31), repeat=2):
-        edge = partition._body_range(tail.tail_of(a0, a1))
+        edge = tail.tail_of(a0, a1).body_range
         found = dynamics.orbit_bounds(
             edge.lo, not edge.lo_closed, (a0, a1), dynamics.DEFAULT_ORBIT_CAP
         )
@@ -715,7 +741,7 @@ def test_round_budget_exhaustion(atlas, monkeypatch):
     assert exc.value.start == (-2, -2)
     residual = exc.value.residual
     assert residual.hi == 2 and not residual.hi_closed
-    assert contains(full.body_range, residual.lo)
+    assert contains(full.tail.body_range, residual.lo)
     # two intervals were marched; the residual starts where the third does
     third, _ = full.body[2]
     assert (residual.lo, residual.lo_closed) == (third.lo, third.lo_closed)
@@ -1130,8 +1156,8 @@ def test_summary_statistics(atlas):
 
 
 def _oracle_table(at):
-    """The table statistics of ``at`` from its body intersected with `table_range`."""
-    entries = [(intersect(ival, at.table_range), word) for ival, word in at.body]
+    """The table statistics of ``at`` from its body intersected with its `table_range`."""
+    entries = [(intersect(ival, at.tail.table_range), word) for ival, word in at.body]
     entries = [(ival, word) for ival, word in entries if ival is not None]
     longest, _ = max(entries, key=lambda entry: len(entry[1]))
     singletons = sum(1 for ival, _ in entries if ival.is_singleton)
@@ -1144,8 +1170,8 @@ def _table(summary):
 
 def test_summary_cuts_every_deferred_pair_as_the_intersection_does(atlas):
     grid = [(a0, a1) for a0 in range(-8, 9) for a1 in range(-8, 9)]
-    ranges = {pair: PartitionAtlas(*pair, ()) for pair in grid}
-    cut = [pair for pair, at in ranges.items() if at.table_range != at.body_range]
+    tails = {pair: tail.tail_of(*pair) for pair in grid}
+    cut = [pair for pair, t in tails.items() if t.table_range != t.body_range]
     assert len(cut) == 16
     verdict = VerificationReport()
     for pair in cut:
@@ -1224,22 +1250,24 @@ def test_every_atlas_derives_its_pairs_tail(atlas):
 
 
 def test_an_atlas_derives_its_tail_once(atlas, monkeypatch):
+    # (2, 3) has a table range narrower than its body range; the bodies are
+    # taken before the spy, so no march of the session cache is counted
+    bodies = {pair: atlas(*pair).body for pair in ((2, 3), (0, 0), (1, 1))}
     calls = []
-    derive = partition.tail_of
-    monkeypatch.setattr(partition, "tail_of", lambda *pair: calls.append(pair) or derive(*pair))
-    # (2, 3) has a table range narrower than its body range
-    for pair in ((2, 3), (0, 0), (1, 1)):
-        at = PartitionAtlas(*pair, atlas(*pair).body)
+    derive = tail.label_of
+    monkeypatch.setattr(tail, "label_of", lambda *pair: calls.append(pair) or derive(*pair))
+    for pair, body in bodies.items():
+        at = PartitionAtlas(*pair, body)
         mirror = _mirrored(at)
         for _ in range(3):
             for each in (at, mirror):
-                assert each.tail and each.body_range and each.table_range
+                assert each.tail and each.tail.body_range and each.tail.table_range
         assert calls == [pair, pair[::-1]]
         calls.clear()
-    # a sweep derives each tail as often as with a stored one: the march and
-    # the marched atlas once each, the mirror once
+    # a sweep derives a marched pair's tail in the march, the certificate and
+    # the summary's table range, and the mirror's in its certificate only
     sweep(2)
-    expected = {(a0, a1): 2 if a0 <= a1 else 1 for a0 in range(-2, 3) for a1 in range(-2, 3)}
+    expected = {(a0, a1): 3 if a0 <= a1 else 1 for a0 in range(-2, 3) for a1 in range(-2, 3)}
     assert {pair: calls.count(pair) for pair in set(calls)} == expected
 
 

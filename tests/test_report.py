@@ -552,7 +552,7 @@ def test_diagram_x_is_the_fraction_formula_on_every_m4_boundary(atlas):
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             at = atlas(a0, a1)
-            values.update((at.tail.interval.lo, at.body_range.lo))
+            values.update((at.tail.interval.lo, at.tail.body_range.lo))
             for ival, _ in at.body:
                 values.update((ival.lo, ival.hi))
     assert len(values) == 284

@@ -17,7 +17,6 @@ from rotatlas import (
     z_interval,
 )
 from rotatlas import tail
-from rotatlas.partition import PartitionAtlas
 from rotatlas.tail import _ramp_index_closed_form
 from reference import occurrence_index
 
@@ -195,12 +194,19 @@ def test_every_tail_and_table_range_starts_at_its_edge():
         label = t.label
         s, d = label.s, label.d
         if d > 0:
+            assert t.kind == "triangular", pair
             assert t.interval == Interval.open(F(-2), label.edge(t.k_start)), pair
-            assert PartitionAtlas(*pair, ()).table_range.lo == label.edge(label.K), pair
+            assert t.table_range == Interval(label.edge(label.K), F(2), True, False), pair
         elif s > 0:
+            assert t.kind == "constant", pair
             assert t.interval == Interval.open(F(-2), F(-2) + F(1, s)), pair
+            assert t.table_range == t.body_range, pair
         else:
-            assert t.interval == Interval.open(F(-2), F(2)), pair
+            assert (t.kind, pair) == ("full", (0, 0))
+            assert t.interval == t.body_range == t.table_range == Interval.open(F(-2), F(2))
+            continue
+        # the body starts closed where the tail ends, and runs to the open edge 2
+        assert t.body_range == Interval(t.interval.hi, F(2), True, False), pair
 
 
 def test_pair_occurs_from_its_start_index_on():
