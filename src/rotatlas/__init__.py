@@ -8,22 +8,12 @@ This package computes, verifies and renders those partitions with exact
 rational arithmetic end to end.
 """
 
-from .certificate import VerificationReport
+from .certificate import PartitionAtlas, VerificationReport
 from .constraints import interval_for_cycle
 from .dynamics import DEFAULT_ORBIT_CAP, OrbitResult, ParamSpec, detect_cycle
 from .intervals import Interval, parse_rational
-from .partition import (
-    BudgetExceeded,
-    MarchError,
-    PartitionAtlas,
-    PointSummary,
-    ShellStats,
-    SweepReport,
-    compute_atlas,
-    summarize_atlas,
-    sweep,
-    verify_atlas,
-)
+from .partition import BudgetExceeded, MarchError, compute_atlas, sweep, verify_atlas
+from .report import PointSummary, ShellStats, SweepReport, summarize_atlas
 from .tail import (
     Label,
     TailDescription,

@@ -1,8 +1,9 @@
-"""The certificate: an exact proof that an atlas is its pair's partition, with no orbit run.
+"""The atlas type, and the certificate: an exact proof that an atlas is its pair's partition.
 
-It imports only `constraints`, `intervals` and `tail`, so it reaches no
-orbit code, and a fault in the march kernel cannot certify itself.  It
-reads only an atlas's pair and body, so no code of `partition` runs in it.
+`PartitionAtlas` (a pair and its body; the pair fixes the tail) sits here,
+below the march that builds it and the reader that rebuilds it.  This
+module imports only `constraints`, `intervals` and `tail`, so it reaches
+no orbit code, and a fault in the march kernel cannot certify itself.
 `partition.verify_atlas` runs `certify`, then the opt-in probes, which
 check the same tail windows (`checked_windows`).
 """
@@ -10,15 +11,13 @@ check the same tail windows (`checked_windows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
-from .constraints import Bounds, Word, _pair_index, cycle_bounds
+from .constraints import Bounds, Word, cycle_bounds, pair_index
 from .intervals import Interval
 from .tail import TailDescription, tail_of
-
-if TYPE_CHECKING:
-    from .partition import PartitionAtlas
 
 # Tail windows `certify` checks explicitly, from the first one on.
 TAIL_PIECES = 4
@@ -52,6 +51,36 @@ def _solves_to(bounds: Optional[Bounds], ival: Interval) -> bool:
         and lo_n * lo.denominator == lo.numerator * lo_d
         and hi_n * hi.denominator == hi.numerator * hi_d
     )
+
+
+@dataclass(frozen=True)
+class PartitionAtlas:
+    """The complete partition of the parameter interval for one initial pair.
+
+    The pair alone fixes the tail, `tail_of(a0, a1)`, computed on first
+    read and kept, with the body's range and the tables' (``tail.body_range``,
+    ``tail.table_range``); the body is what the march found.
+    """
+
+    a0: int
+    a1: int
+    body: tuple[tuple[Interval, Word], ...]
+
+    @cached_property
+    def tail(self) -> TailDescription:
+        return tail_of(self.a0, self.a1)
+
+    @property
+    def interval_count(self) -> int:
+        return len(self.body)
+
+    @property
+    def singleton_count(self) -> int:
+        return sum(1 for ival, _ in self.body if ival.is_singleton)
+
+    @property
+    def total_cycle_length(self) -> int:
+        return sum(len(word) for _, word in self.body)
 
 
 @dataclass(frozen=True)
@@ -137,8 +166,8 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
     for name, window, cycle in checked_windows(tail):
         if twin is None and not _solves_to(cycle_bounds(cycle), window):
             return VerificationReport(f"{name} does not hold on the tail")
-        i = _pair_index(cycle, a0, a1, 0)
-        if i < 0 or _pair_index(cycle, a0, a1, i + 1) >= 0:
+        i = pair_index(cycle, a0, a1, 0)
+        if i < 0 or pair_index(cycle, a0, a1, i + 1) >= 0:
             return VerificationReport(f"initial pair not once in {name}")
 
     if twin is not None:
@@ -167,7 +196,7 @@ def certify(atlas: PartitionAtlas, twin: Optional[PartitionAtlas] = None) -> Ver
             return VerificationReport(f"empty cycle on {ival}")
         if not _solves_to(cycle_bounds(word), ival):
             return VerificationReport(f"stored interval {ival} is not the cycle's parameter set")
-        if _pair_index(word, a0, a1, 0) != 0 or _pair_index(word, a0, a1, 1) >= 0:
+        if pair_index(word, a0, a1, 0) != 0 or pair_index(word, a0, a1, 1) >= 0:
             return VerificationReport(f"cycle on {ival} does not hold {a0, a1} at its start only")
         prev = ival
     if prev is None:

@@ -195,7 +195,7 @@ def _cmd_diagram(args) -> int:
         return 1
     svg = report.emit_diagram(atlas)
     if args.out:
-        report._write_atomically(args.out, [svg])
+        report.write_atomically(args.out, [svg])
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(svg, end="")

@@ -40,7 +40,7 @@ def pack_word(letters: Sequence[int]) -> Word:
         return array("q", letters)
 
 
-def _pair_index(word: Word, a0: int, a1: int, i: int) -> int:
+def pair_index(word: Word, a0: int, a1: int, i: int) -> int:
     """The first cyclic index ``j >= i`` with ``(word[j], word[(j+1) % n]) == (a0, a1)``, or -1.
 
     The pair, packed as the word is, is searched for in the word's bytes,
@@ -98,7 +98,7 @@ def cycle_bounds(word: Sequence[int]) -> Optional[Bounds]:
     n = len(word)
     if not n:
         raise ValueError("cycle words are non-empty")
-    j = _pair_index(word, word[1 % n], word[0], 0)
+    j = pair_index(word, word[1 % n], word[0], 0)
     k = (j + 1) % n
     mirror = j >= 0 and word[k::-1] + word[:k:-1] == word
     word = word.tolist()

@@ -25,23 +25,24 @@ orbits (``probes_per_interval``), a library-only cross-check against the
 dynamics, run on a certified atlas only: each steps the exact map along
 the certified word (`dynamics.is_orbit`) and detects no cycle.
 `sweep` runs compute + verify over a square grid of initial pairs and
-aggregates the statistics reported by `report`; it marches and certifies
-each unordered pair once, mirrors the atlas to the swapped pair, and checks
-the mirror as the exact swap image of its verified twin.
+collects each pair's `report.summarize_atlas` into a `report.SweepReport`;
+it marches and certifies each unordered pair once, mirrors the atlas to the
+swapped pair, and checks the mirror as the exact swap image of its verified
+twin.  The atlas type is the certificate's (`certificate.PartitionAtlas`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional
 
-from .certificate import VerificationReport, certify, checked_windows
-from .constraints import Bounds, Word, _pair_index, cycle_bounds
+from . import report
+from .certificate import PartitionAtlas, VerificationReport, certify, checked_windows
+from .constraints import Bounds, Word, cycle_bounds, pair_index
 from .dynamics import DEFAULT_ORBIT_CAP, is_orbit, orbit_bounds
 from .intervals import Interval
-from .tail import TailDescription, tail_of
+from .tail import tail_of
 
 
 # The march's budgets, read once per `march`: `DEFAULT_ORBIT_CAP` steps per
@@ -90,36 +91,6 @@ class MarchError(Exception):
             f"march for {self.start} at {self.lam} ({self.side}) solved bounds {self.solved}, "
             f"which do not start {'closed' if self.side == 'exact' else 'open'} there"
         )
-
-
-@dataclass(frozen=True)
-class PartitionAtlas:
-    """The complete partition of the parameter interval for one initial pair.
-
-    The pair alone fixes the tail, `tail_of(a0, a1)`, computed on first
-    read and kept, with the body's range and the tables' (``tail.body_range``,
-    ``tail.table_range``); the body is what the march found.
-    """
-
-    a0: int
-    a1: int
-    body: tuple[tuple[Interval, Word], ...]
-
-    @cached_property
-    def tail(self) -> TailDescription:
-        return tail_of(self.a0, self.a1)
-
-    @property
-    def interval_count(self) -> int:
-        return len(self.body)
-
-    @property
-    def singleton_count(self) -> int:
-        return sum(1 for ival, _ in self.body if ival.is_singleton)
-
-    @property
-    def total_cycle_length(self) -> int:
-        return sum(len(word) for _, word in self.body)
 
 
 def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
@@ -238,7 +209,7 @@ def verify_atlas(
     start = (a0, a1)
     # the certified tail's checked windows, each cycle rotated to start at the pair
     for name, window, cycle in checked_windows(atlas.tail):
-        i, lam = _pair_index(cycle, a0, a1, 0), window.midpoint()
+        i, lam = pair_index(cycle, a0, a1, 0), window.midpoint()
         if not is_orbit(lam, start, cycle[i:] + cycle[:i]):
             return VerificationReport(f"{name} is not the orbit at {lam}")
     for ival, word in atlas.body:
@@ -247,124 +218,6 @@ def verify_atlas(
             if not is_orbit(lam, start, letters):
                 return VerificationReport(f"cycle on {ival} is not the orbit at {lam}")
     return verdict
-
-
-@dataclass(frozen=True)
-class PointSummary:
-    """One pair's sweep statistics; the pair fixes its shell, the failure its verdict."""
-
-    a0: int
-    a1: int
-    intervals: int
-    singletons: int
-    max_len: int
-    max_len_interval: str
-    total_len: int
-    failure: Optional[str] = None
-
-    @property
-    def shell(self) -> int:
-        return max(abs(self.a0), abs(self.a1))
-
-    @property
-    def verified(self) -> bool:
-        return self.failure is None
-
-    @property
-    def avg_len(self) -> Fraction:
-        return Fraction(self.total_len, self.intervals)
-
-
-@dataclass(frozen=True)
-class ShellStats:
-    """Aggregates over all pairs with max(|a0|, |a1|) equal to one value."""
-
-    m: int
-    card_point: tuple[int, int]
-    cardinality: int
-    singletons: int
-    len_point: tuple[int, int]
-    max_len: int
-    max_len_interval: str
-    avg_len_pooled: Fraction
-    avg_len_at_max_point: Fraction
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Everything a sweep over max(|a0|, |a1|) <= max_m retains."""
-
-    max_m: int
-    points: tuple[PointSummary, ...]
-
-    @property
-    def all_verified(self) -> bool:
-        return all(p.verified for p in self.points)
-
-    def failures(self) -> list[PointSummary]:
-        return [p for p in self.points if not p.verified]
-
-    def shell_stats(self, m: int) -> ShellStats:
-        """Recompute one shell's aggregates from the per-point summaries.
-
-        Each pick is a point attaining the maximum; among tied points,
-        such as a pair and its mirror, the lexicographically largest pair
-        is reported.
-        """
-        shell = [p for p in self.points if p.shell == m]
-        if not shell:
-            raise ValueError(f"no points at shell {m}")
-        card_best = max(shell, key=lambda p: (p.intervals, p.a0, p.a1))
-        len_best = max(shell, key=lambda p: (p.max_len, p.a0, p.a1))
-        total = sum(p.total_len for p in shell)
-        count = sum(p.intervals for p in shell)
-        return ShellStats(
-            m=m,
-            card_point=(card_best.a0, card_best.a1),
-            cardinality=card_best.intervals,
-            singletons=card_best.singletons,
-            len_point=(len_best.a0, len_best.a1),
-            max_len=len_best.max_len,
-            max_len_interval=len_best.max_len_interval,
-            avg_len_pooled=Fraction(total, count),
-            avg_len_at_max_point=len_best.avg_len,
-        )
-
-    def shells(self) -> list[ShellStats]:
-        return [self.shell_stats(m) for m in range(1, self.max_m + 1)]
-
-
-def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> PointSummary:
-    """Statistics over the table body (the range the reference tables count).
-
-    That is the body cut at the closed lower edge ``c`` of the tail's
-    `table_range`, which lies right of the body's when the occurrence index
-    exceeds K.  The body tiles its range in order, so one pass cuts it:
-    entries that end below ``c``, or open at it, are dropped; the first
-    kept entry, if it starts below ``c``, is clipped to start there, closed
-    (one that ends closed at ``c`` becomes the singleton ``[c]``); the rest
-    count as they are, an entry starting open at ``c`` included.
-    """
-    entries = atlas.body
-    cut = atlas.tail.table_range.lo
-    if cut > entries[0][0].lo:
-        for i, (first, word) in enumerate(entries):
-            if first.hi > cut or (first.hi_closed and first.hi == cut):
-                break
-        if first.lo < cut:
-            first = Interval(cut, first.hi, True, first.hi_closed)
-        entries = ((first, word),) + entries[i + 1 :]
-    longest_interval, longest_word = max(entries, key=lambda entry: len(entry[1]))
-    return PointSummary(
-        a0=atlas.a0,
-        a1=atlas.a1,
-        intervals=len(entries),
-        singletons=sum(1 for ival, _ in entries if ival.is_singleton),
-        max_len=len(longest_word),
-        max_len_interval=str(longest_interval),
-        total_len=sum(len(word) for _, word in entries),
-        failure=verdict.failure,
-    )
 
 
 def _mirror_word(word: Word) -> Word:
@@ -393,7 +246,7 @@ def _mirrored(atlas: PartitionAtlas) -> PartitionAtlas:
     return PartitionAtlas(atlas.a1, atlas.a0, body)
 
 
-def _sweep_pair(args: tuple) -> list[PointSummary]:
+def _sweep_pair(args: tuple) -> list[report.PointSummary]:
     """March ``(a0, a1)``; verify, write and summarize it and its mirror ``(a1, a0)``.
 
     The mirror is checked as its twin's swap image if the twin verified, else
@@ -402,14 +255,12 @@ def _sweep_pair(args: tuple) -> list[PointSummary]:
     a0, a1, out_dir = args
     atlas = compute_atlas(a0, a1)
     verdict = verify_atlas(atlas)
-    atlases, summaries = [atlas], [summarize_atlas(atlas, verdict)]
+    atlases, summaries = [atlas], [report.summarize_atlas(atlas, verdict)]
     if a0 != a1:
         atlases.append(_mirrored(atlas))
         mirrored = verify_atlas(atlases[1], twin=atlas if verdict.ok else None)
         summaries.append(replace(summaries[0], a0=a1, a1=a0, failure=mirrored.failure))
     if out_dir is not None:
-        from . import report
-
         for at in atlases:
             report.write_atlas_json(at, out_dir)
     return summaries
@@ -423,7 +274,7 @@ def _outcome(call, *args):
         return exc
 
 
-def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepReport:
+def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> report.SweepReport:
     """Compute and verify atlases for every pair with max(|a0|, |a1|) <= max_m.
 
     Each unordered pair is marched once, as ``(a0, a1)`` with ``a0 <= a1``;
@@ -479,4 +330,4 @@ def sweep(max_m: int, jobs: int = 1, out_dir: Optional[str] = None) -> SweepRepo
         batches = [_sweep_pair(args) for args in grid]
     summaries = [summary for batch in batches for summary in batch]
     summaries.sort(key=lambda p: (p.a0, p.a1))
-    return SweepReport(max_m, tuple(summaries))
+    return report.SweepReport(max_m, tuple(summaries))

@@ -1,4 +1,4 @@
-"""Canonical serialization and rendering of atlases and sweep statistics.
+"""Canonical serialization and rendering of atlases, and the sweep's statistics.
 
 Endpoint listings use ASCII direction marks: ``>r`` means the boundary
 rational r belongs to the proper interval on its right, ``<r`` to the one on
@@ -9,6 +9,10 @@ byte-deterministic for fixed inputs and package version.
 The JSON format is decided by the writer alone, `atlas_json_chunks`: the
 reader, `atlas_from_json`, accepts exactly the bytes the writer writes for
 the atlas it reads, and keeps no field checks of its own.
+
+The sweep's statistics live here too, from the cut of `summarize_atlas`
+to `render_tables`.  The module reaches no orbit code: it takes the atlas
+type from `certificate`, and `partition` imports it.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ import json
 import math
 import os
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .certificate import PartitionAtlas, VerificationReport
 from .constraints import Word, pack_word
 from .intervals import Interval, parse_rational
-from .partition import PartitionAtlas, ShellStats, SweepReport
 
 
 class _LetterText(dict):
@@ -238,7 +243,7 @@ def atlas_from_json(text: str) -> PartitionAtlas:
     )
 
 
-def _write_atomically(path: str, chunks: Iterable[str]) -> str:
+def write_atomically(path: str, chunks: Iterable[str]) -> str:
     """Write the text ``chunks`` to ``path`` atomically; return the path.
 
     The chunks are streamed into a temporary file in the same directory
@@ -266,7 +271,127 @@ def write_atlas_json(atlas: PartitionAtlas, out_dir: str) -> str:
     The text is streamed entry by entry, never built whole.
     """
     path = os.path.join(out_dir, f"atlas_{atlas.a0}_{atlas.a1}.json")
-    return _write_atomically(path, atlas_json_chunks(atlas))
+    return write_atomically(path, atlas_json_chunks(atlas))
+
+
+# --- sweep statistics --------------------------------------------------------
+
+@dataclass(frozen=True)
+class PointSummary:
+    """One pair's sweep statistics; the pair fixes its shell, the failure its verdict."""
+
+    a0: int
+    a1: int
+    intervals: int
+    singletons: int
+    max_len: int
+    max_len_interval: str
+    total_len: int
+    failure: Optional[str] = None
+
+    @property
+    def shell(self) -> int:
+        return max(abs(self.a0), abs(self.a1))
+
+    @property
+    def verified(self) -> bool:
+        return self.failure is None
+
+    @property
+    def avg_len(self) -> Fraction:
+        return Fraction(self.total_len, self.intervals)
+
+
+@dataclass(frozen=True)
+class ShellStats:
+    """Aggregates over all pairs with max(|a0|, |a1|) equal to one value."""
+
+    m: int
+    card_point: tuple[int, int]
+    cardinality: int
+    singletons: int
+    len_point: tuple[int, int]
+    max_len: int
+    max_len_interval: str
+    avg_len_pooled: Fraction
+    avg_len_at_max_point: Fraction
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """Everything a sweep over max(|a0|, |a1|) <= max_m retains."""
+
+    max_m: int
+    points: tuple[PointSummary, ...]
+
+    @property
+    def all_verified(self) -> bool:
+        return all(p.verified for p in self.points)
+
+    def failures(self) -> list[PointSummary]:
+        return [p for p in self.points if not p.verified]
+
+    def shell_stats(self, m: int) -> ShellStats:
+        """Recompute one shell's aggregates from the per-point summaries.
+
+        Each pick is a point attaining the maximum; among tied points,
+        such as a pair and its mirror, the lexicographically largest pair
+        is reported.
+        """
+        shell = [p for p in self.points if p.shell == m]
+        if not shell:
+            raise ValueError(f"no points at shell {m}")
+        card_best = max(shell, key=lambda p: (p.intervals, p.a0, p.a1))
+        len_best = max(shell, key=lambda p: (p.max_len, p.a0, p.a1))
+        total = sum(p.total_len for p in shell)
+        count = sum(p.intervals for p in shell)
+        return ShellStats(
+            m=m,
+            card_point=(card_best.a0, card_best.a1),
+            cardinality=card_best.intervals,
+            singletons=card_best.singletons,
+            len_point=(len_best.a0, len_best.a1),
+            max_len=len_best.max_len,
+            max_len_interval=len_best.max_len_interval,
+            avg_len_pooled=Fraction(total, count),
+            avg_len_at_max_point=len_best.avg_len,
+        )
+
+    def shells(self) -> list[ShellStats]:
+        return [self.shell_stats(m) for m in range(1, self.max_m + 1)]
+
+
+def summarize_atlas(atlas: PartitionAtlas, verdict: VerificationReport) -> PointSummary:
+    """Statistics over the table body (the range the reference tables count).
+
+    That is the body cut at the closed lower edge ``c`` of the tail's
+    `table_range`, which lies right of the body's when the occurrence index
+    exceeds K.  The body tiles its range in order, so one pass cuts it:
+    entries that end below ``c``, or open at it, are dropped; the first
+    kept entry, if it starts below ``c``, is clipped to start there, closed
+    (one that ends closed at ``c`` becomes the singleton ``[c]``); the rest
+    count as they are, an entry starting open at ``c`` included.
+    """
+    entries = atlas.body
+    cut = atlas.tail.table_range.lo
+    if cut > entries[0][0].lo:
+        for i, (first, word) in enumerate(entries):
+            if first.hi > cut or (first.hi_closed and first.hi == cut):
+                break
+        if first.lo < cut:
+            first = Interval(cut, first.hi, True, first.hi_closed)
+        entries = ((first, word),) + entries[i + 1 :]
+    longest_interval, longest_word = max(entries, key=lambda entry: len(entry[1]))
+    return PointSummary(
+        a0=atlas.a0,
+        a1=atlas.a1,
+        intervals=len(entries),
+        singletons=sum(1 for ival, _ in entries if ival.is_singleton),
+        max_len=len(longest_word),
+        max_len_interval=str(longest_interval),
+        total_len=sum(len(word) for _, word in entries),
+        failure=verdict.failure,
+    )
 
 
 def _format_avg(value: Fraction) -> str:
@@ -286,7 +411,7 @@ def sweep_summary_csv(report: SweepReport) -> str:
 def write_sweep_csv(report: SweepReport, out_dir: str) -> str:
     """Write `sweep_summary_csv` to ``sweep_mM.csv`` under ``out_dir`` atomically."""
     path = os.path.join(out_dir, f"sweep_m{report.max_m}.csv")
-    return _write_atomically(path, [sweep_summary_csv(report)])
+    return write_atomically(path, [sweep_summary_csv(report)])
 
 
 def _table_rows_cardinality(shells: Iterable[ShellStats]) -> list[list[str]]:

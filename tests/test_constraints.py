@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotatlas import ParamSpec, constraints, detect_cycle, interval_for_cycle
-from rotatlas.constraints import _pair_index, cycle_bounds, pack_word
+from rotatlas.constraints import cycle_bounds, pack_word, pair_index
 from rotatlas.partition import _mirror_word
 from reference import contains, make_interval, parse_interval
 from reference import cycle_bounds as triple_loop_bounds
@@ -176,17 +176,17 @@ def test_pair_index_is_the_cyclic_scan(letters, a0, a1):
         expected = next(
             (j for j in range(i, n) if (letters[j], letters[(j + 1) % n]) == (a0, a1)), -1
         )
-        assert _pair_index(word, a0, a1, i) == expected, (letters, a0, a1, i)
+        assert pair_index(word, a0, a1, i) == expected, (letters, a0, a1, i)
 
 
 def test_pair_index_skips_a_match_that_starts_on_no_letter():
     assert pack_word((1, 1, 1)).tobytes().find(pack_word((256, 256)).tobytes()) == 1
-    assert _pair_index(pack_word((1, 1, 1)), 256, 256, 0) == -1
-    assert _pair_index(pack_word((1, 1, 1, 256, 256)), 256, 256, 0) == 3
+    assert pair_index(pack_word((1, 1, 1)), 256, 256, 0) == -1
+    assert pair_index(pack_word((1, 1, 1, 256, 256)), 256, 256, 0) == 3
     # the pair that wraps around, and one no 2-byte letter holds
-    assert _pair_index(pack_word((7, 5, 6)), 6, 7, 0) == 2
-    assert _pair_index(pack_word((7,)), 7, 7, 0) == 0
-    assert _pair_index(pack_word((7, 5, 6)), 40000, 7, 0) == -1
+    assert pair_index(pack_word((7, 5, 6)), 6, 7, 0) == 2
+    assert pair_index(pack_word((7,)), 7, 7, 0) == 0
+    assert pair_index(pack_word((7, 5, 6)), 40000, 7, 0) == -1
 
 
 def _from_bounds(bounds):

@@ -50,20 +50,14 @@ def test_importing_the_cli_loads_no_process_pool():
     subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent.parent, env=env, check=True)
 
 
-def _package_imports(module):
-    """The package modules that ``module`` imports anywhere outside ``if TYPE_CHECKING:``.
+def _internal_imports(tree):
+    """``(node, alias, module)`` of every package-internal import in ``tree``, wherever it stands.
 
-    A name imported from the package itself (``from . import x`` where ``x``
-    is no module file, or ``import rotatlas``) counts as ``__init__``.
+    ``module`` is the package module that ``alias`` is imported from, or the
+    module it imports; a name imported from the package itself (``from . import
+    x`` where ``x`` is no module file, or ``import rotatlas``) counts as ``__init__``.
     """
-    found = set()
-    todo = [ast.parse((PACKAGE / f"{module}.py").read_text(), module)]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            todo += node.orelse
-            continue
-        todo += ast.iter_child_nodes(node)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             dotted = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -71,11 +65,19 @@ def _package_imports(module):
             dotted = [f"{base}.{alias.name}" for alias in node.names]
         else:
             continue
-        for parts in (name.split(".") for name in dotted):
+        for alias, parts in zip(node.names, (name.split(".") for name in dotted)):
             if parts[0] == "rotatlas":
                 name = parts[1] if len(parts) > 1 else "__init__"
-                found.add(name if (PACKAGE / f"{name}.py").exists() else "__init__")
-    return found
+                yield node, alias, name if (PACKAGE / f"{name}.py").exists() else "__init__"
+
+
+def _parse(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(), module)
+
+
+def _package_imports(module):
+    """The package modules that ``module`` imports, in functions and ``if`` branches too."""
+    return {name for _, _, name in _internal_imports(_parse(module))}
 
 
 def _reach(module):
@@ -116,3 +118,55 @@ def test_the_march_module_detects_no_cycle():
             names.add(node.attr)
     assert {"is_orbit", "orbit_bounds"} <= names
     assert names & {"detect_cycle", "OrbitResult"} == set()
+
+
+def test_the_reader_and_the_tables_reach_no_orbit_code():
+    # `report` reads and writes atlases and renders the sweep's tables; it
+    # stands on the certificate's atlas type, below the march.
+    assert _reach("report") == {"report", "certificate", "constraints", "intervals", "tail"}
+
+
+def test_the_package_module_graph_is_acyclic():
+    graph = {name: _package_imports(name) for name in [m[:-3] for m in MODULES] + ["__init__"]}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, f"import cycle {' -> '.join(path[path.index(name):] + [name])}"
+        if name not in done:
+            path.append(name)
+            for imported in sorted(graph[name]):
+                visit(imported)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_package_import_is_at_module_level(module):
+    tree = _parse(module[:-3])
+    nested = [node.lineno for node, _, _ in _internal_imports(tree) if node not in tree.body]
+    assert nested == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_reads_another_modules_private_name(module):
+    tree = _parse(module[:-3])
+    # the private names it imports, then those it reads off a module it binds
+    found, modules = [], set()
+    for node, alias, source in _internal_imports(tree):
+        if isinstance(node, ast.ImportFrom) and alias.name.startswith("_"):
+            found.append(f"{source}.{alias.name}")
+        elif alias.name.split(".")[-1] == source and (alias.asname or "." not in alias.name):
+            modules.add(alias.asname or alias.name)
+    found += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    ]
+    assert found == []

@@ -31,10 +31,10 @@ from rotatlas import (
     verify_atlas,
 )
 from rotatlas import certificate, dynamics, partition, tail
-from rotatlas.certificate import VerificationReport, _solves_to, certify
+from rotatlas.certificate import PartitionAtlas, VerificationReport, _solves_to, certify
 from rotatlas.constraints import cycle_bounds, pack_word
-from rotatlas.partition import PartitionAtlas, _mirrored
-from rotatlas.report import atlas_from_json, atlas_to_json, write_atlas_json
+from rotatlas.partition import _mirrored
+from rotatlas.report import PointSummary, atlas_from_json, atlas_to_json, write_atlas_json
 from reference import contains, intersect, make_interval, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
@@ -1324,7 +1324,7 @@ def test_sweep_verifies_the_mirrored_pairs(monkeypatch):
 def test_verdicts_and_summaries_store_no_derived_field():
     assert [f.name for f in dataclasses.fields(VerificationReport)] == ["failure"]
     assert VerificationReport().ok and not VerificationReport("a fault").ok
-    fields = [f.name for f in dataclasses.fields(partition.PointSummary)]
+    fields = [f.name for f in dataclasses.fields(PointSummary)]
     assert fields == [
         "a0", "a1", "intervals", "singletons", "max_len", "max_len_interval", "total_len",
         "failure",
@@ -1363,7 +1363,7 @@ def test_sweep_checks_a_mirror_from_scratch_when_its_twin_fails(monkeypatch):
 
 
 def test_mirror_summary_is_the_twins_with_the_pair_swapped(atlas):
-    verdict = partition.VerificationReport()
+    verdict = VerificationReport()
     for a0 in range(-4, 5):
         for a1 in range(-4, 5):
             at = atlas(a0, a1)
