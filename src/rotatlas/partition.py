@@ -107,9 +107,10 @@ def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
     non-empty, or `MarchError` is raised.  The kernel reports a set that
     reaches below ``r`` as None, unsolved; the error then carries
     `constraints.cycle_bounds` of the word, and no interval is built from
-    it.  Edges are compared in integers, and the interval is built here
-    with ``r`` itself as its lower edge, so each inner boundary is one
-    Fraction shared by the two intervals that meet there.
+    it.  The lower edge is compared in integers, emptiness is left to
+    `Interval`, and the interval is built with ``r`` itself as its lower
+    edge, so each inner boundary is one Fraction shared by the two
+    intervals that meet there.
 
     No cycle reaches into the tail, so the first interval needs no cut to
     the body.  Let ``r0`` be the body's lower edge: ``edge(k_start)`` of
@@ -149,15 +150,16 @@ def march(a0: int, a1: int) -> Iterator[tuple[Interval, Word]]:
         total_steps += len(word)
         if total_steps > max_steps:
             raise exhausted(f"total step budget {max_steps}")
+        side = "exact" if closed else "plus_zero"
         if bounds is None:
-            raise MarchError(start, r, "exact" if closed else "plus_zero", cycle_bounds(word))
+            raise MarchError(start, r, side, cycle_bounds(word))
         lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = bounds
-        num, den = r.numerator, r.denominator
-        above = hi_n * den - num * hi_d  # the solved upper edge minus r
-        empty = above < 0 or (above == 0 and not (closed and hi_closed))
-        if lo_n * den != num * lo_d or lo_closed != closed or empty:
-            raise MarchError(start, r, "exact" if closed else "plus_zero", bounds)
-        ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
+        if lo_n * r.denominator != r.numerator * lo_d or lo_closed != closed:
+            raise MarchError(start, r, side, bounds)
+        try:  # `Interval` refuses an upper edge below r, or at r unless closed on both sides
+            ival = Interval(r, Fraction(hi_n, hi_d), closed, hi_closed)
+        except ValueError:
+            raise MarchError(start, r, side, bounds) from None
         yield ival, word
         rounds += 1
         r, closed = ival.hi, not hi_closed

@@ -304,17 +304,16 @@ class PointSummary:
 
 @dataclass(frozen=True)
 class ShellStats:
-    """Aggregates over all pairs with max(|a0|, |a1|) equal to one value."""
+    """Aggregates over all pairs with max(|a0|, |a1|) equal to one value.
+
+    ``card`` and ``longest`` are the shell's summaries with the most
+    intervals and with the longest cycle; the tables read them as they are.
+    """
 
     m: int
-    card_point: tuple[int, int]
-    cardinality: int
-    singletons: int
-    len_point: tuple[int, int]
-    max_len: int
-    max_len_interval: str
+    card: PointSummary
+    longest: PointSummary
     avg_len_pooled: Fraction
-    avg_len_at_max_point: Fraction
 
 
 @dataclass(frozen=True)
@@ -341,20 +340,13 @@ class SweepReport:
         shell = [p for p in self.points if p.shell == m]
         if not shell:
             raise ValueError(f"no points at shell {m}")
-        card_best = max(shell, key=lambda p: (p.intervals, p.a0, p.a1))
-        len_best = max(shell, key=lambda p: (p.max_len, p.a0, p.a1))
-        total = sum(p.total_len for p in shell)
-        count = sum(p.intervals for p in shell)
         return ShellStats(
             m=m,
-            card_point=(card_best.a0, card_best.a1),
-            cardinality=card_best.intervals,
-            singletons=card_best.singletons,
-            len_point=(len_best.a0, len_best.a1),
-            max_len=len_best.max_len,
-            max_len_interval=len_best.max_len_interval,
-            avg_len_pooled=Fraction(total, count),
-            avg_len_at_max_point=len_best.avg_len,
+            card=max(shell, key=lambda p: (p.intervals, p.a0, p.a1)),
+            longest=max(shell, key=lambda p: (p.max_len, p.a0, p.a1)),
+            avg_len_pooled=Fraction(
+                sum(p.total_len for p in shell), sum(p.intervals for p in shell)
+            ),
         )
 
     def shells(self) -> list[ShellStats]:
@@ -417,14 +409,8 @@ def write_sweep_csv(report: SweepReport, out_dir: str) -> str:
 def _table_rows_cardinality(shells: Iterable[ShellStats]) -> list[list[str]]:
     rows = [["m", "max at (a0,a1)", "intervals", "singletons"]]
     for s in shells:
-        rows.append(
-            [
-                str(s.m),
-                f"({s.card_point[0]},{s.card_point[1]})",
-                str(s.cardinality),
-                str(s.singletons),
-            ]
-        )
+        p = s.card
+        rows.append([str(s.m), f"({p.a0},{p.a1})", str(p.intervals), str(p.singletons)])
     return rows
 
 
@@ -433,14 +419,15 @@ def _table_rows_length(shells: Iterable[ShellStats]) -> list[list[str]]:
         ["m", "max at (a0,a1)", "interval", "max length", "avg (all atlases)", "avg (max point)"]
     ]
     for s in shells:
+        p = s.longest
         rows.append(
             [
                 str(s.m),
-                f"({s.len_point[0]},{s.len_point[1]})",
-                s.max_len_interval,
-                str(s.max_len),
+                f"({p.a0},{p.a1})",
+                p.max_len_interval,
+                str(p.max_len),
                 _format_avg(s.avg_len_pooled),
-                _format_avg(s.avg_len_at_max_point),
+                _format_avg(p.avg_len),
             ]
         )
     return rows

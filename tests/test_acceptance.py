@@ -76,10 +76,10 @@ def sweep10():
 def _check_cardinality_rows(report, ms):
     for m in ms:
         point, cardinality, singletons = CARDINALITY_TABLE[m]
-        row = report.shell_stats(m)
-        assert row.card_point == point, (m, row.card_point)
-        assert row.cardinality == cardinality, (m, row.cardinality)
-        assert row.singletons == singletons, (m, row.singletons)
+        card = report.shell_stats(m).card
+        assert (card.a0, card.a1) == point, (m, card)
+        assert card.intervals == cardinality, (m, card.intervals)
+        assert card.singletons == singletons, (m, card.singletons)
 
 
 def test_criterion_1_reference_listings(atlas, paper_listings):
@@ -110,11 +110,12 @@ def test_criterion_3_length_table(sweep5):
     with criterion("cycle length table rows m = 1..3"):
         for m, (point, interval, max_len, avg) in LENGTH_TABLE.items():
             row = sweep5.shell_stats(m)
-            assert row.len_point == point, (m, row.len_point)
-            assert row.max_len_interval == interval, (m, row.max_len_interval)
-            assert row.max_len == max_len, (m, row.max_len)
+            longest = row.longest
+            assert (longest.a0, longest.a1) == point, (m, longest)
+            assert longest.max_len_interval == interval, (m, longest.max_len_interval)
+            assert longest.max_len == max_len, (m, longest.max_len)
             pooled = float(row.avg_len_pooled)
-            at_max = float(row.avg_len_at_max_point)
+            at_max = float(longest.avg_len)
             assert min(abs(pooled - avg), abs(at_max - avg)) <= 0.01, (
                 f"m={m}: neither declared average matches {avg}: "
                 f"pooled over the shell {pooled:.6g}, over the max point's "

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import multiprocessing
@@ -279,17 +280,41 @@ def test_a_huge_lambda_is_a_usage_error_that_echoes_its_text(capsys):
         assert exc.value.code == 2 and repr(text) in err and "int_max_str_digits" not in err
 
 
-def test_readme_command_lines_parse():
+def _readme_block(heading, language):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read()
-    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    return re.search(rf"^## {heading}\n+```{language}\n(.*?)^```", text, re.M | re.S).group(1)
+
+
+def test_readme_command_lines_parse():
+    block = _readme_block("Command line", "sh")
     commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
     assert all(argv[0] == "rotatlas" for argv in commands)
     parser = build_parser()
     parsed = [parser.parse_args(argv[1:]) for argv in commands]
     # every subcommand is shown at least once
     assert {args.command for args in parsed} == set(_COMMANDS)
+
+
+def test_readme_library_block_runs_as_its_comments_say():
+    # each expression statement's value, in order, as a reader would see it typed
+    namespace, values = {}, []
+    for stmt in ast.parse(_readme_block("Library", "python")).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    cycle, solved, (first, _), tail_interval, body_range, ok, shell = values
+    atlas = namespace["atlas"]
+    assert len(cycle) == 38
+    assert str(solved) == "(-1,-1/2)"
+    assert (atlas.interval_count, atlas.singleton_count) == (59, 20)
+    assert first == atlas.body[0][0] and first.lo == body_range.lo
+    assert str(tail_interval) == "(-2,-5/3)" and str(body_range) == "[-5/3,2)"
+    assert ok is True
+    assert (shell.m, shell.card.a0, shell.card.a1) == (3, -3, -3)
+    assert (shell.longest.a0, shell.longest.a1) == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -378,6 +403,14 @@ def test_sweep_stdout_matches_the_benchmark_reference(capsys, max_m, jobs):
         expected = json.load(fh)["sweeps"][max_m]["stdout"]
     code, out, _ = run(capsys, "sweep", "--max-m", max_m, "--jobs", jobs)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_sweep_csv_stdout_matches_its_golden(capsys):
+    golden = os.path.join(os.path.dirname(__file__), "goldens", "sweep_m5_csv.sha256")
+    with open(golden) as fh:
+        expected = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    code, out, _ = run(capsys, "sweep", "--max-m", "5", "--format", "csv")
+    assert code == 0 and [hashlib.sha256(out.encode()).hexdigest()] == expected
 
 
 @pytest.mark.parametrize("a0, a1", [(2, 3), (-2, -2), (-9, -10)])

@@ -34,7 +34,13 @@ from rotatlas import certificate, dynamics, partition, tail
 from rotatlas.certificate import PartitionAtlas, VerificationReport, _solves_to, certify
 from rotatlas.constraints import cycle_bounds, pack_word
 from rotatlas.partition import _mirrored
-from rotatlas.report import PointSummary, atlas_from_json, atlas_to_json, write_atlas_json
+from rotatlas.report import (
+    PointSummary,
+    ShellStats,
+    atlas_from_json,
+    atlas_to_json,
+    write_atlas_json,
+)
 from reference import contains, intersect, make_interval, parse_interval, word_is_cycle_at
 from words import rotation_equal
 
@@ -1210,9 +1216,22 @@ def test_sweep_shell_aggregates():
     assert rep.all_verified
     assert len(rep.points) == 9
     row = rep.shell_stats(1)
-    assert (row.card_point, row.cardinality, row.singletons) == ((-1, -1), 22, 11)
-    assert (row.len_point, row.max_len, row.max_len_interval) == ((-1, -1), 38, "[8/5]")
+    card, longest = row.card, row.longest
+    assert (card.a0, card.a1, card.intervals, card.singletons) == (-1, -1, 22, 11)
+    assert (longest.a0, longest.a1, longest.max_len, longest.max_len_interval) == (
+        -1, -1, 38, "[8/5]"
+    )
     assert abs(float(row.avg_len_pooled) - 9.8172) < 5e-5
+
+
+def test_shell_rows_are_the_summaries_they_pick():
+    fields = [f.name for f in dataclasses.fields(ShellStats)]
+    assert fields == ["m", "card", "longest", "avg_len_pooled"]
+    rep = sweep(2)
+    for m in (1, 2):
+        row = rep.shell_stats(m)
+        shell = [p for p in rep.points if p.shell == m]
+        assert any(row.card is p for p in shell) and any(row.longest is p for p in shell)
 
 
 def test_sweep_parallel_matches_serial():
